@@ -12,7 +12,6 @@ from .spaces import (
     norm,
     to_slice,
 )
-from .lp import LinearProgram, LpOutcome, LpStatus, solve_lp
 from .illumination import (
     HullCertificate,
     IlluminationVerdict,
@@ -74,7 +73,6 @@ __all__ = [
     "BudgetError", "ConstructionError", "DomainError", "NonterminationError",
     "NormId", "norm", "hilbert_metric", "to_slice", "log_coords",
     "exp_coords", "extreme_points",
-    "LinearProgram", "LpOutcome", "LpStatus", "solve_lp",
     "IlluminationVerdict", "HullCertificate", "illuminates_point",
     "sup_criterion", "extreme_illumination", "interior_hull_certificate",
     "ball_cover_criterion",

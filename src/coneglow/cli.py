@@ -63,6 +63,8 @@ def _load_map_file(path: str):
             norm_tag = doc["norm"]
         except KeyError as exc:
             raise CliError(f"{path}: affine spec is missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"{path}: affine spec has a non-numeric entry ({exc})") from exc
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise CliError(f"{path}: affine matrix must be square")
         if b.shape != (A.shape[0],):
@@ -72,7 +74,7 @@ def _load_map_file(path: str):
         return "affine", (A, b, NormId(norm_tag))
     try:
         return "cone", conemaps.map_spec_from_dict(doc)
-    except DomainError as exc:
+    except (TypeError, ValueError) as exc:  # DomainError, or a non-numeric entry
         raise CliError(f"{path}: {exc}") from exc
 
 
@@ -197,6 +199,8 @@ def _run_trial(packed):
 
 
 def cmd_trials(args) -> int:
+    if args.trials < 1:
+        raise CliError("--trials must be at least 1")
     kind, spec = _load_map_file(args.spec)
     if kind != "cone":
         raise CliError("trials require a cone map spec")
@@ -208,7 +212,10 @@ def cmd_trials(args) -> int:
         for t in range(args.trials)
     ]
 
-    workers = int(os.environ.get("CONEGLOW_THREADS", "1"))
+    raw = os.environ.get("CONEGLOW_THREADS", "1")
+    if not (raw.strip().isdigit() and int(raw) >= 1):
+        raise CliError(f"CONEGLOW_THREADS must be a positive integer, not {raw!r}")
+    workers = min(int(raw), os.cpu_count() or 1, args.trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_trial, jobs, chunksize=8))

@@ -29,8 +29,7 @@ import numpy as np
 
 from .errors import BudgetError, ConstructionError, DomainError
 from .conemaps import MapSpec, eval_map
-from .illumination import interior_hull_certificate
-from .lp import LinearProgram, LpStatus, solve_lp
+from .illumination import interior_hull_certificate, separates
 from .spaces import ENUMERATION_DIM_CAP, as_cone_point, as_vector
 
 _SEED_MOD = 2 ** 64
@@ -327,52 +326,6 @@ def detect_fixed_point_sup(f, n: int, config: DetectionConfig,
     )
 
 
-def _separating_functional(V: np.ndarray) -> np.ndarray | None:
-    """A nonzero phi with ``V @ phi >= 0`` (all residuals on one side).
-
-    Searched by pinning each coordinate of phi to +-1 and maximizing the
-    worst inner product; any nonzero separator can be scaled so that some
-    coordinate is +-1, so the search is exhaustive.  Returns None when no
-    verified separator is found.
-    """
-    m, n = V.shape
-    # Variables (phi_1..phi_n, t): maximize t with V phi >= t, |phi_k| <= 1.
-    objective = np.zeros(n + 1)
-    objective[-1] = 1.0
-    base_rows = []
-    for i in range(m):
-        base_rows.append((np.append(-V[i], 1.0), 0.0))
-    for k in range(n):
-        unit = np.zeros(n + 1)
-        unit[k] = 1.0
-        base_rows.append((unit.copy(), 1.0))
-        base_rows.append((-unit, 1.0))
-    bounds = np.full(n + 1, -np.inf)
-
-    best_t, best_phi = -np.inf, None
-    for k in range(n):
-        pin = np.zeros(n + 1)
-        pin[k] = 1.0
-        for sign in (1.0, -1.0):
-            program = LinearProgram(
-                objective, eq_rows=[(pin, sign)], ineq_rows=base_rows,
-                lower_bounds=bounds,
-            )
-            outcome = solve_lp(program)
-            if outcome.status is LpStatus.OPTIMAL and outcome.value > best_t:
-                best_t = outcome.value
-                best_phi = outcome.point[:n].copy()
-    if best_phi is None or best_t < -1e-9:
-        return None
-    # The verification threshold matches the skip test in the smooth
-    # detector: a cached separator must dominate every residual it will
-    # be trusted for.
-    scale = np.maximum(1.0, np.max(np.abs(V), axis=1))
-    if np.any(V @ best_phi < -1e-12 * scale):
-        return None
-    return best_phi
-
-
 def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
                               vectorized: bool = False) -> DetectionReport:
     """Convex-hull certification for a Euclidean-nonexpansive map.
@@ -389,8 +342,9 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
     stride = n + 1
     chunk = max(stride, (1024 // stride) * stride)
 
-    points = np.empty((config.max_samples, n))
-    residuals = np.empty((config.max_samples, n))
+    # Buffers double on demand, so an early confirmation stays small.
+    points = np.empty((chunk, n))
+    residuals = np.empty((chunk, n))
     phi: np.ndarray | None = None
     used = 0
     next_boundary = stride
@@ -399,18 +353,16 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
         size = min(chunk, config.max_samples - used)
         W = rng.uniform(-R, R, size=(size, n))
         res = _batch_apply(f, W, vectorized) - W
+        if used + size > len(points):
+            extra = np.empty((min(config.max_samples, 2 * used) - used, n))
+            points = np.vstack([points[:used], extra])
+            residuals = np.vstack([residuals[:used], extra])
         points[used:used + size] = W
         residuals[used:used + size] = res
         used += size
         while next_boundary <= used:
             b = next_boundary
-            need_solve = phi is None
-            if not need_solve:
-                seg = residuals[b - stride:b]
-                scale = np.maximum(1.0, np.max(np.abs(seg), axis=1))
-                if np.any(seg @ phi < -1e-12 * scale):
-                    need_solve = True
-            if need_solve:
+            if phi is None or not separates(residuals[b - stride:b], phi):
                 cert = interior_hull_certificate(residuals[:b])
                 if cert.inside:
                     return DetectionReport(
@@ -420,7 +372,7 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
                         seed=config.seed, config=config,
                         probe_points=points[:b].copy(),
                     )
-                phi = _separating_functional(residuals[:b])
+                phi = cert.separator
             next_boundary += stride
     return DetectionReport(
         kind="fixed_point_smooth", status=DetectionStatus.UNDETERMINED,

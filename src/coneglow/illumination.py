@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .errors import BudgetError, DomainError
-from .lp import LinearProgram, LpStatus, solve_lp
 from .spaces import (
     ENUMERATION_DIM_CAP,
     NormId,
@@ -140,8 +140,11 @@ def extreme_illumination(residuals, norm_id: NormId) -> IlluminationVerdict:
 
 @dataclass(frozen=True)
 class HullCertificate:
+    """``separator``: a nonzero phi passing ``separates``, or None."""
+
     inside: bool
     epsilon: float
+    separator: np.ndarray | None = field(default=None, compare=False)
 
 
 def gaussian_rank(matrix, tol: float = RANK_TOL) -> int:
@@ -165,46 +168,55 @@ def gaussian_rank(matrix, tol: float = RANK_TOL) -> int:
     return rank
 
 
+def separates(V: np.ndarray, phi: np.ndarray) -> bool:
+    """Whether ``<v_i, phi> >= -1e-12 * max(1, |v_i|_inf)`` for every row."""
+    scale = np.maximum(1.0, np.max(np.abs(V), axis=1))
+    return not np.any(V @ phi < -1e-12 * scale)
+
+
 def interior_hull_certificate(vectors) -> HullCertificate:
     """LP certificate that 0 lies in the interior of conv{v_1..v_m}.
 
     Maximizes ``eps`` subject to ``lambda_i >= eps``, ``sum lambda_i v_i = 0``
     and ``sum lambda_i = 1``; the optimum is positive exactly when 0 is in
     the relative interior, and a full-rank check upgrades relative
-    interior to interior.  ``epsilon`` is -inf when the program is
-    infeasible (0 outside the affine hull).
+    interior to interior.  With ``lambda_i = eps + mu_i``, ``mu_i >= 0``
+    as bounds, HiGHS solves n+1 equality rows.  ``epsilon`` is -inf when
+    the program is infeasible (0 outside the affine hull), nan when HiGHS
+    cannot settle it.  If 0 is not interior, the Gordan separator is
+    minus the duals of the balance rows, a solution of ``V phi = 1``, or
+    a null-space vector, whichever passes ``separates`` first.
     """
-    vecs = [as_vector(v) for v in vectors]
-    if not vecs:
-        raise DomainError("at least one vector is required")
-    n = vecs[0].size
-    for v in vecs:
-        if v.size != n:
-            raise DomainError("vectors must share one length")
-    V = np.array(vecs)
-    m = V.shape[0]
+    try:
+        V = np.asarray(vectors, dtype=float)
+    except ValueError as exc:
+        raise DomainError(f"vectors must be real and share one length ({exc})") from exc
+    if V.ndim != 2 or V.size == 0 or not np.all(np.isfinite(V)):
+        raise DomainError("expected a nonempty list of finite vectors of one length")
+    m, n = V.shape
 
-    objective = np.zeros(m + 1)
-    objective[-1] = 1.0
-    eq_rows = [(np.append(V[:, j], 0.0), 0.0) for j in range(n)]
-    eq_rows.append((np.append(np.ones(m), 0.0), 1.0))
-    ineq_rows = []
-    for i in range(m):
-        row = np.zeros(m + 1)
-        row[i] = -1.0
-        row[-1] = 1.0
-        ineq_rows.append((row, 0.0))  # eps - lambda_i <= 0
-    bounds = np.full(m + 1, -np.inf)
-    outcome = solve_lp(LinearProgram(objective, eq_rows, ineq_rows, bounds))
-
-    if outcome.status is LpStatus.INFEASIBLE:
-        return HullCertificate(False, -np.inf)
-    if outcome.status is not LpStatus.OPTIMAL:
-        # sum(lambda) = 1 with lambda_i >= eps forces eps <= 1/m.
-        raise ArithmeticError("epsilon program cannot be unbounded")
-    eps = float(outcome.value)
-    inside = eps > LP_TOL and gaussian_rank(V) == n
-    return HullCertificate(inside, eps)
+    # Columns mu_1..mu_m, then eps, whose coefficients are the row sums.
+    A = np.vstack([V.T, np.ones(m)])
+    res = linprog(np.append(np.zeros(m), -1.0),
+                  A_eq=np.column_stack([A, A.sum(axis=1)]),
+                  b_eq=np.append(np.zeros(n), 1.0),
+                  bounds=[(0.0, None)] * m + [(None, None)], method="highs")
+    full_rank = gaussian_rank(V) == n
+    if res.status == 0:
+        eps = float(res.x[m])
+        if eps > LP_TOL and full_rank:
+            return HullCertificate(True, eps)
+        phi = -res.eqlin.marginals[:n]
+    else:
+        # Never unbounded (eps <= 1/m).  Residuals exactly on a plane off 0
+        # give inconsistent rows HiGHS may leave unsettled, not infeasible.
+        eps = -np.inf if res.status == 2 else np.nan
+        phi = np.linalg.lstsq(V, np.ones(m), rcond=None)[0]
+    found = np.any(phi) and separates(V, phi)
+    if not full_rank and not found:
+        phi = np.linalg.svd(V, full_matrices=m < n)[2][-1]  # a unit vector
+        found = separates(V, phi)
+    return HullCertificate(False, eps, phi if found else None)
 
 
 def ball_cover_criterion(vectors, norm_id: NormId) -> bool:

@@ -14,9 +14,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
 from .errors import DomainError
-from .lp import LinearProgram, LpStatus, solve_lp
+from .illumination import interior_hull_certificate
 from .spaces import NormId, as_cone_point, as_vector, exp_coords, log_coords, norm, to_slice
 
 HILBERT_METRIC = "hilbert"
@@ -91,10 +92,10 @@ def circumcenter(points, norm_id: NormId) -> tuple[np.ndarray, float]:
     """A circumcenter and the circumradius of a finite point set.
 
     Sup norm: closed form (coordinatewise midpoint of the bounding box).
-    Variation norm: solved as a linear program over centers in V0.  The
+    Variation norm: Karp's minimum cycle mean, O(n**3), no solver.  The
     returned radius is the realized max distance from the returned
     center, so the pair is self-consistent; it matches the true
-    circumradius to solver tolerance (1e-8).
+    circumradius to rounding.
     """
     pts = [as_vector(p) for p in points]
     if not pts:
@@ -112,44 +113,32 @@ def circumcenter(points, norm_id: NormId) -> tuple[np.ndarray, float]:
     elif norm_id is NormId.VARIATION:
         if np.any(P[:, -1] != 0.0):
             raise DomainError("variation circumcenters need points in V0")
-        center = _variation_center_lp(P)
+        center = _variation_center(P)
     else:
         raise DomainError("circumcenter supports the sup and variation norms")
     radius = max(norm(center - p, norm_id) for p in P)
     return center, float(radius)
 
 
-def _variation_center_lp(P: np.ndarray) -> np.ndarray:
+def _variation_center(P: np.ndarray) -> np.ndarray:
     """Minimize R over centers y in V0 with var(y - w_i) <= R for all i.
 
-    One row per point and ordered coordinate pair (j, k):
-    ``(y_j - w_ij) - (y_k - w_ik) <= R`` with ``y_n = 0`` fixed.
+    That is the difference system ``y_j - y_k <= R + D[j, k]``, with
+    ``D[j, k] = min_i (w_ij - w_ik)``, feasible iff no cycle of R + D is
+    negative: the least R is minus the minimum cycle mean of D (Karp's
+    formula), and Bellman-Ford potentials under R + D are a center.
     """
-    m, n = P.shape
-    nv = n - 1  # free center coordinates; R is the last variable
-    objective = np.zeros(nv + 1)
-    objective[-1] = -1.0  # maximize -R
-    rows = []
-    for i in range(m):
-        for j in range(n):
-            for k in range(n):
-                if j == k:
-                    continue
-                row = np.zeros(nv + 1)
-                if j < nv:
-                    row[j] += 1.0
-                if k < nv:
-                    row[k] -= 1.0
-                row[-1] = -1.0
-                rows.append((row, float(P[i, j] - P[i, k])))
-    bounds = np.concatenate([np.full(nv, -np.inf), [0.0]])
-    outcome = solve_lp(LinearProgram(objective, ineq_rows=rows,
-                                     lower_bounds=bounds))
-    if outcome.status is not LpStatus.OPTIMAL:
-        raise ArithmeticError("circumcenter program must be solvable")
-    center = np.zeros(n)
-    center[:nv] = outcome.point[:nv]
-    return center
+    n = P.shape[1]
+    D = np.min(P[:, :, None] - P[:, None, :], axis=0)
+    # F[k, j]: least weight of a k-edge walk ending at j.
+    F = np.zeros((n + 1, n))
+    for k in range(1, n + 1):
+        F[k] = np.min(F[k - 1] + D, axis=1)
+    mean = np.min(np.max((F[n] - F[:n]) / np.arange(n, 0, -1)[:, None], axis=0))
+    y = np.zeros(n)
+    for _ in range(n - 1):
+        y = np.minimum(y, np.min(y + D - mean, axis=1))
+    return y - y[-1]
 
 
 def localize_fixed_points(witnesses, norm_id: NormId) -> BoundingBall:
@@ -224,9 +213,9 @@ def halfspace_polytope(f, probes) -> tuple[HalfspacePolytope, bool]:
 
     Every fixed point satisfies ``<v, w - f(w)> <= <w, w - f(w)>`` for
     every probe w, so the rows cut out a polytope containing the
-    fixed-point set.  Boundedness is decided by maximizing +-each
-    coordinate over the polytope (2n small LPs); an empty polytope counts
-    as bounded.
+    fixed-point set.  A nonempty polytope is bounded iff its normals
+    positively span, which one ``interior_hull_certificate`` decides; if
+    they do not, one feasibility LP runs, as an empty one counts bounded.
     """
     rows = []
     n = None
@@ -243,19 +232,9 @@ def halfspace_polytope(f, probes) -> tuple[HalfspacePolytope, bool]:
     if not rows:
         raise DomainError("no usable probes (all residuals vanished)")
 
-    polytope = HalfspacePolytope(tuple(rows))
-    bounds = np.full(n, -np.inf)
-    bounded = True
-    for j in range(n):
-        for sign in (1.0, -1.0):
-            objective = np.zeros(n)
-            objective[j] = sign
-            outcome = solve_lp(LinearProgram(objective, ineq_rows=rows,
-                                             lower_bounds=bounds))
-            if outcome.status is LpStatus.UNBOUNDED:
-                bounded = False
-                break
-            # Infeasible means the polytope is empty, vacuously bounded.
-        if not bounded:
-            break
-    return polytope, bounded
+    normals, offsets = map(np.array, zip(*rows))
+    bounded = interior_hull_certificate(normals).inside
+    if not bounded:  # status 2: empty, so vacuously bounded
+        bounded = linprog(np.zeros(n), A_ub=normals, b_ub=offsets,
+                          bounds=(None, None), method="highs").status == 2
+    return HalfspacePolytope(tuple(rows)), bounded

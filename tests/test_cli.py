@@ -198,3 +198,33 @@ def test_worker_count_does_not_change_trials(ones_spec, tmp_path, monkeypatch):
     monkeypatch.setenv("CONEGLOW_THREADS", "2")
     assert main(args + ["--out", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_trials_nonpositive_count_exit_one(ones_spec, tmp_path, capsys, count):
+    out = tmp_path / "t.csv"
+    assert main(["trials", "--spec", ones_spec, "--trials", count,
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: --trials")
+
+
+def test_threads_not_integer_exit_one(ones_spec, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CONEGLOW_THREADS", "abc")
+    assert main(["trials", "--spec", ones_spec, "--trials", "2",
+                 "--out", str(tmp_path / "t.csv")]) == 1
+    assert "CONEGLOW_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "matrix", "matrix": [[1, "a"], [1, 1]]},
+    {"kind": "affine", "matrix": [[0.5, "a"], [0.0, 0.5]], "offset": [0, 0],
+     "norm": "euclid"},
+])
+def test_non_numeric_spec_entry_exit_one(tmp_path, capsys, spec):
+    out = tmp_path / "report.json"
+    assert main(["detect", "--spec", json.dumps(spec), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'a'" in err
+    assert err.count("\n") == 1

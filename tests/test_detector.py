@@ -231,6 +231,20 @@ class TestDetectFixedPointSmooth:
         assert not report.confirmed
         assert report.samples_used == 3000
 
+    def test_large_budget_is_not_preallocated(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            report = detect_fixed_point_smooth(
+                lambda X: 0.5 * X, 2, DetectionConfig(seed=0, max_samples=10 ** 7),
+                vectorized=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.confirmed
+        assert peak < 50 * 2 ** 20
+
     def test_matches_naive_per_boundary_certificate(self):
         # the cached-separator fast path must agree with re-running the hull
         # certificate at every n+1 boundary, for confirming and

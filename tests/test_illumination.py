@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -118,20 +120,62 @@ class TestExtremeIllumination:
             extreme_illumination([np.ones(2)], NormId.EUCLID)
 
 
+def _assert_separates(vectors, cert):
+    # a nonzero phi with V phi >= 0, to the slack the smooth detector uses
+    V = np.asarray(vectors, dtype=float)
+    phi = cert.separator
+    assert phi is not None and np.any(phi != 0.0)
+    scale = np.maximum(1.0, np.max(np.abs(V), axis=1))
+    assert np.all(V @ phi >= -1e-12 * scale)
+
+
 class TestInteriorHullCertificate:
     def test_symmetric_instance(self):
         cert = interior_hull_certificate([(1, 0), (-1, 1), (-1, -1)])
         assert cert.inside
         assert cert.epsilon == pytest.approx(0.25, abs=1e-12)
+        assert cert.separator is None
 
     def test_separated_instance(self):
-        cert = interior_hull_certificate([(1, 0), (2, 0), (3, 1)])
+        vecs = [(1, 0), (2, 0), (3, 1)]
+        cert = interior_hull_certificate(vecs)
         assert not cert.inside
+        assert cert.epsilon < 0
+        _assert_separates(vecs, cert)
 
     def test_rank_deficient_instance(self):
-        cert = interior_hull_certificate([(1, 0), (-1, 0)])
+        vecs = [(1, 0), (-1, 0)]
+        cert = interior_hull_certificate(vecs)
         assert not cert.inside
         assert cert.epsilon > 0  # in the relative interior, but not interior
+        _assert_separates(vecs, cert)
+
+    @pytest.mark.parametrize("vecs", [
+        [(1.0, 0.0)],
+        [(1, 0, 0), (0, 1, 0)],
+        [(1, 1), (2, 1), (3, 1), (-4, 1)],  # a line missing 0
+    ])
+    def test_off_affine_hull_instance(self, vecs):
+        cert = interior_hull_certificate(vecs)
+        assert not cert.inside
+        assert cert.epsilon == -np.inf
+        _assert_separates(vecs, cert)
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-9, 1e-6])
+    def test_many_residuals_near_one_plane(self, noise):
+        # 8148 residuals spread across a plane 40 from 0, as a
+        # no-fixed-point map produces them; the program must settle fast
+        rng = np.random.default_rng(12)
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        spread = rng.uniform(-100.0, 100.0, size=(8148, 3))
+        spread -= np.outer(spread @ u, u)
+        V = -40.0 * u + spread + rng.normal(scale=noise, size=spread.shape)
+        start = time.perf_counter()
+        cert = interior_hull_certificate(V)
+        assert time.perf_counter() - start < 30.0
+        assert not cert.inside
+        _assert_separates(V, cert)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -151,7 +195,10 @@ class TestInteriorHullCertificate:
             if abs(margin) <= 1e-6:
                 continue
             checked += 1
-            assert interior_hull_certificate(list(vecs)).inside == (margin > 0)
+            cert = interior_hull_certificate(list(vecs))
+            assert cert.inside == (margin > 0)
+            if not cert.inside:
+                _assert_separates(vecs, cert)
         assert checked > 250
 
     def test_illumination_implies_interior(self):

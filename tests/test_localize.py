@@ -56,6 +56,37 @@ class TestCircumcenter:
                 worst = max(norm(moved - p, NormId.VARIATION) for p in pts)
                 assert worst >= r0 - 1e-8
 
+    def test_variation_radius_matches_full_lp(self):
+        # the closed form against the m*n(n-1)-row program it replaces:
+        # minimize R over y in V0 with (y_j - w_ij) - (y_k - w_ik) <= R
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(35)
+        for n in range(2, 8):
+            for trial in range(8):
+                m = int(rng.integers(1, 15))
+                if trial % 2:
+                    pts = rng.integers(-2, 3, (m, n)).astype(float)  # ties
+                else:
+                    pts = rng.uniform(-5, 5, (m, n))
+                pts[m // 2:] = pts[0]  # duplicate points
+                pts[:, -1] = 0.0
+                _, r0 = circumcenter(list(pts), NormId.VARIATION)
+                rows, rhs = [], []
+                for j in range(n):
+                    for k in range(n):
+                        if j != k:
+                            row = np.zeros(n + 1)
+                            row[j], row[k], row[n] = 1.0, -1.0, -1.0
+                            rows += [row] * m
+                            rhs += list(pts[:, j] - pts[:, k])
+                bounds = [(None, None)] * (n - 1) + [(0.0, 0.0), (0.0, None)]
+                res = linprog(np.eye(n + 1)[n], A_ub=np.array(rows),
+                              b_ub=np.array(rhs), bounds=bounds,
+                              method="highs")
+                assert res.status == 0
+                assert r0 == pytest.approx(res.fun, rel=1e-9, abs=1e-12)
+
     def test_sup_center_is_optimal(self):
         rng = np.random.default_rng(31)
         pts = rng.uniform(-3, 3, (6, 4))
@@ -192,6 +223,16 @@ class TestHalfspacePolytope:
         assert not bounded
         for normal, _ in polytope.rows:
             assert np.allclose(normal, -b)
+
+    def test_empty_polytope_counts_as_bounded(self):
+        # rows x <= 1 and x >= 2 in the plane: the normals (1, 0) and
+        # (-1, 0) do not positively span, yet nothing is left to bound
+        probes = [np.array([1.0, 0.0]), np.array([2.0, 0.0])]
+        polytope, bounded = halfspace_polytope(
+            lambda w: np.array([3.0 * w[0] - 3.0, w[1]]), probes)
+        assert [tuple(normal) for normal, _ in polytope.rows] == [(1.0, 0.0), (-1.0, 0.0)]
+        assert [offset for _, offset in polytope.rows] == [1.0, -2.0]
+        assert bounded
 
     def test_zero_residual_probe_skipped(self):
         probes = [np.zeros(2), np.array([1.0, 1.0])]
