@@ -31,8 +31,6 @@ from . import conemaps, detector, localize
 from .errors import BudgetError, ConstructionError, DomainError, NonterminationError
 from .spaces import NormId, hilbert_metric
 
-_SEED_MOD = 2 ** 64
-
 
 class CliError(Exception):
     """Fatal CLI error; its message goes to stderr and the exit code is 1."""
@@ -124,6 +122,32 @@ def cmd_detect(args) -> int:
     return 0 if report.confirmed else 2
 
 
+def _check_witnesses(report, masks_of) -> np.ndarray:
+    """Witness points in mask order, once each is seen to realize its mask.
+
+    ``masks_of(points, gap_tol)`` is the detector's own mask code; the
+    check runs at half the report's gap, because the JSON round trip can
+    move a ratio by one ulp.  All ``2**n`` sign patterns, or all ``2**n - 2``
+    ratio subsets, must be covered.
+    """
+    n = report.dimension
+    claimed = sorted(report.witnesses)
+    points = [report.witnesses[m] for m in claimed]
+    if any(p.shape != (n,) for p in points):
+        raise CliError("report witness points must have the report's dimension")
+    points = np.reshape(points, (len(claimed), n))
+    masks, valid = masks_of(points, report.config.gap_tol / 2)
+    realized = (valid & (masks == np.array(claimed)[:, None])).any(axis=1)
+    if not realized.all():
+        bad = claimed[int(np.argmin(realized))]
+        subset = [i for i in range(bad.bit_length()) if (bad >> i) & 1]
+        raise CliError(f"witness for subset {subset} does not realize it")
+    total = (1 << n) - (2 if report.kind == "eigenvector" else 0)
+    if len(claimed) != total:
+        raise CliError(f"witnesses cover {len(claimed)} of {total} subsets")
+    return points
+
+
 def cmd_localize(args) -> int:
     kind, payload = _load_map_file(args.spec)
     doc = _load_json(args.report)
@@ -140,7 +164,8 @@ def cmd_localize(args) -> int:
             raise CliError("report/spec dimension mismatch")
         if report.kind != "eigenvector":
             raise CliError("cone specs need an eigenvector report")
-        witnesses = [report.witnesses[m] for m in sorted(report.witnesses)]
+        witnesses = _check_witnesses(report, lambda X, tol: detector._cut_masks(
+            np.log(conemaps.eval_map(spec, X)) - np.log(X), tol))
         ball = localize.localize_eigenvectors(witnesses, spec.dim)
         eig = conemaps.power_iteration(spec, np.ones(spec.dim))
         print(f"eigenvector: {eig.vector.tolist()}")
@@ -161,7 +186,9 @@ def cmd_localize(args) -> int:
     if norm_id is NormId.SUP:
         if report.kind != "fixed_point_sup":
             raise CliError("sup-norm affine specs need a sup detection report")
-        witnesses = [report.witnesses[m] for m in sorted(report.witnesses)]
+        f = _affine_callable(A, b)
+        witnesses = _check_witnesses(
+            report, lambda W, tol: detector._sign_masks(f(W) - W, tol))
         ball = localize.localize_fixed_points(witnesses, NormId.SUP)
         fixed = np.linalg.solve(np.eye(A.shape[0]) - A, b)
         print(f"fixed point: {fixed.tolist()}")
@@ -208,7 +235,7 @@ def cmd_trials(args) -> int:
     spec_dict = conemaps.map_spec_to_dict(spec)
     jobs = [
         (spec_dict, base.box_radius, base.max_samples, base.gap_tol,
-         (base.seed + t) % _SEED_MOD)
+         (base.seed + t) % detector._SEED_MOD)
         for t in range(args.trials)
     ]
 
@@ -273,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--spec", required=True, help="map-spec JSON path")
     _add_config_flags(p_detect)
     p_detect.add_argument("--out", help="report output path (default stdout)")
-    p_detect.add_argument("--format", choices=["json"], default="json")
     p_detect.set_defaults(func=cmd_detect)
 
     p_loc = sub.add_parser("localize", help="bound the set from a report")
@@ -287,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--trials", type=int, default=500)
     _add_config_flags(p_tr)
     p_tr.add_argument("--out", help="CSV output path (default stdout)")
-    p_tr.add_argument("--format", choices=["csv"], default="csv")
     p_tr.add_argument("--expect",
                       help="reference 'min,max,mean,median' to diff against")
     p_tr.set_defaults(func=cmd_trials)

@@ -13,13 +13,15 @@ Three detectors share one sampling skeleton:
 * ``detect_fixed_point_smooth`` accumulates residuals and certifies once
   0 enters the interior of their convex hull (Euclidean norm).
 
-Runs are deterministic given the config: samples come from a PCG64
-stream seeded by ``config.seed``, consumed in sample order, so the
-internal batch size never changes results.
+All three draw their samples from ``_draws``, a PCG64 stream seeded by
+``config.seed`` and consumed in sample order, so batch sizes never
+change results.  The first two pass each batch's masks to ``_cover``,
+the one first-witness-per-mask loop, which also builds their reports.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -193,23 +195,57 @@ def ratio_subsets(spec: MapSpec, x, gap_tol: float = 1e-9) -> list[SubsetMask]:
     return [SubsetMask(int(m), n) for m, v in zip(masks[0], valid[0]) if v]
 
 
-def _batch_plan(limit: int, plan):
-    sizes = list(plan) if plan is not None else None
-    remaining = limit
-    i = 0
-    while remaining > 0:
-        if sizes is not None:
-            size = sizes[min(i, len(sizes) - 1)]
-        else:
-            size = _BATCH_PLAN[i] if i < len(_BATCH_PLAN) else _BATCH_MAX
-        i += 1
-        size = min(size, remaining)
-        remaining -= size
-        yield size
+def _draws(config: DetectionConfig, dim: int):
+    """Yield ``(offset, batch)`` of uniform box samples in sample order.
+
+    Batches grow through ``_BATCH_PLAN`` and then stay at ``_BATCH_MAX``
+    rows until the budget is spent.  PCG64 is consumed in sample order,
+    so the batch sizes never change which samples are drawn.
+    """
+    rng = np.random.default_rng(config.seed)
+    R = config.box_radius
+    sizes = itertools.chain(_BATCH_PLAN, itertools.repeat(_BATCH_MAX))
+    offset = 0
+    while offset < config.max_samples:
+        size = min(next(sizes), config.max_samples - offset)
+        yield offset, rng.uniform(-R, R, size=(size, dim))
+        offset += size
 
 
-def detect_eigenvector(spec: MapSpec, config: DetectionConfig,
-                       _batches=None) -> DetectionReport:
+def _cover(kind: str, n: int, total: int, config: DetectionConfig,
+           batches) -> DetectionReport:
+    """Record the first witness of each mask until all ``total`` are covered.
+
+    ``batches`` yields ``(offset, points, masks, valid)``, one row per
+    sample, in the shape ``_cut_masks`` returns; it is not consumed when
+    ``total`` is 0.
+    """
+    covered = np.zeros(1 << n, dtype=bool)
+    witnesses: dict[int, np.ndarray] = {}
+    used = 0
+    for offset, points, masks, valid in batches if total else ():
+        used = offset + len(points)
+        fresh = valid & ~covered[masks]
+        for row in np.nonzero(fresh.any(axis=1))[0]:
+            for mask in masks[row, fresh[row]]:
+                if not covered[mask]:
+                    covered[mask] = True
+                    witnesses[int(mask)] = points[row].copy()
+            if len(witnesses) == total:
+                used = offset + int(row) + 1
+                break
+        if len(witnesses) == total:
+            break
+    status = (DetectionStatus.CONFIRMED if len(witnesses) == total
+              else DetectionStatus.UNDETERMINED)
+    return DetectionReport(
+        kind=kind, status=status, dimension=n, samples_used=used,
+        subsets_covered=len(witnesses), total_subsets=total,
+        seed=config.seed, config=config, witnesses=witnesses,
+    )
+
+
+def detect_eigenvector(spec: MapSpec, config: DetectionConfig) -> DetectionReport:
     """Randomized eigenvector certification on the positive cone.
 
     Draws slice points, accumulates realized ratio subsets, and stops at
@@ -223,46 +259,17 @@ def detect_eigenvector(spec: MapSpec, config: DetectionConfig,
         raise DomainError(
             f"box radius above {_MAX_LOG_BOX} overflows exp(); reduce it"
         )
-    total = (1 << n) - 2
-    rng = np.random.default_rng(config.seed)
-    covered = np.zeros(1 << n, dtype=bool)
-    witnesses: dict[int, np.ndarray] = {}
-    count = 0
-    used = 0
 
-    def finish(status, samples):
-        return DetectionReport(
-            kind="eigenvector", status=status, dimension=n,
-            samples_used=samples, subsets_covered=count,
-            total_subsets=total, seed=config.seed, config=config,
-            witnesses=witnesses,
-        )
+    def batches():
+        for offset, Y in _draws(config, n - 1):
+            X = np.empty((len(Y), n))
+            np.exp(Y, out=X[:, : n - 1])
+            X[:, -1] = 1.0
+            rho = np.log(eval_map(spec, X))
+            rho[:, : n - 1] -= Y
+            yield offset, X, *_cut_masks(rho, config.gap_tol)
 
-    if total == 0:
-        return finish(DetectionStatus.CONFIRMED, 0)
-
-    R = config.box_radius
-    for size in _batch_plan(config.max_samples, _batches):
-        Y = rng.uniform(-R, R, size=(size, n - 1))
-        X = np.empty((size, n))
-        np.exp(Y, out=X[:, : n - 1])
-        X[:, -1] = 1.0
-        FX = eval_map(spec, X)
-        rho = np.log(FX)
-        rho[:, : n - 1] -= Y
-        masks, valid = _cut_masks(rho, config.gap_tol)
-        fresh = valid & ~covered[masks]
-        for row in np.nonzero(fresh.any(axis=1))[0]:
-            for k in np.nonzero(valid[row])[0]:
-                mask = int(masks[row, k])
-                if not covered[mask]:
-                    covered[mask] = True
-                    witnesses[mask] = X[row].copy()
-                    count += 1
-            if count == total:
-                return finish(DetectionStatus.CONFIRMED, used + int(row) + 1)
-        used += size
-    return finish(DetectionStatus.UNDETERMINED, used)
+    return _cover("eigenvector", n, (1 << n) - 2, config, batches())
 
 
 def _batch_apply(f, X, vectorized):
@@ -274,9 +281,18 @@ def _batch_apply(f, X, vectorized):
     return np.stack([np.asarray(f(x), dtype=float) for x in X])
 
 
+def _sign_masks(residuals: np.ndarray, gap_tol: float):
+    """``(masks, valid)`` of shape (rows, 1): bit j set where residual
+    coordinate j is negative, valid where every |r_j| > gap_tol * max(1, |r|_inf).
+    """
+    slack = gap_tol * np.maximum(1.0, np.max(np.abs(residuals), axis=1))
+    strict = np.min(np.abs(residuals), axis=1) > slack
+    powers = np.int64(1) << np.arange(residuals.shape[1], dtype=np.int64)
+    return ((residuals < 0.0) @ powers)[:, None], strict[:, None]
+
+
 def detect_fixed_point_sup(f, n: int, config: DetectionConfig,
-                           vectorized: bool = False,
-                           _batches=None) -> DetectionReport:
+                           vectorized: bool = False) -> DetectionReport:
     """Sign-pattern certification for a sup-norm nonexpansive map.
 
     The caller asserts nonexpansiveness; pass ``vectorized=True`` when
@@ -285,45 +301,11 @@ def detect_fixed_point_sup(f, n: int, config: DetectionConfig,
     """
     if n < 1 or n > ENUMERATION_DIM_CAP:
         raise BudgetError(f"detection is capped at n <= {ENUMERATION_DIM_CAP}")
-    total = 1 << n
-    rng = np.random.default_rng(config.seed)
-    covered = np.zeros(total, dtype=bool)
-    witnesses: dict[int, np.ndarray] = {}
-    count = 0
-    used = 0
-    powers = np.int64(1) << np.arange(n, dtype=np.int64)
-    R = config.box_radius
-
-    for size in _batch_plan(config.max_samples, _batches):
-        W = rng.uniform(-R, R, size=(size, n))
-        residuals = _batch_apply(f, W, vectorized) - W
-        slack = config.gap_tol * np.maximum(
-            1.0, np.max(np.abs(residuals), axis=1)
-        )
-        strict = np.min(np.abs(residuals), axis=1) > slack
-        masks = (residuals < 0.0) @ powers
-        fresh = strict & ~covered[masks]
-        for row in np.nonzero(fresh)[0]:
-            mask = int(masks[row])
-            if not covered[mask]:
-                covered[mask] = True
-                witnesses[mask] = W[row].copy()
-                count += 1
-                if count == total:
-                    return DetectionReport(
-                        kind="fixed_point_sup",
-                        status=DetectionStatus.CONFIRMED, dimension=n,
-                        samples_used=used + int(row) + 1,
-                        subsets_covered=count, total_subsets=total,
-                        seed=config.seed, config=config, witnesses=witnesses,
-                    )
-        used += size
-    return DetectionReport(
-        kind="fixed_point_sup", status=DetectionStatus.UNDETERMINED,
-        dimension=n, samples_used=used, subsets_covered=count,
-        total_subsets=total, seed=config.seed, config=config,
-        witnesses=witnesses,
+    batches = (
+        (offset, W, *_sign_masks(_batch_apply(f, W, vectorized) - W, config.gap_tol))
+        for offset, W in _draws(config, n)
     )
+    return _cover("fixed_point_sup", n, 1 << n, config, batches)
 
 
 def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
@@ -333,50 +315,48 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
     After every n+1 new samples the accumulated residuals are tested for
     0 in the interior of their convex hull.  Between tests a cached
     separating functional skips re-solves: while every residual stays on
-    its nonnegative side the verdict cannot have flipped.
+    its nonnegative side the verdict cannot have flipped.  Each batch is
+    tested against it at once, up to the first n+1 block that breaks it.
     """
     if n < 1:
         raise DomainError("dimension must be at least 1")
-    rng = np.random.default_rng(config.seed)
-    R = config.box_radius
     stride = n + 1
-    chunk = max(stride, (1024 // stride) * stride)
-
     # Buffers double on demand, so an early confirmation stays small.
-    points = np.empty((chunk, n))
-    residuals = np.empty((chunk, n))
+    points = residuals = np.empty((0, n))
     phi: np.ndarray | None = None
-    used = 0
-    next_boundary = stride
+    status = DetectionStatus.UNDETERMINED
+    checked = used = 0  # checked: the last boundary whose verdict is known
 
-    while used < config.max_samples:
-        size = min(chunk, config.max_samples - used)
-        W = rng.uniform(-R, R, size=(size, n))
-        res = _batch_apply(f, W, vectorized) - W
-        if used + size > len(points):
-            extra = np.empty((min(config.max_samples, 2 * used) - used, n))
-            points = np.vstack([points[:used], extra])
-            residuals = np.vstack([residuals[:used], extra])
-        points[used:used + size] = W
-        residuals[used:used + size] = res
-        used += size
-        while next_boundary <= used:
-            b = next_boundary
-            if phi is None or not separates(residuals[b - stride:b], phi):
-                cert = interior_hull_certificate(residuals[:b])
-                if cert.inside:
-                    return DetectionReport(
-                        kind="fixed_point_smooth",
-                        status=DetectionStatus.CONFIRMED, dimension=n,
-                        samples_used=b, subsets_covered=0, total_subsets=0,
-                        seed=config.seed, config=config,
-                        probe_points=points[:b].copy(),
-                    )
-                phi = cert.separator
-            next_boundary += stride
+    for offset, W in _draws(config, n):
+        used = offset + len(W)
+        if used > len(points):
+            cap = min(config.max_samples, max(used, 2 * len(points)))
+            extra = np.empty((cap - offset, n))
+            points = np.vstack([points[:offset], extra])
+            residuals = np.vstack([residuals[:offset], extra])
+        points[offset:used] = W
+        residuals[offset:used] = _batch_apply(f, W, vectorized) - W
+        last = used - used % stride
+        while checked < last:
+            if phi is None:
+                b = checked + stride
+            else:
+                broken = ~separates(residuals[checked:last], phi)
+                if not broken.any():
+                    checked = last
+                    break
+                b = checked + (int(np.argmax(broken)) // stride + 1) * stride
+            cert = interior_hull_certificate(residuals[:b])
+            checked = b
+            if cert.inside:
+                status, used = DetectionStatus.CONFIRMED, b
+                break
+            phi = cert.separator
+        if status is DetectionStatus.CONFIRMED:
+            break
     return DetectionReport(
-        kind="fixed_point_smooth", status=DetectionStatus.UNDETERMINED,
-        dimension=n, samples_used=used, subsets_covered=0, total_subsets=0,
+        kind="fixed_point_smooth", status=status, dimension=n,
+        samples_used=used, subsets_covered=0, total_subsets=0,
         seed=config.seed, config=config, probe_points=points[:used].copy(),
     )
 

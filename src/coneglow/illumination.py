@@ -168,10 +168,10 @@ def gaussian_rank(matrix, tol: float = RANK_TOL) -> int:
     return rank
 
 
-def separates(V: np.ndarray, phi: np.ndarray) -> bool:
-    """Whether ``<v_i, phi> >= -1e-12 * max(1, |v_i|_inf)`` for every row."""
+def separates(V: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Per row of ``V``, whether ``<v_i, phi> >= -1e-12 * max(1, |v_i|_inf)``."""
     scale = np.maximum(1.0, np.max(np.abs(V), axis=1))
-    return not np.any(V @ phi < -1e-12 * scale)
+    return ~(V @ phi < -1e-12 * scale)
 
 
 def interior_hull_certificate(vectors) -> HullCertificate:
@@ -212,10 +212,10 @@ def interior_hull_certificate(vectors) -> HullCertificate:
         # give inconsistent rows HiGHS may leave unsettled, not infeasible.
         eps = -np.inf if res.status == 2 else np.nan
         phi = np.linalg.lstsq(V, np.ones(m), rcond=None)[0]
-    found = np.any(phi) and separates(V, phi)
+    found = np.any(phi) and separates(V, phi).all()
     if not full_rank and not found:
         phi = np.linalg.svd(V, full_matrices=m < n)[2][-1]  # a unit vector
-        found = separates(V, phi)
+        found = separates(V, phi).all()
     return HullCertificate(False, eps, phi if found else None)
 
 

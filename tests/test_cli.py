@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from coneglow.cli import main
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 
 @pytest.fixture
@@ -120,6 +123,59 @@ def test_affine_sup_detect_and_localize(tmp_path, capsys):
     center = np.array(doc["center"])
     assert np.max(np.abs(center - 2.0)) <= doc["radius"] + 1e-9
     assert "fixed point" in capsys.readouterr().out
+
+
+def _swap_first_points(doc):
+    w = doc["witnesses"]
+    w[0]["point"], w[1]["point"] = w[1]["point"], w[0]["point"]
+
+
+def _set_first_subset(subset):
+    def edit(doc):
+        doc["witnesses"][0]["subset"] = subset
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _swap_first_points, _set_first_subset([9]), _set_first_subset([]),
+    _set_first_subset([0, 1, 2, 3]), lambda doc: doc["witnesses"].pop(),
+], ids=["swapped", "subset-9", "subset-empty", "subset-full", "dropped"])
+def test_localize_rejects_edited_witnesses(tmp_path, capsys, edit):
+    spec = str(SPECS / "schoen_composition.json")
+    report = tmp_path / "report.json"
+    assert main(["detect", "--spec", spec, "--seed", "7",
+                 "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    edit(doc)
+    report.write_text(json.dumps(doc))
+    out = tmp_path / "ball.json"
+    assert main(["localize", "--spec", spec, "--report", str(report),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: witness") and err.count("\n") == 1
+
+
+def test_localize_rejects_edited_sup_witness(tmp_path, capsys):
+    spec = str(SPECS / "affine_sup_contraction.json")
+    report = tmp_path / "report.json"
+    assert main(["detect", "--spec", spec, "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    _swap_first_points(doc)
+    report.write_text(json.dumps(doc))
+    assert main(["localize", "--spec", spec, "--report", str(report),
+                 "--out", str(tmp_path / "ball.json")]) == 1
+    assert "does not realize it" in capsys.readouterr().err
+
+
+def test_localize_accepts_c16_report_with_c13_spec(tmp_path):
+    # the witnesses of a c = 1/6 triangle report also realize their subsets
+    # under c = 1/3, so the report is a valid certificate for that map too
+    report = tmp_path / "report.json"
+    assert main(["detect", "--spec", str(SPECS / "triangle_c16.json"),
+                 "--out", str(report)]) == 0
+    assert main(["localize", "--spec", str(SPECS / "triangle_c13.json"),
+                 "--report", str(report), "--out", str(tmp_path / "b.json")]) == 0
 
 
 def test_affine_euclid_polytope(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coneglow import detector
 from coneglow import (
     ConstructionError,
     DetectionConfig,
@@ -19,6 +20,22 @@ from coneglow import (
     power_iteration,
     ratio_subsets,
 )
+
+QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+ROTOREFLECTION = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+CORNER = np.array([90.0, 90.0])
+
+
+def corner_contraction(X):
+    # residuals 0.5 * (CORNER - x) point up and right except near the corner
+    # of the box, so cached separators hold for a while and then break
+    return 0.5 * (X - CORNER) + CORNER
+
+
+def use_small_batches(monkeypatch):
+    # n+1 boundaries straddle batches of 5, 17, 251, 7, 7, ... rows
+    monkeypatch.setattr(detector, "_BATCH_PLAN", (5, 17, 251))
+    monkeypatch.setattr(detector, "_BATCH_MAX", 7)
 
 
 class TestSubsetMask:
@@ -129,12 +146,31 @@ class TestDetectEigenvector:
         b = detect_eigenvector(spec, DetectionConfig(seed=11))
         assert a.to_json_bytes() == b.to_json_bytes()
 
-    def test_batch_plan_does_not_change_results(self):
-        spec = demo_schoen_composition()
-        a = detect_eigenvector(spec, DetectionConfig(seed=11))
-        b = detect_eigenvector(spec, DetectionConfig(seed=11),
-                               _batches=(5, 17, 251))
-        assert a.to_json_bytes() == b.to_json_bytes()
+    def test_batch_plan_does_not_change_results(self, monkeypatch):
+        # all three detectors, confirming and not, under the default and a
+        # small batch plan
+        b = np.array([0.5, 1.0])
+
+        def runs():
+            cfg = DetectionConfig(seed=11, max_samples=700)
+            yield detect_eigenvector(demo_schoen_composition(), cfg)
+            yield detect_eigenvector(TriangleMap(0.0), cfg)
+            yield detect_fixed_point_sup(lambda X: 0.5 * X + 1.0, 3, cfg,
+                                         vectorized=True)
+            yield detect_fixed_point_sup(lambda X: X + b, 2, cfg, vectorized=True)
+            for f in (lambda X: X @ QUARTER_TURN.T, lambda X: X + b,
+                      corner_contraction):
+                for seed in range(3):
+                    yield detect_fixed_point_smooth(
+                        f, 2, DetectionConfig(seed=seed, max_samples=700),
+                        vectorized=True)
+
+        default = [r.to_json_bytes() for r in runs()]
+        use_small_batches(monkeypatch)
+        small = [r.to_json_bytes() for r in runs()]
+        assert small == default
+        assert b'"status": "confirmed"' in default[-1]
+        assert b'"status": "undetermined"' in default[-4]
 
     def test_report_roundtrip(self):
         report = detect_eigenvector(MatrixMap([[1, 1], [1, 1]]),
@@ -245,10 +281,10 @@ class TestDetectFixedPointSmooth:
         assert report.confirmed
         assert peak < 50 * 2 ** 20
 
-    def test_matches_naive_per_boundary_certificate(self):
+    def test_matches_naive_per_boundary_certificate(self, monkeypatch):
         # the cached-separator fast path must agree with re-running the hull
         # certificate at every n+1 boundary, for confirming and
-        # non-confirming maps alike
+        # non-confirming maps alike, under the default and a small batch plan
         from coneglow import interior_hull_certificate
 
         def naive(f, n, config):
@@ -269,14 +305,97 @@ class TestDetectFixedPointSmooth:
             lambda X: X @ Q.T,                    # confirms immediately
             lambda X: np.sin(X) + 0.3 * X,        # direction-rich residuals
             lambda X: np.abs(X) * 0.1 + 1.0,      # residuals flip with w
+            corner_contraction,                   # separators break late
         ]
+        expected = {}
         for f in maps:
             for seed in range(4):
                 config = DetectionConfig(seed=seed, max_samples=120)
+                expected[f, seed] = naive(f, 2, config)
                 report = detect_fixed_point_smooth(f, 2, config, vectorized=True)
-                status, samples = naive(f, 2, config)
-                assert report.status.value == status
-                assert report.samples_used == samples
+                assert (report.status.value, report.samples_used) == expected[f, seed]
+        use_small_batches(monkeypatch)
+        for (f, seed), want in expected.items():
+            config = DetectionConfig(seed=seed, max_samples=120)
+            report = detect_fixed_point_smooth(f, 2, config, vectorized=True)
+            assert (report.status.value, report.samples_used) == want
+
+    @pytest.mark.parametrize("small_batches", [False, True])
+    def test_separator_breaks_after_first_solve(self, monkeypatch,
+                                                small_batches):
+        if small_batches:
+            use_small_batches(monkeypatch)
+        solve = detector.interior_hull_certificate
+        calls = []
+        monkeypatch.setattr(detector, "interior_hull_certificate",
+                            lambda V: calls.append(len(V)) or solve(V))
+        report = detect_fixed_point_smooth(
+            corner_contraction, 2, DetectionConfig(seed=1, max_samples=600),
+            vectorized=True)
+        assert report.confirmed and report.samples_used == 270
+        # solved only at the boundaries whose block broke the cached
+        # separator; the other 85 boundaries up to 270 were skipped
+        assert calls == [3, 6, 201, 210, 270]
+
+
+def _pinned_run(kind, name, seed):
+    config = DetectionConfig(seed=seed, max_samples=3000)
+    if kind == "eigenvector":
+        spec = demo_schoen_composition() if name == "schoen" else TriangleMap(1 / 6)
+        return detect_eigenvector(spec, config)
+    if kind == "sup":
+        return detect_fixed_point_sup(lambda X: 0.5 * X + 1.0, 3, config,
+                                      vectorized=True)
+    f, n = {
+        "quarter_turn": (lambda X: X @ QUARTER_TURN.T, 2),
+        "rotoreflection": (lambda X: X @ ROTOREFLECTION.T, 3),
+        "sin_n2": (lambda X: np.sin(X) + 0.3 * X, 2),
+        "sin_n3": (lambda X: np.sin(X) + 0.3 * X, 3),
+        "corner": (corner_contraction, 2),
+        "translation": (lambda X: X + np.array([0.5, 1.0]), 2),
+    }[name]
+    return detect_fixed_point_smooth(f, n, config, vectorized=True)
+
+
+# (samples_used, subsets_covered) of seeded runs, recorded before the three
+# detectors shared one sampling loop; integers, so a last-ulp difference
+# between NumPy builds cannot move them
+PINNED = {
+    ("eigenvector", "schoen", 0): (19, 14),
+    ("eigenvector", "schoen", 1): (10, 14),
+    ("eigenvector", "schoen", 2): (15, 14),
+    ("eigenvector", "schoen", 3): (24, 14),
+    ("eigenvector", "schoen", 4): (22, 14),
+    ("eigenvector", "triangle_1_6", 0): (10, 6),
+    ("eigenvector", "triangle_1_6", 1): (4, 6),
+    ("eigenvector", "triangle_1_6", 2): (3, 6),
+    ("sup", "half_plus_one_n3", 0): (41, 8),
+    ("sup", "half_plus_one_n3", 1): (9, 8),
+    ("sup", "half_plus_one_n3", 2): (15, 8),
+    ("smooth", "quarter_turn", 0): (3, 0),
+    ("smooth", "quarter_turn", 1): (6, 0),
+    ("smooth", "quarter_turn", 2): (3, 0),
+    ("smooth", "rotoreflection", 0): (8, 0),
+    ("smooth", "rotoreflection", 1): (8, 0),
+    ("smooth", "rotoreflection", 2): (12, 0),
+    ("smooth", "sin_n2", 0): (3, 0),
+    ("smooth", "sin_n2", 1): (6, 0),
+    ("smooth", "sin_n2", 2): (3, 0),
+    ("smooth", "sin_n3", 0): (8, 0),
+    ("smooth", "sin_n3", 1): (8, 0),
+    ("smooth", "sin_n3", 2): (12, 0),
+    ("smooth", "corner", 0): (15, 0),
+    ("smooth", "corner", 1): (270, 0),
+    ("smooth", "corner", 2): (114, 0),
+    ("smooth", "translation", 0): (3000, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED), ids=lambda c: "-".join(map(str, c)))
+def test_pinned_results(case):
+    report = _pinned_run(*case)
+    assert (report.samples_used, report.subsets_covered) == PINNED[case]
+    assert report.confirmed == (case[1] != "translation")
 
 
 class TestAdversarial:
