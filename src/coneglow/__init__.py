@@ -14,12 +14,10 @@ from .spaces import (
 )
 from .illumination import (
     HullCertificate,
-    IlluminationVerdict,
-    ball_cover_criterion,
-    extreme_illumination,
     illuminates_point,
     interior_hull_certificate,
-    sup_criterion,
+    sup_masks,
+    variation_masks,
 )
 from .conemaps import (
     ComposeMap,
@@ -73,9 +71,8 @@ __all__ = [
     "BudgetError", "ConstructionError", "DomainError", "NonterminationError",
     "NormId", "norm", "hilbert_metric", "to_slice", "log_coords",
     "exp_coords", "extreme_points",
-    "IlluminationVerdict", "HullCertificate", "illuminates_point",
-    "sup_criterion", "extreme_illumination", "interior_hull_certificate",
-    "ball_cover_criterion",
+    "HullCertificate", "illuminates_point", "variation_masks", "sup_masks",
+    "interior_hull_certificate",
     "MapSpec", "MatrixMap", "MeanSumMap", "MeanTerm", "SchoenMap",
     "TriangleMap", "ComposeMap", "SumMap", "ScaleMap", "EigenResult",
     "eval_map", "normalized_map", "conjugate_map", "power_iteration",

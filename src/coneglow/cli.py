@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import conemaps, detector, localize
+from . import conemaps, detector, illumination, localize
 from .errors import BudgetError, ConstructionError, DomainError, NonterminationError
 from .spaces import NormId, hilbert_metric
 
@@ -125,26 +125,22 @@ def cmd_detect(args) -> int:
 def _check_witnesses(report, masks_of) -> np.ndarray:
     """Witness points in mask order, once each is seen to realize its mask.
 
-    ``masks_of(points, gap_tol)`` is the detector's own mask code; the
-    check runs at half the report's gap, because the JSON round trip can
-    move a ratio by one ulp.  All ``2**n`` sign patterns, or all ``2**n - 2``
-    ratio subsets, must be covered.
+    ``masks_of(points, gap_tol)`` is the detectors' mask code from
+    ``illumination``; the check runs at half the report's gap, because the
+    JSON round trip can move a ratio by one ulp.  All ``total_subsets``
+    masks must be covered.
     """
-    n = report.dimension
     claimed = sorted(report.witnesses)
-    points = [report.witnesses[m] for m in claimed]
-    if any(p.shape != (n,) for p in points):
-        raise CliError("report witness points must have the report's dimension")
-    points = np.reshape(points, (len(claimed), n))
+    points = np.reshape([report.witnesses[m] for m in claimed],
+                        (len(claimed), report.dimension))
     masks, valid = masks_of(points, report.config.gap_tol / 2)
     realized = (valid & (masks == np.array(claimed)[:, None])).any(axis=1)
     if not realized.all():
         bad = claimed[int(np.argmin(realized))]
         subset = [i for i in range(bad.bit_length()) if (bad >> i) & 1]
         raise CliError(f"witness for subset {subset} does not realize it")
-    total = (1 << n) - (2 if report.kind == "eigenvector" else 0)
-    if len(claimed) != total:
-        raise CliError(f"witnesses cover {len(claimed)} of {total} subsets")
+    if len(claimed) != report.total_subsets:
+        raise CliError(f"witnesses cover {len(claimed)} of {report.total_subsets} subsets")
     return points
 
 
@@ -153,7 +149,7 @@ def cmd_localize(args) -> int:
     doc = _load_json(args.report)
     try:
         report = detector.DetectionReport.from_json_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # DomainError included
         raise CliError(f"{args.report}: malformed report ({exc})") from exc
     if not report.confirmed:
         raise CliError("nothing to localize: the report is not confirmed")
@@ -164,7 +160,7 @@ def cmd_localize(args) -> int:
             raise CliError("report/spec dimension mismatch")
         if report.kind != "eigenvector":
             raise CliError("cone specs need an eigenvector report")
-        witnesses = _check_witnesses(report, lambda X, tol: detector._cut_masks(
+        witnesses = _check_witnesses(report, lambda X, tol: illumination.variation_masks(
             np.log(conemaps.eval_map(spec, X)) - np.log(X), tol))
         ball = localize.localize_eigenvectors(witnesses, spec.dim)
         eig = conemaps.power_iteration(spec, np.ones(spec.dim))
@@ -188,7 +184,7 @@ def cmd_localize(args) -> int:
             raise CliError("sup-norm affine specs need a sup detection report")
         f = _affine_callable(A, b)
         witnesses = _check_witnesses(
-            report, lambda W, tol: detector._sign_masks(f(W) - W, tol))
+            report, lambda W, tol: illumination.sup_masks(f(W) - W, tol))
         ball = localize.localize_fixed_points(witnesses, NormId.SUP)
         fixed = np.linalg.solve(np.eye(A.shape[0]) - A, b)
         print(f"fixed point: {fixed.tolist()}")

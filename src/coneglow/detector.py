@@ -5,11 +5,12 @@ Three detectors share one sampling skeleton:
 * ``detect_eigenvector`` draws cone points ``Exp(y)`` with ``y`` uniform
   in a box inside V0 and records, per sample, every nonempty proper
   subset J whose coordinate ratios ``f(x)_j / x_j`` sit strictly below
-  the rest.  Full coverage of the 2**n - 2 subsets certifies a nonempty
-  eigenspace that is bounded in Hilbert's metric.
+  the rest (``illumination.variation_masks``).  Full coverage of the
+  2**n - 2 subsets certifies a nonempty eigenspace that is bounded in
+  Hilbert's metric.
 * ``detect_fixed_point_sup`` records strict sign patterns of
-  ``f(w) - w`` for box samples; all 2**n patterns certify a sup-norm
-  nonexpansive map.
+  ``f(w) - w`` for box samples (``illumination.sup_masks``); all 2**n
+  patterns certify a sup-norm nonexpansive map.
 * ``detect_fixed_point_smooth`` accumulates residuals and certifies once
   0 enters the interior of their convex hull (Euclidean norm).
 
@@ -17,6 +18,7 @@ All three draw their samples from ``_draws``, a PCG64 stream seeded by
 ``config.seed`` and consumed in sample order, so batch sizes never
 change results.  The first two pass each batch's masks to ``_cover``,
 the one first-witness-per-mask loop, which also builds their reports.
+``_TOTALS`` says how many masks a confirmed report of each kind covers.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ import numpy as np
 
 from .errors import BudgetError, ConstructionError, DomainError
 from .conemaps import MapSpec, eval_map
-from .illumination import interior_hull_certificate, separates
+from .illumination import (
+    interior_hull_certificate, separates, sup_masks, variation_masks,
+)
 from .spaces import ENUMERATION_DIM_CAP, as_cone_point, as_vector
 
 _SEED_MOD = 2 ** 64
@@ -39,6 +43,16 @@ _SEED_MOD = 2 ** 64
 _MAX_LOG_BOX = 700.0
 _BATCH_PLAN = (32, 64, 128, 256, 512, 1024, 2048)
 _BATCH_MAX = 4096
+# Masks a confirmed report of each kind covers, in dimension n.
+_TOTALS = {
+    "eigenvector": lambda n: (1 << n) - 2,
+    "fixed_point_sup": lambda n: 1 << n,
+    "fixed_point_smooth": lambda n: 0,
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -68,6 +82,8 @@ class DetectionConfig:
     def __post_init__(self):
         if not (math.isfinite(self.box_radius) and self.box_radius > 0.0):
             raise DomainError("box radius must be positive and finite")
+        if not (_is_int(self.max_samples) and _is_int(self.seed)):
+            raise DomainError("sample budget and seed must be integers")
         if self.max_samples < 1:
             raise DomainError("sample budget must be at least 1")
         if not (0 <= self.seed < _SEED_MOD):
@@ -141,44 +157,44 @@ class DetectionReport:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "DetectionReport":
+        """Rebuild a report; a field whose type, range, shape or count does
+        not fit the report's kind and dimension raises DomainError."""
+        kind, n, total = doc["kind"], doc["dimension"], doc["total_subsets"]
+        if kind not in _TOTALS:
+            raise DomainError(f"unknown report kind {kind!r}")
+        if not (_is_int(n) and 1 <= n <= ENUMERATION_DIM_CAP):
+            raise DomainError(f"dimension must be an integer in 1..{ENUMERATION_DIM_CAP}")
+        if not (_is_int(total) and total == _TOTALS[kind](n)):
+            raise DomainError(f"total_subsets must be {_TOTALS[kind](n)} "
+                              f"for a {kind} report of dimension {n}")
         config = DetectionConfig(**doc["config"])
         witnesses = {}
         for entry in doc["witnesses"]:
-            mask = sum(1 << i for i in entry["subset"])
-            witnesses[mask] = np.asarray(entry["point"], dtype=float)
+            subset = entry["subset"]
+            if not (all(_is_int(i) and 0 <= i < n for i in subset)
+                    and len(set(subset)) == len(subset)):
+                raise DomainError(f"subset {subset} must list distinct indices in 0..{n - 1}")
+            point = np.asarray(entry["point"], dtype=float)
+            if point.shape != (n,):
+                raise DomainError(f"witness points must have shape ({n},)")
+            witnesses[sum(1 << i for i in subset)] = point
         probe = doc.get("probe_points")
+        if probe is not None:
+            probe = np.asarray(probe, dtype=float)
+            if probe.ndim != 2 or probe.shape[1] != n:
+                raise DomainError(f"probe points must have shape (m, {n})")
         return DetectionReport(
-            kind=doc["kind"],
+            kind=kind,
             status=DetectionStatus(doc["status"]),
-            dimension=doc["dimension"],
+            dimension=n,
             samples_used=doc["samples_used"],
             subsets_covered=doc["subsets_covered"],
-            total_subsets=doc["total_subsets"],
+            total_subsets=total,
             seed=doc["seed"],
             config=config,
             witnesses=witnesses,
-            probe_points=None if probe is None else np.asarray(probe, dtype=float),
+            probe_points=probe,
         )
-
-
-def _cut_masks(rho: np.ndarray, gap_tol: float):
-    """Subset bitmasks realized by each row of log-ratios.
-
-    A subset satisfies the strict ratio inequality exactly when it holds
-    the k smallest ratios with a gap above the k-th sorted value, so all
-    candidates fall out of one sort.  Returns ``(masks, valid)`` of shape
-    (rows, n-1): column k-1 is the mask of the k smallest ratios, valid
-    where the gap beats ``gap_tol * max(1, spread)``.
-    """
-    order = np.argsort(rho, axis=1, kind="stable")
-    srt = np.take_along_axis(rho, order, axis=1)
-    gaps = np.diff(srt, axis=1)
-    spread = srt[:, -1] - srt[:, 0]
-    threshold = gap_tol * np.maximum(1.0, spread)
-    valid = gaps > threshold[:, None]
-    bits = np.int64(1) << order.astype(np.int64)
-    masks = np.cumsum(bits, axis=1)[:, :-1]
-    return masks, valid
 
 
 def ratio_subsets(spec: MapSpec, x, gap_tol: float = 1e-9) -> list[SubsetMask]:
@@ -190,7 +206,7 @@ def ratio_subsets(spec: MapSpec, x, gap_tol: float = 1e-9) -> list[SubsetMask]:
     xa = as_cone_point(x)
     fx = eval_map(spec, xa)
     rho = (np.log(fx) - np.log(xa))[None, :]
-    masks, valid = _cut_masks(rho, gap_tol)
+    masks, valid = variation_masks(rho, gap_tol)
     n = xa.size
     return [SubsetMask(int(m), n) for m, v in zip(masks[0], valid[0]) if v]
 
@@ -212,14 +228,14 @@ def _draws(config: DetectionConfig, dim: int):
         offset += size
 
 
-def _cover(kind: str, n: int, total: int, config: DetectionConfig,
-           batches) -> DetectionReport:
-    """Record the first witness of each mask until all ``total`` are covered.
+def _cover(kind: str, n: int, config: DetectionConfig, batches) -> DetectionReport:
+    """Record the first witness of each mask until all are covered.
 
     ``batches`` yields ``(offset, points, masks, valid)``, one row per
-    sample, in the shape ``_cut_masks`` returns; it is not consumed when
-    ``total`` is 0.
+    sample, in the shape ``variation_masks`` returns; it is not consumed
+    when the kind's total is 0.
     """
+    total = _TOTALS[kind](n)
     covered = np.zeros(1 << n, dtype=bool)
     witnesses: dict[int, np.ndarray] = {}
     used = 0
@@ -267,9 +283,9 @@ def detect_eigenvector(spec: MapSpec, config: DetectionConfig) -> DetectionRepor
             X[:, -1] = 1.0
             rho = np.log(eval_map(spec, X))
             rho[:, : n - 1] -= Y
-            yield offset, X, *_cut_masks(rho, config.gap_tol)
+            yield offset, X, *variation_masks(rho, config.gap_tol)
 
-    return _cover("eigenvector", n, (1 << n) - 2, config, batches())
+    return _cover("eigenvector", n, config, batches())
 
 
 def _batch_apply(f, X, vectorized):
@@ -279,16 +295,6 @@ def _batch_apply(f, X, vectorized):
             raise DomainError("vectorized map must preserve the batch shape")
         return out
     return np.stack([np.asarray(f(x), dtype=float) for x in X])
-
-
-def _sign_masks(residuals: np.ndarray, gap_tol: float):
-    """``(masks, valid)`` of shape (rows, 1): bit j set where residual
-    coordinate j is negative, valid where every |r_j| > gap_tol * max(1, |r|_inf).
-    """
-    slack = gap_tol * np.maximum(1.0, np.max(np.abs(residuals), axis=1))
-    strict = np.min(np.abs(residuals), axis=1) > slack
-    powers = np.int64(1) << np.arange(residuals.shape[1], dtype=np.int64)
-    return ((residuals < 0.0) @ powers)[:, None], strict[:, None]
 
 
 def detect_fixed_point_sup(f, n: int, config: DetectionConfig,
@@ -302,10 +308,10 @@ def detect_fixed_point_sup(f, n: int, config: DetectionConfig,
     if n < 1 or n > ENUMERATION_DIM_CAP:
         raise BudgetError(f"detection is capped at n <= {ENUMERATION_DIM_CAP}")
     batches = (
-        (offset, W, *_sign_masks(_batch_apply(f, W, vectorized) - W, config.gap_tol))
+        (offset, W, *sup_masks(_batch_apply(f, W, vectorized) - W, config.gap_tol))
         for offset, W in _draws(config, n)
     )
-    return _cover("fixed_point_sup", n, 1 << n, config, batches)
+    return _cover("fixed_point_sup", n, config, batches)
 
 
 def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,

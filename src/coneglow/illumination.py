@@ -1,12 +1,23 @@
-"""Illumination predicates and certificate criteria for unit balls.
+"""Illumination of unit balls: one mask code per norm, and a hull certificate.
 
 A boundary point ``z`` of the unit ball is illuminated by a direction
 ``v`` when ``z + lam*v`` is interior for some small ``lam > 0``.  A set
 of directions that illuminates every extreme point illuminates the whole
-ball, so for the polyhedral norms the criteria below reduce to finite
-checks over the enumerated extreme points.  All strict inequalities are
-tested with conservative slack: a near-degenerate instance reports
-"not covered" rather than certifying falsely.
+ball.  For the two polyhedral norms the detectors use, one vectorized
+function per norm decides, for every residual at once, which extreme
+points it illuminates:
+
+* ``variation_masks``: the variation ball's extreme point ``1_J`` (up to
+  constants) is illuminated by ``r`` iff ``r`` is strictly smaller on J
+  than off it;
+* ``sup_masks``: the sign vector with +1 exactly on J is illuminated by
+  ``r`` iff ``r < 0`` on J and ``r > 0`` off it.
+
+Strict inequalities carry slack ``gap_tol * max(1, scale)``, so a
+near-degenerate instance reports "not covered" rather than certifying
+falsely.  For the Euclidean ball, ``interior_hull_certificate`` decides
+whether 0 is interior to the residuals' convex hull.  ``illuminates_point``
+probes one point and one direction; it is the tests' reference.
 """
 
 from __future__ import annotations
@@ -16,34 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import BudgetError, DomainError
-from .spaces import (
-    ENUMERATION_DIM_CAP,
-    NormId,
-    POLYHEDRAL_NORMS,
-    as_vector,
-    extreme_points,
-    norm,
-)
+from .errors import DomainError
+from .spaces import NormId, as_vector, norm
 
 STRICT_TOL = 1e-12
 LP_TOL = 1e-9
 RANK_TOL = 1e-10
 _PROBE_STEPS = 2.0 ** -np.arange(41)  # dyadic probe 1, 1/2, ..., 2**-40
-
-
-@dataclass
-class IlluminationVerdict:
-    """Outcome of an extreme-point illumination check.
-
-    ``assignments`` maps the index of each extreme point (its position in
-    the canonical enumeration) to the index of a direction that
-    illuminates it.  ``covered`` is true iff no witness is left over.
-    """
-
-    covered: bool
-    uncovered_witness: np.ndarray | None = None
-    assignments: dict[int, int] = field(default_factory=dict)
 
 
 def illuminates_point(z, v, norm_id: NormId) -> bool:
@@ -76,66 +66,35 @@ def illuminates_point(z, v, norm_id: NormId) -> bool:
     return bool(np.any(vals < 1.0 - STRICT_TOL))
 
 
-def sup_criterion(residuals) -> IlluminationVerdict:
-    """Sign-pattern criterion for the sup-norm ball.
+def variation_masks(rho: np.ndarray, gap_tol: float):
+    """Subset bitmasks realized by each row of log-ratios ``log f(x) - log x``.
 
-    Each extreme point is a sign vector ``z`` with +1 exactly on a subset
-    J; it is illuminated by a residual that is strictly negative on J and
-    strictly positive off J.  ``covered`` is true iff all 2**n sign
-    patterns are realized strictly; the verdict's assignment key for
-    pattern J is the integer bitmask of J.
+    Mask J is realized when the row illuminates the variation ball's
+    extreme point ``1_J``.  A subset satisfies the strict ratio inequality exactly when it holds
+    the k smallest ratios with a gap above the k-th sorted value, so all
+    candidates fall out of one sort.  Returns ``(masks, valid)`` of shape
+    (rows, n-1): column k-1 is the mask of the k smallest ratios, valid
+    where the gap beats ``gap_tol * max(1, spread)``.
     """
-    res = [as_vector(r) for r in residuals]
-    if not res:
-        raise DomainError("at least one residual is required")
-    n = res[0].size
-    for r in res:
-        if r.size != n:
-            raise DomainError("residuals must share one length")
-    if n > ENUMERATION_DIM_CAP:
-        raise BudgetError(f"sign patterns are capped at n <= {ENUMERATION_DIM_CAP}")
-    assignments: dict[int, int] = {}
-    for i, r in enumerate(res):
-        slack = STRICT_TOL * max(1.0, float(np.max(np.abs(r))))
-        if np.min(np.abs(r)) <= slack:
-            continue  # some coordinate is not strictly signed
-        mask = int(np.sum((1 << np.arange(n))[r < 0.0]))
-        assignments.setdefault(mask, i)
-    total = 2 ** n
-    if len(assignments) == total:
-        return IlluminationVerdict(True, None, assignments)
-    missing = next(m for m in range(total) if m not in assignments)
-    bits = (missing >> np.arange(n)) & 1
-    witness = 2.0 * bits - 1.0
-    return IlluminationVerdict(False, witness, assignments)
+    order = np.argsort(rho, axis=1, kind="stable")
+    srt = np.take_along_axis(rho, order, axis=1)
+    gaps = np.diff(srt, axis=1)
+    spread = srt[:, -1] - srt[:, 0]
+    threshold = gap_tol * np.maximum(1.0, spread)
+    valid = gaps > threshold[:, None]
+    bits = np.int64(1) << order.astype(np.int64)
+    masks = np.cumsum(bits, axis=1)[:, :-1]
+    return masks, valid
 
 
-def extreme_illumination(residuals, norm_id: NormId) -> IlluminationVerdict:
-    """Check that every extreme point of the unit ball is illuminated.
-
-    Covering every extreme point suffices to illuminate the whole ball,
-    which certifies a nonempty bounded fixed-point set for the map whose
-    residuals these are.  Assignment values are residual indices; the
-    first illuminating residual wins.
+def sup_masks(residuals: np.ndarray, gap_tol: float):
+    """``(masks, valid)`` of shape (rows, 1): bit j set where residual
+    coordinate j is negative, valid where every |r_j| > gap_tol * max(1, |r|_inf).
     """
-    if norm_id not in POLYHEDRAL_NORMS:
-        raise DomainError("extreme-point illumination needs a polyhedral norm")
-    res = [as_vector(r) for r in residuals]
-    if not res:
-        raise DomainError("at least one residual is required")
-    n = res[0].size
-    points = extreme_points(norm_id, n)
-    assignments: dict[int, int] = {}
-    for idx, z in enumerate(points):
-        hit = None
-        for i, r in enumerate(res):
-            if illuminates_point(z, r, norm_id):
-                hit = i
-                break
-        if hit is None:
-            return IlluminationVerdict(False, z, assignments)
-        assignments[idx] = hit
-    return IlluminationVerdict(True, None, assignments)
+    slack = gap_tol * np.maximum(1.0, np.max(np.abs(residuals), axis=1))
+    strict = np.min(np.abs(residuals), axis=1) > slack
+    powers = np.int64(1) << np.arange(residuals.shape[1], dtype=np.int64)
+    return ((residuals < 0.0) @ powers)[:, None], strict[:, None]
 
 
 @dataclass(frozen=True)
@@ -145,27 +104,6 @@ class HullCertificate:
     inside: bool
     epsilon: float
     separator: np.ndarray | None = field(default=None, compare=False)
-
-
-def gaussian_rank(matrix, tol: float = RANK_TOL) -> int:
-    """Rank by row reduction with partial pivoting at pivot tolerance ``tol``."""
-    M = np.array(matrix, dtype=float)
-    if M.ndim != 2:
-        raise DomainError("rank expects a matrix")
-    rows, cols = M.shape
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        pivot = rank + int(np.argmax(np.abs(M[rank:, c])))
-        if abs(M[pivot, c]) <= tol:
-            continue
-        M[[rank, pivot]] = M[[pivot, rank]]
-        M[rank] /= M[rank, c]
-        others = [i for i in range(rows) if i != rank]
-        M[others] -= np.outer(M[others, c], M[rank])
-        rank += 1
-    return rank
 
 
 def separates(V: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -201,7 +139,7 @@ def interior_hull_certificate(vectors) -> HullCertificate:
                   A_eq=np.column_stack([A, A.sum(axis=1)]),
                   b_eq=np.append(np.zeros(n), 1.0),
                   bounds=[(0.0, None)] * m + [(None, None)], method="highs")
-    full_rank = gaussian_rank(V) == n
+    full_rank = np.linalg.matrix_rank(V, tol=RANK_TOL) == n
     if res.status == 0:
         eps = float(res.x[m])
         if eps > LP_TOL and full_rank:
@@ -218,22 +156,3 @@ def interior_hull_certificate(vectors) -> HullCertificate:
         found = separates(V, phi).all()
     return HullCertificate(False, eps, phi if found else None)
 
-
-def ball_cover_criterion(vectors, norm_id: NormId) -> bool:
-    """Whether unit balls around the given vectors cover the unit sphere.
-
-    True iff every extreme point ``z`` has some ``v_i`` with
-    ``norm(z - v_i) < 1``; then each ``-v_i`` illuminates the points it
-    covers, so the negated set illuminates the ball.
-    """
-    if norm_id not in POLYHEDRAL_NORMS:
-        raise DomainError("ball-cover criterion needs a polyhedral norm")
-    vecs = [as_vector(v) for v in vectors]
-    if not vecs:
-        raise DomainError("at least one vector is required")
-    n = vecs[0].size
-    points = extreme_points(norm_id, n)
-    for z in points:
-        if not any(norm(z - v, norm_id) < 1.0 - STRICT_TOL for v in vecs):
-            return False
-    return True

@@ -29,9 +29,6 @@ class NormId(enum.Enum):
     VARIATION = "variation"
 
 
-POLYHEDRAL_NORMS = (NormId.SUP, NormId.L1, NormId.VARIATION)
-
-
 def as_vector(v) -> np.ndarray:
     """Coerce to a finite 1-d float array, rejecting NaN/inf entries."""
     arr = np.asarray(v, dtype=float)

@@ -136,11 +136,14 @@ def _set_first_subset(subset):
     return edit
 
 
-@pytest.mark.parametrize("edit", [
-    _swap_first_points, _set_first_subset([9]), _set_first_subset([]),
-    _set_first_subset([0, 1, 2, 3]), lambda doc: doc["witnesses"].pop(),
+@pytest.mark.parametrize("edit, message", [
+    (_swap_first_points, "error: witness"),
+    (_set_first_subset([9]), "malformed report (subset [9] must list"),
+    (_set_first_subset([]), "error: witness"),
+    (_set_first_subset([0, 1, 2, 3]), "error: witness"),
+    (lambda doc: doc["witnesses"].pop(), "error: witness"),
 ], ids=["swapped", "subset-9", "subset-empty", "subset-full", "dropped"])
-def test_localize_rejects_edited_witnesses(tmp_path, capsys, edit):
+def test_localize_rejects_edited_witnesses(tmp_path, capsys, edit, message):
     spec = str(SPECS / "schoen_composition.json")
     report = tmp_path / "report.json"
     assert main(["detect", "--spec", spec, "--seed", "7",
@@ -153,7 +156,7 @@ def test_localize_rejects_edited_witnesses(tmp_path, capsys, edit):
                  "--out", str(out)]) == 1
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith("error: witness") and err.count("\n") == 1
+    assert message in err and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_localize_rejects_edited_sup_witness(tmp_path, capsys):
@@ -166,6 +169,47 @@ def test_localize_rejects_edited_sup_witness(tmp_path, capsys):
     assert main(["localize", "--spec", spec, "--report", str(report),
                  "--out", str(tmp_path / "ball.json")]) == 1
     assert "does not realize it" in capsys.readouterr().err
+
+
+EUCLID_2D = json.dumps({"kind": "affine", "matrix": [[0.0, -0.9], [0.9, 0.0]],
+                        "offset": [0.0, 0.0], "norm": "euclid"})
+SUP_2D = str(SPECS / "affine_sup_contraction.json")
+
+
+def _set_field(*path, value):
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("spec, edit", [
+    (EUCLID_2D, lambda doc: [p.append(1.0) for p in doc["probe_points"]]),
+    (SUP_2D, _set_field("dimension", value=2.0)),
+    (SUP_2D, _set_field("dimension", value=True)),
+    (SUP_2D, _set_field("dimension", value=25)),
+    (SUP_2D, _set_field("kind", value="fixed_point")),
+    (SUP_2D, _set_field("total_subsets", value=2)),
+    (SUP_2D, _set_field("witnesses", 0, "subset", value=[0, 0])),
+    (SUP_2D, lambda doc: doc["witnesses"][0]["point"].append(1.0)),
+    (SUP_2D, _set_field("config", "max_samples", value=2.5)),
+    (SUP_2D, _set_field("config", "seed", value=1.5)),
+], ids=["probe-length", "dimension-float", "dimension-bool", "dimension-cap",
+        "kind", "total", "subset-repeat", "point-length", "budget-float",
+        "seed-float"])
+def test_localize_rejects_malformed_report(tmp_path, capsys, spec, edit):
+    report = tmp_path / "report.json"
+    assert main(["detect", "--spec", spec, "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    edit(doc)
+    report.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert main(["localize", "--spec", spec, "--report", str(report),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "malformed report" in err and err.count("\n") == 1
 
 
 def test_localize_accepts_c16_report_with_c13_spec(tmp_path):

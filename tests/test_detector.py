@@ -64,6 +64,13 @@ class TestConfig:
         with pytest.raises(DomainError):
             DetectionConfig(max_samples=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_samples", 2.5), ("seed", 1.5), ("max_samples", True), ("seed", False),
+    ])
+    def test_rejects_non_integer_budget_and_seed(self, field, value):
+        with pytest.raises(DomainError):
+            DetectionConfig(**{field: value})
+
 
 class TestRatioSubsets:
     def test_ones_matrix_example(self):

@@ -6,14 +6,36 @@ import pytest
 from coneglow import (
     DomainError,
     NormId,
-    ball_cover_criterion,
-    extreme_illumination,
     extreme_points,
     illuminates_point,
     interior_hull_certificate,
-    sup_criterion,
+    sup_masks,
+    variation_masks,
 )
-from coneglow.illumination import gaussian_rank
+
+GAP_TOL = 1e-9
+
+
+def _covered(masks, valid):
+    # every mask some row realizes strictly
+    return set(masks[valid].tolist())
+
+
+def _variation_point(J, n):
+    # canonical V0 representative of the extreme point 1_J
+    bits = (J >> np.arange(n)) & 1
+    return (bits - bits[-1]).astype(float)
+
+
+def _oracle_cover(residuals, norm_id, n):
+    # masks J whose extreme point some residual illuminates, by probing
+    if norm_id is NormId.SUP:
+        points = dict(enumerate(extreme_points(NormId.SUP, n)))
+    else:
+        points = {J: _variation_point(J, n) for J in range(1, 2 ** n - 1)}
+        residuals = residuals - residuals[:, -1:]
+    return {J for J, z in points.items()
+            if any(np.any(r) and illuminates_point(z, r, norm_id) for r in residuals)}
 
 
 class TestIlluminatesPoint:
@@ -50,35 +72,32 @@ class TestIlluminatesPoint:
 
 
 class TestSupCriterion:
+    """The sign-pattern criterion, as ``sup_masks`` decides it."""
+
     def test_zero_map_residuals_cover(self):
         # residuals -z^J at every extreme point realize all patterns
-        residuals = [-z for z in extreme_points(NormId.SUP, 3)]
-        verdict = sup_criterion(residuals)
-        assert verdict.covered
-        assert len(verdict.assignments) == 8
+        masks, valid = sup_masks(-extreme_points(NormId.SUP, 3), GAP_TOL)
+        assert valid.all()
+        assert _covered(masks, valid) == set(range(8))
 
     def test_positive_first_coordinate_uncovered(self):
-        verdict = sup_criterion([[1.0, 0.5], [1.0, -0.5], [2.0, 1.0]])
-        assert not verdict.covered
-        # the missing pattern requires a negative first coordinate
-        assert verdict.uncovered_witness[0] == 1.0
+        res = np.array([[1.0, 0.5], [1.0, -0.5], [2.0, 1.0]])
+        covered = _covered(*sup_masks(res, GAP_TOL))
+        # the missing patterns need a negative first coordinate
+        assert covered == {0, 2}
 
     def test_four_quadrants_cover_n2(self):
-        verdict = sup_criterion([[-1, -1], [1, 1], [-1, 1], [1, -1]])
-        assert verdict.covered
+        res = np.array([[-1, -1], [1, 1], [-1, 1], [1, -1]], dtype=float)
+        assert _covered(*sup_masks(res, GAP_TOL)) == {0, 1, 2, 3}
 
     def test_assignments_revalidate(self):
         rng = np.random.default_rng(5)
-        residuals = [rng.uniform(-2, 2, 3) + np.sign(rng.normal(size=3)) * 0.1
-                     for _ in range(40)]
-        verdict = sup_criterion(residuals)
-        for mask, idx in verdict.assignments.items():
-            r = residuals[idx]
-            for j in range(3):
-                if (mask >> j) & 1:
-                    assert r[j] < 0
-                else:
-                    assert r[j] > 0
+        res = rng.uniform(-2, 2, (40, 3))
+        res[7, 1] = 0.0
+        masks, valid = sup_masks(res, GAP_TOL)
+        assert valid[:, 0].tolist() == np.all(res != 0.0, axis=1).tolist()
+        for r, mask in zip(res, masks[:, 0]):
+            assert [(mask >> j) & 1 for j in range(3)] == (r < 0).tolist()
 
     def test_agrees_with_extreme_illumination(self):
         rng = np.random.default_rng(6)
@@ -87,37 +106,64 @@ class TestSupCriterion:
             n = int(rng.integers(2, 4))
             res = rng.uniform(-2, 2, (m, n))
             res[np.abs(res) < 0.05] += 0.1
-            direct = sup_criterion(list(res)).covered
-            generic = extreme_illumination(list(res), NormId.SUP).covered
-            assert direct == generic
+            assert _covered(*sup_masks(res, GAP_TOL)) == \
+                _oracle_cover(res, NormId.SUP, n)
 
 
 class TestExtremeIllumination:
+    """Covering every extreme point, as the mask code of each norm decides it."""
+
     def test_single_residual_never_covers(self):
-        for norm_id in (NormId.SUP, NormId.L1, NormId.VARIATION):
-            n = 3
-            verdict = extreme_illumination([np.array([-1.0, 0.5, 0.0])], norm_id)
-            assert not verdict.covered
-            assert verdict.uncovered_witness is not None
+        r = np.array([[-1.0, 0.5, 0.25]])
+        assert len(_covered(*sup_masks(r, GAP_TOL))) == 1  # of 8
+        assert len(_covered(*variation_masks(r, GAP_TOL))) == 2  # of 6
 
     def test_monotone_in_residuals(self):
         rng = np.random.default_rng(7)
-        residuals = [-z * (1 + rng.random()) for z in extreme_points(NormId.SUP, 2)]
-        base = extreme_illumination(residuals, NormId.SUP)
-        assert base.covered
-        extended = extreme_illumination(
-            residuals + [rng.normal(size=2) for _ in range(3)], NormId.SUP)
-        assert extended.covered
+        pts = extreme_points(NormId.SUP, 2)
+        residuals = -pts * (1 + rng.random((len(pts), 1)))
+        assert _covered(*sup_masks(residuals, GAP_TOL)) == {0, 1, 2, 3}
+        extended = np.vstack([residuals, rng.normal(size=(3, 2))])
+        assert _covered(*sup_masks(extended, GAP_TOL)) == {0, 1, 2, 3}
 
     def test_variation_cover(self):
-        pts = extreme_points(NormId.VARIATION, 3)
-        residuals = [-z for z in pts]
-        verdict = extreme_illumination(residuals, NormId.VARIATION)
-        assert verdict.covered
+        residuals = -extreme_points(NormId.VARIATION, 3)
+        assert _covered(*variation_masks(residuals, GAP_TOL)) == set(range(1, 7))
 
-    def test_euclid_rejected(self):
-        with pytest.raises(DomainError):
-            extreme_illumination([np.ones(2)], NormId.EUCLID)
+
+def _clear_rows(rng, m, n, norm_id):
+    # continuous rows clear of ties (for sup, of zero coordinates), plus
+    # small-integer rows with exact ties and zeros
+    cont = rng.uniform(-2, 2, (4 * m, n))
+    if norm_id is NormId.SUP:
+        clear = np.all(np.abs(cont) > 1e-3, axis=1)
+    else:
+        clear = np.all(np.diff(np.sort(cont, axis=1), axis=1) > 1e-3, axis=1)
+    return np.vstack([cont[clear][:m], rng.integers(-3, 4, (m, n)).astype(float)])
+
+
+class TestMaskOracle:
+    """Each mask code against ``illuminates_point`` over the extreme points."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sup_masks_match_oracle(self, n):
+        rng = np.random.default_rng(100 + n)
+        res = _clear_rows(rng, 30, n, NormId.SUP)
+        masks, valid = sup_masks(res, GAP_TOL)
+        for k, r in enumerate(res):
+            assert _covered(masks[k:k + 1], valid[k:k + 1]) == \
+                _oracle_cover(r[None, :], NormId.SUP, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_variation_masks_match_oracle(self, n):
+        rng = np.random.default_rng(200 + n)
+        points = {tuple(_variation_point(J, n)) for J in range(1, 2 ** n - 1)}
+        assert points == {tuple(z) for z in extreme_points(NormId.VARIATION, n)}
+        res = _clear_rows(rng, 30, n, NormId.VARIATION)
+        masks, valid = variation_masks(res, GAP_TOL)
+        for k, r in enumerate(res):
+            assert _covered(masks[k:k + 1], valid[k:k + 1]) == \
+                _oracle_cover(r[None, :], NormId.VARIATION, n)
 
 
 def _assert_separates(vectors, cert):
@@ -209,50 +255,13 @@ class TestInteriorHullCertificate:
         for norm_id, n in ((NormId.SUP, 2), (NormId.SUP, 3), (NormId.VARIATION, 3)):
             pts = extreme_points(norm_id, n)
             for _ in range(30):
-                residuals = [-z * rng.uniform(0.5, 2.0) for z in pts]
-                verdict = extreme_illumination(residuals, norm_id)
-                assert verdict.covered
+                residuals = -pts * rng.uniform(0.5, 2.0, (len(pts), 1))
                 if norm_id is NormId.VARIATION:
-                    cert = interior_hull_certificate([r[:-1] for r in residuals])
+                    covered = _covered(*variation_masks(residuals, GAP_TOL))
+                    assert covered == set(range(1, 2 ** n - 1))
+                    cert = interior_hull_certificate(residuals[:, :-1])
                 else:
+                    assert _covered(*sup_masks(residuals, GAP_TOL)) == set(range(2 ** n))
                     cert = interior_hull_certificate(residuals)
                 assert cert.inside
                 assert cert.epsilon > 1e-3
-
-
-class TestBallCover:
-    def test_cover_by_extreme_points_themselves(self):
-        pts = extreme_points(NormId.SUP, 2)
-        assert ball_cover_criterion(list(pts), NormId.SUP)
-
-    def test_single_vector_fails(self):
-        assert not ball_cover_criterion([[1.0, 1.0]], NormId.SUP)
-
-    def test_variation_cover(self):
-        pts = extreme_points(NormId.VARIATION, 3)
-        assert ball_cover_criterion(list(pts), NormId.VARIATION)
-
-    def test_euclid_unsupported(self):
-        with pytest.raises(DomainError):
-            ball_cover_criterion([[1.0, 0.0]], NormId.EUCLID)
-
-    def test_cover_implies_negated_set_illuminates(self):
-        rng = np.random.default_rng(11)
-        for norm_id, n in ((NormId.SUP, 2), (NormId.SUP, 3), (NormId.L1, 3)):
-            pts = extreme_points(norm_id, n)
-            for _ in range(20):
-                vecs = [z + rng.uniform(-0.2, 0.2, n) for z in pts]
-                if ball_cover_criterion(vecs, norm_id):
-                    verdict = extreme_illumination([-v for v in vecs], norm_id)
-                    assert verdict.covered
-
-
-def test_gaussian_rank():
-    assert gaussian_rank(np.eye(3)) == 3
-    assert gaussian_rank([[1, 2], [2, 4]]) == 1
-    assert gaussian_rank([[1e-12, 0], [0, 1e-12]]) == 0
-    rng = np.random.default_rng(10)
-    for _ in range(50):
-        m, n = rng.integers(1, 6, size=2)
-        M = rng.normal(size=(int(m), int(n)))
-        assert gaussian_rank(M) == np.linalg.matrix_rank(M)
