@@ -57,12 +57,10 @@ from .detector import (
 from .localize import (
     BoundingBall,
     HalfspacePolytope,
-    NormConstants,
     circumcenter,
     halfspace_polytope,
     localize_eigenvectors,
     localize_fixed_points,
-    norm_constants,
 )
 
 __version__ = "0.1.0"
@@ -83,7 +81,6 @@ __all__ = [
     "ratio_subsets", "detect_eigenvector", "detect_fixed_point_sup",
     "detect_fixed_point_smooth", "AdversarialMapSpec",
     "build_adversarial_euclid",
-    "BoundingBall", "NormConstants", "HalfspacePolytope", "circumcenter",
-    "norm_constants", "localize_fixed_points", "localize_eigenvectors",
-    "halfspace_polytope",
+    "BoundingBall", "HalfspacePolytope", "circumcenter",
+    "localize_fixed_points", "localize_eigenvectors", "halfspace_polytope",
 ]

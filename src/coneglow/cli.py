@@ -27,9 +27,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import conemaps, detector, illumination, localize
+from . import conemaps, detector, localize
 from .errors import BudgetError, ConstructionError, DomainError, NonterminationError
-from .spaces import NormId, hilbert_metric
+from .spaces import NormId
 
 
 class CliError(Exception):
@@ -122,28 +122,6 @@ def cmd_detect(args) -> int:
     return 0 if report.confirmed else 2
 
 
-def _check_witnesses(report, masks_of) -> np.ndarray:
-    """Witness points in mask order, once each is seen to realize its mask.
-
-    ``masks_of(points, gap_tol)`` is the detectors' mask code from
-    ``illumination``; the check runs at half the report's gap, because the
-    JSON round trip can move a ratio by one ulp.  All ``total_subsets``
-    masks must be covered.
-    """
-    claimed = sorted(report.witnesses)
-    points = np.reshape([report.witnesses[m] for m in claimed],
-                        (len(claimed), report.dimension))
-    masks, valid = masks_of(points, report.config.gap_tol / 2)
-    realized = (valid & (masks == np.array(claimed)[:, None])).any(axis=1)
-    if not realized.all():
-        bad = claimed[int(np.argmin(realized))]
-        subset = [i for i in range(bad.bit_length()) if (bad >> i) & 1]
-        raise CliError(f"witness for subset {subset} does not realize it")
-    if len(claimed) != report.total_subsets:
-        raise CliError(f"witnesses cover {len(claimed)} of {report.total_subsets} subsets")
-    return points
-
-
 def cmd_localize(args) -> int:
     kind, payload = _load_map_file(args.spec)
     doc = _load_json(args.report)
@@ -156,57 +134,45 @@ def cmd_localize(args) -> int:
 
     if kind == "cone":
         spec = payload
-        if report.dimension != spec.dim:
-            raise CliError("report/spec dimension mismatch")
-        if report.kind != "eigenvector":
-            raise CliError("cone specs need an eigenvector report")
-        witnesses = _check_witnesses(report, lambda X, tol: illumination.variation_masks(
-            np.log(conemaps.eval_map(spec, X)) - np.log(X), tol))
-        ball = localize.localize_eigenvectors(witnesses, spec.dim)
-        eig = conemaps.power_iteration(spec, np.ones(spec.dim))
+        n, expected = spec.dim, "eigenvector"
+
+        def residuals(X):
+            return np.log(conemaps.eval_map(spec, X)) - np.log(X)
+    else:
+        A, b, norm_id = payload
+        n = A.shape[0]
+        expected = "fixed_point_sup" if norm_id is NormId.SUP else "fixed_point_smooth"
+        f = _affine_callable(A, b)
+
+        def residuals(W):
+            return f(W) - W
+    if report.dimension != n:
+        raise CliError("report/spec dimension mismatch")
+    if report.kind != expected:
+        raise CliError(f"this spec needs a {expected} report, not {report.kind}")
+    points = report.verify(residuals)
+
+    if kind == "cone":
+        region = localize.localize_eigenvectors(points, n)
+        eig = conemaps.power_iteration(spec, np.ones(n))
         print(f"eigenvector: {eig.vector.tolist()}")
         print(f"eigenvalue: {eig.eigenvalue}")
-        distance = hilbert_metric(eig.vector, ball.center)
-        if distance > ball.radius + 1e-9:
-            raise CliError(
-                f"containment violated: eigenvector at Hilbert distance "
-                f"{distance} exceeds radius {ball.radius}"
-            )
-        payload_bytes = (json.dumps(ball.to_json_dict(), indent=2) + "\n").encode()
-        _write_bytes(args.out, payload_bytes)
-        return 0
-
-    A, b, norm_id = payload
-    if report.dimension != A.shape[0]:
-        raise CliError("report/spec dimension mismatch")
-    if norm_id is NormId.SUP:
-        if report.kind != "fixed_point_sup":
-            raise CliError("sup-norm affine specs need a sup detection report")
-        f = _affine_callable(A, b)
-        witnesses = _check_witnesses(
-            report, lambda W, tol: illumination.sup_masks(f(W) - W, tol))
-        ball = localize.localize_fixed_points(witnesses, NormId.SUP)
-        fixed = np.linalg.solve(np.eye(A.shape[0]) - A, b)
-        print(f"fixed point: {fixed.tolist()}")
-        distance = float(np.max(np.abs(fixed - ball.center)))
-        if distance > ball.radius + 1e-9:
-            raise CliError(
-                f"containment violated: fixed point at sup distance "
-                f"{distance} exceeds radius {ball.radius}"
-            )
-        payload_bytes = (json.dumps(ball.to_json_dict(), indent=2) + "\n").encode()
-        _write_bytes(args.out, payload_bytes)
-        return 0
-
-    if report.kind != "fixed_point_smooth" or report.probe_points is None:
-        raise CliError("euclid affine specs need a smooth detection report")
-    f = _affine_callable(A, b)
-    polytope, bounded = localize.halfspace_polytope(
-        lambda w: f(w[None, :])[0], report.probe_points
-    )
-    doc = polytope.to_json_dict()
-    doc["bounded"] = bounded
-    _write_bytes(args.out, (json.dumps(doc, indent=2) + "\n").encode())
+        known, name = eig.vector, "eigenvector"
+        out = region.to_json_dict()
+    else:
+        known, name = np.linalg.solve(np.eye(n) - A, b), "fixed point"
+        if norm_id is NormId.SUP:
+            region = localize.localize_fixed_points(points, NormId.SUP)
+            print(f"fixed point: {known.tolist()}")
+            out = region.to_json_dict()
+        else:
+            region, bounded = localize.halfspace_polytope(
+                lambda w: f(w[None, :])[0], points)
+            out = dict(region.to_json_dict(), bounded=bounded)
+    if not region.contains(known):
+        raise CliError(f"containment violated: the {name} {known.tolist()} "
+                       f"lies outside the localized set")
+    _write_bytes(args.out, (json.dumps(out, indent=2) + "\n").encode())
     return 0
 
 

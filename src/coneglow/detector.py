@@ -18,7 +18,9 @@ All three draw their samples from ``_draws``, a PCG64 stream seeded by
 ``config.seed`` and consumed in sample order, so batch sizes never
 change results.  The first two pass each batch's masks to ``_cover``,
 the one first-witness-per-mask loop, which also builds their reports.
-``_TOTALS`` says how many masks a confirmed report of each kind covers.
+``DetectionReport.verify`` re-derives a report's certificate from the
+map without trusting the search: the same mask code for the first two,
+one hull certificate on the probe residuals for the third.
 """
 
 from __future__ import annotations
@@ -43,11 +45,12 @@ _SEED_MOD = 2 ** 64
 _MAX_LOG_BOX = 700.0
 _BATCH_PLAN = (32, 64, 128, 256, 512, 1024, 2048)
 _BATCH_MAX = 4096
-# Masks a confirmed report of each kind covers, in dimension n.
-_TOTALS = {
-    "eigenvector": lambda n: (1 << n) - 2,
-    "fixed_point_sup": lambda n: 1 << n,
-    "fixed_point_smooth": lambda n: 0,
+# Per report kind: the masks a confirmed report covers in dimension n, and
+# the mask code that re-derives them (None: the hull of the probe residuals).
+_KINDS = {
+    "eigenvector": (lambda n: (1 << n) - 2, variation_masks),
+    "fixed_point_sup": (lambda n: 1 << n, sup_masks),
+    "fixed_point_smooth": (lambda n: 0, None),
 }
 
 
@@ -80,6 +83,8 @@ class DetectionConfig:
     gap_tol: float = 1e-9
 
     def __post_init__(self):
+        if isinstance(self.box_radius, bool) or isinstance(self.gap_tol, bool):
+            raise DomainError("box radius and gap tolerance must be numbers, not bools")
         if not (math.isfinite(self.box_radius) and self.box_radius > 0.0):
             raise DomainError("box radius must be positive and finite")
         if not (_is_int(self.max_samples) and _is_int(self.seed)):
@@ -111,16 +116,14 @@ class DetectionReport:
 
     ``witnesses`` maps a subset/pattern bitmask to the first sample that
     realized it.  Smooth (Euclidean) runs have no masks; they store the
-    accumulated probe points instead.
+    accumulated probe points instead.  ``seed``, ``subsets_covered`` and
+    ``total_subsets`` follow from the config, the witnesses and the kind.
     """
 
     kind: str
     status: DetectionStatus
     dimension: int
     samples_used: int
-    subsets_covered: int
-    total_subsets: int
-    seed: int
     config: DetectionConfig
     witnesses: dict[int, np.ndarray] = field(default_factory=dict)
     probe_points: np.ndarray | None = None
@@ -128,6 +131,50 @@ class DetectionReport:
     @property
     def confirmed(self) -> bool:
         return self.status is DetectionStatus.CONFIRMED
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed
+
+    @property
+    def subsets_covered(self) -> int:
+        return len(self.witnesses)
+
+    @property
+    def total_subsets(self) -> int:
+        return _KINDS[self.kind][0](self.dimension)
+
+    def verify(self, residuals) -> np.ndarray:
+        """Re-derive the certificate from the map; return the checked points.
+
+        ``residuals(points)`` gives, per row, ``log f(x) - log x`` for an
+        eigenvector report and ``f(w) - w`` otherwise.  Witnesses, in mask
+        order, must each realize their own mask under the detectors' mask
+        code at half the report's gap (the JSON round trip can move a
+        ratio by one ulp), and together cover all ``total_subsets``; the
+        probe residuals of a smooth report must pass
+        ``interior_hull_certificate``.  Raises DomainError otherwise, and
+        when the report is not confirmed.
+        """
+        if not self.confirmed:
+            raise DomainError("the report is not confirmed")
+        masks_of = _KINDS[self.kind][1]
+        if masks_of is None:
+            if not interior_hull_certificate(residuals(self.probe_points)).inside:
+                raise DomainError("0 is not interior to the hull of the probe residuals")
+            return self.probe_points
+        claimed = sorted(self.witnesses)
+        points = np.reshape([self.witnesses[m] for m in claimed],
+                            (len(claimed), self.dimension))
+        masks, valid = masks_of(residuals(points), self.config.gap_tol / 2)
+        realized = (valid & (masks == np.array(claimed)[:, None])).any(axis=1)
+        if not realized.all():
+            bad = claimed[int(np.argmin(realized))]
+            subset = [i for i in range(bad.bit_length()) if (bad >> i) & 1]
+            raise DomainError(f"witness for subset {subset} does not realize it")
+        if len(claimed) != self.total_subsets:
+            raise DomainError(f"witnesses cover {len(claimed)} of {self.total_subsets} subsets")
+        return points
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -158,16 +205,18 @@ class DetectionReport:
     @staticmethod
     def from_json_dict(doc: dict) -> "DetectionReport":
         """Rebuild a report; a field whose type, range, shape or count does
-        not fit the report's kind and dimension raises DomainError."""
-        kind, n, total = doc["kind"], doc["dimension"], doc["total_subsets"]
-        if kind not in _TOTALS:
+        not fit the report's kind, dimension and config, or a derived field
+        that disagrees with its source, raises DomainError."""
+        kind, n = doc["kind"], doc["dimension"]
+        if kind not in _KINDS:
             raise DomainError(f"unknown report kind {kind!r}")
         if not (_is_int(n) and 1 <= n <= ENUMERATION_DIM_CAP):
             raise DomainError(f"dimension must be an integer in 1..{ENUMERATION_DIM_CAP}")
-        if not (_is_int(total) and total == _TOTALS[kind](n)):
-            raise DomainError(f"total_subsets must be {_TOTALS[kind](n)} "
-                              f"for a {kind} report of dimension {n}")
+        total = _KINDS[kind][0](n)
         config = DetectionConfig(**doc["config"])
+        used = doc["samples_used"]
+        if not (_is_int(used) and 0 <= used <= config.max_samples):
+            raise DomainError(f"samples_used must be an integer in 0..{config.max_samples}")
         witnesses = {}
         for entry in doc["witnesses"]:
             subset = entry["subset"]
@@ -178,19 +227,25 @@ class DetectionReport:
             if point.shape != (n,):
                 raise DomainError(f"witness points must have shape ({n},)")
             witnesses[sum(1 << i for i in subset)] = point
+        for name, value in (("total_subsets", total), ("subsets_covered", len(witnesses)),
+                            ("seed", config.seed)):
+            if not (_is_int(doc[name]) and doc[name] == value):
+                raise DomainError(f"{name} must be {value}")
+        if len(witnesses) > total:
+            raise DomainError(f"a {kind} report of dimension {n} has at most {total} witnesses")
         probe = doc.get("probe_points")
+        if (probe is None) != (_KINDS[kind][1] is not None):
+            raise DomainError("probe points come with smooth reports, and only with them")
         if probe is not None:
             probe = np.asarray(probe, dtype=float)
-            if probe.ndim != 2 or probe.shape[1] != n:
-                raise DomainError(f"probe points must have shape (m, {n})")
+            if probe.shape != (used, n):
+                raise DomainError(f"probe points must have shape ({used}, {n}), "
+                                  "one row per sample used")
         return DetectionReport(
             kind=kind,
             status=DetectionStatus(doc["status"]),
             dimension=n,
-            samples_used=doc["samples_used"],
-            subsets_covered=doc["subsets_covered"],
-            total_subsets=total,
-            seed=doc["seed"],
+            samples_used=used,
             config=config,
             witnesses=witnesses,
             probe_points=probe,
@@ -235,7 +290,7 @@ def _cover(kind: str, n: int, config: DetectionConfig, batches) -> DetectionRepo
     sample, in the shape ``variation_masks`` returns; it is not consumed
     when the kind's total is 0.
     """
-    total = _TOTALS[kind](n)
+    total = _KINDS[kind][0](n)
     covered = np.zeros(1 << n, dtype=bool)
     witnesses: dict[int, np.ndarray] = {}
     used = 0
@@ -254,11 +309,8 @@ def _cover(kind: str, n: int, config: DetectionConfig, batches) -> DetectionRepo
             break
     status = (DetectionStatus.CONFIRMED if len(witnesses) == total
               else DetectionStatus.UNDETERMINED)
-    return DetectionReport(
-        kind=kind, status=status, dimension=n, samples_used=used,
-        subsets_covered=len(witnesses), total_subsets=total,
-        seed=config.seed, config=config, witnesses=witnesses,
-    )
+    return DetectionReport(kind=kind, status=status, dimension=n, samples_used=used,
+                           config=config, witnesses=witnesses)
 
 
 def detect_eigenvector(spec: MapSpec, config: DetectionConfig) -> DetectionReport:
@@ -362,8 +414,7 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
             break
     return DetectionReport(
         kind="fixed_point_smooth", status=status, dimension=n,
-        samples_used=used, subsets_covered=0, total_subsets=0,
-        seed=config.seed, config=config, probe_points=points[:used].copy(),
+        samples_used=used, config=config, probe_points=points[:used].copy(),
     )
 
 

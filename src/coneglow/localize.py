@@ -3,9 +3,9 @@
 Once a detection run has confirmed a nonempty bounded fixed-point set,
 the witness points localize it: the set lies inside a ball around their
 circumcenter whose radius is a norm-dependent multiple of the
-circumradius.  The multiples used here are 3 for the sup norm, n+1 for
-l1, and 2n-1 for the variation norm; the last transports through the
-log isometry to Hilbert-metric balls around eigenvector witnesses.
+circumradius, 3 for the sup norm and 2n-1 for the variation norm.  The
+variation ball transports through the log isometry to a Hilbert-metric
+ball around eigenvector witnesses.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from scipy.optimize import linprog
 
 from .errors import DomainError
 from .illumination import interior_hull_certificate
-from .spaces import NormId, as_cone_point, as_vector, exp_coords, log_coords, norm, to_slice
+from .spaces import NormId, as_vector, exp_coords, hilbert_metric, norm
 
 HILBERT_METRIC = "hilbert"
 
@@ -38,6 +38,13 @@ class BoundingBall:
         if not (np.isfinite(self.radius) and self.radius >= 0.0):
             raise DomainError("radius must be finite and nonnegative")
 
+    def contains(self, v, tol: float = 1e-9) -> bool:
+        if self.metric == HILBERT_METRIC:
+            distance = hilbert_metric(v, self.center)
+        else:
+            distance = norm(as_vector(v) - self.center, NormId(self.metric))
+        return distance <= self.radius + tol
+
     def to_json_dict(self) -> dict:
         return {
             "metric": self.metric,
@@ -46,46 +53,31 @@ class BoundingBall:
         }
 
 
-@dataclass(frozen=True)
-class NormConstants:
-    """Extreme-point geometry constants and the localization factor.
+def _factor(norm_id: NormId, n: int) -> int:
+    """The localization factor: the fixed-point set lies within
+    ``factor * R0`` of the witnesses' circumcenter.
 
-    ``alpha`` bounds the distance from any sphere point to the nearest
-    extreme point; ``beta`` is the least distance at which the midpoint
-    with an extreme point dips inside the ball.  The bounding-ball radius
-    is ``factor * R0`` with ``factor = (2 + beta - alpha)/(beta - alpha)``,
-    which needs ``beta > alpha``; the factor is stored explicitly so the
-    tabulated norms carry it exactly (3, n+1, 2n-1).
+    With ``alpha`` bounding the distance from any unit-sphere point to
+    the nearest extreme point, and ``beta`` the least distance at which
+    the midpoint with an extreme point dips inside the ball, the factor
+    is ``(2 + beta - alpha)/(beta - alpha)``, finite when ``beta > alpha``.
+    Sup: alpha = 1, beta = 2, so 3.  Variation (ambient dimension n, ball
+    in V0): alpha = 1 - 1/(n-1), beta = 1, so 2n-1.  ``circumcenter``
+    refuses every other norm.
     """
-
-    alpha: float
-    beta: float
-    factor: float
-
-    def __post_init__(self):
-        if not self.beta > self.alpha:
-            raise DomainError("beta must exceed alpha for a finite factor")
-        formula = (2.0 + self.beta - self.alpha) / (self.beta - self.alpha)
-        if abs(self.factor - formula) > 1e-9 * formula:
-            raise DomainError("factor must equal (2 + beta - alpha)/(beta - alpha)")
+    return 3 if norm_id is NormId.SUP else 2 * n - 1
 
 
-def norm_constants(norm_id: NormId, n: int) -> NormConstants:
-    """Tabulated (alpha, beta) for the polyhedral norms in dimension n.
-
-    Sup gives factor 3; l1 gives n+1; variation (ambient dimension n,
-    ball in V0) gives 2n-1.
-    """
-    if n < 2:
-        raise DomainError("constants need dimension at least 2")
-    if norm_id is NormId.SUP:
-        return NormConstants(alpha=1.0, beta=2.0, factor=3.0)
-    if norm_id is NormId.L1:
-        return NormConstants(alpha=2.0 - 2.0 / n, beta=2.0, factor=float(n + 1))
-    if norm_id is NormId.VARIATION:
-        return NormConstants(alpha=1.0 - 1.0 / (n - 1), beta=1.0,
-                             factor=float(2 * n - 1))
-    raise DomainError("constants are tabulated for sup, l1 and variation only")
+def _as_points(points) -> np.ndarray:
+    try:
+        P = np.asarray(points, dtype=float)
+    except ValueError as exc:
+        raise DomainError(f"points must be real and share one length ({exc})") from exc
+    if P.size == 0:
+        raise DomainError("at least one point is required")
+    if P.ndim != 2 or not np.all(np.isfinite(P)):
+        raise DomainError("expected a list of finite points of one length")
+    return P
 
 
 def circumcenter(points, norm_id: NormId) -> tuple[np.ndarray, float]:
@@ -97,26 +89,18 @@ def circumcenter(points, norm_id: NormId) -> tuple[np.ndarray, float]:
     center, so the pair is self-consistent; it matches the true
     circumradius to rounding.
     """
-    pts = [as_vector(p) for p in points]
-    if not pts:
-        raise DomainError("at least one point is required")
-    n = pts[0].size
-    for p in pts:
-        if p.size != n:
-            raise DomainError("points must share one length")
-    P = np.array(pts)
-
+    P = _as_points(points)
     if norm_id is NormId.SUP:
-        hi = np.max(P, axis=0)
-        lo = np.min(P, axis=0)
-        center = 0.5 * (hi + lo)
+        center = 0.5 * (np.max(P, axis=0) + np.min(P, axis=0))
+        radius = np.max(np.abs(center - P))
     elif norm_id is NormId.VARIATION:
         if np.any(P[:, -1] != 0.0):
             raise DomainError("variation circumcenters need points in V0")
         center = _variation_center(P)
+        offsets = center - P
+        radius = np.max(np.max(offsets, axis=1) - np.min(offsets, axis=1))
     else:
         raise DomainError("circumcenter supports the sup and variation norms")
-    radius = max(norm(center - p, norm_id) for p in P)
     return center, float(radius)
 
 
@@ -144,47 +128,36 @@ def _variation_center(P: np.ndarray) -> np.ndarray:
 def localize_fixed_points(witnesses, norm_id: NormId) -> BoundingBall:
     """Bounding ball for the fixed-point set from illumination witnesses.
 
-    The caller must hold a confirmed detection report whose witness
-    residuals illuminate the unit ball.  A witness set with zero
-    circumradius cannot illuminate anything (the illumination number is
-    at least n+1), so it is rejected as inconsistent input.
+    The caller must hold a verified report whose witness residuals
+    illuminate the unit ball (``DetectionReport.verify``).  A witness
+    set with zero circumradius cannot illuminate anything (the
+    illumination number is at least n+1), so it is rejected as
+    inconsistent input.
     """
-    pts = [as_vector(w) for w in witnesses]
-    if not pts:
-        raise DomainError("at least one witness is required")
-    n = pts[0].size
-    consts = norm_constants(norm_id, n)
-    center, r0 = circumcenter(pts, norm_id)
+    center, r0 = circumcenter(witnesses, norm_id)
     if r0 == 0.0:
         raise DomainError(
             "degenerate witness set: zero circumradius cannot illuminate"
         )
-    return BoundingBall(center=center, radius=consts.factor * r0,
+    return BoundingBall(center=center, radius=_factor(norm_id, center.size) * r0,
                         metric=norm_id.value)
 
 
 def localize_eigenvectors(witnesses, n: int) -> BoundingBall:
     """Hilbert-metric bounding ball for the eigenvector set.
 
-    Witness cone points are normalized onto the slice, carried to V0 by
-    the log isometry, circumscribed under the variation norm, and the
-    ball is carried back: radius (2n-1) * R0 around the exponentiated
-    center.
+    Witness cone points are normalized onto the slice and carried to V0
+    by the log isometry, where ``localize_fixed_points`` bounds them in
+    the variation norm; the ball is carried back: radius (2n-1) * R0
+    around the exponentiated center.
     """
-    pts = [to_slice(as_cone_point(w)) for w in witnesses]
-    if not pts:
-        raise DomainError("at least one witness is required")
-    for p in pts:
-        if p.size != n:
-            raise DomainError("witness dimension mismatch")
-    logs = [log_coords(p) for p in pts]
-    center_v0, r0 = circumcenter(logs, NormId.VARIATION)
-    if r0 == 0.0:
-        raise DomainError(
-            "degenerate witness set: zero circumradius cannot illuminate"
-        )
-    factor = norm_constants(NormId.VARIATION, n).factor
-    return BoundingBall(center=exp_coords(center_v0), radius=factor * r0,
+    X = _as_points(witnesses)
+    if X.shape[1] != n:
+        raise DomainError("witness dimension mismatch")
+    if np.any(X <= 0.0):
+        raise DomainError("cone points must have strictly positive entries")
+    ball = localize_fixed_points(np.log(X / X[:, -1:]), NormId.VARIATION)
+    return BoundingBall(center=exp_coords(ball.center), radius=ball.radius,
                         metric=HILBERT_METRIC)
 
 

@@ -136,12 +136,18 @@ def _set_first_subset(subset):
     return edit
 
 
+def _drop_last_witness(doc):
+    # subsets_covered follows, so the report reaches the coverage check
+    doc["witnesses"].pop()
+    doc["subsets_covered"] -= 1
+
+
 @pytest.mark.parametrize("edit, message", [
     (_swap_first_points, "error: witness"),
     (_set_first_subset([9]), "malformed report (subset [9] must list"),
     (_set_first_subset([]), "error: witness"),
     (_set_first_subset([0, 1, 2, 3]), "error: witness"),
-    (lambda doc: doc["witnesses"].pop(), "error: witness"),
+    (_drop_last_witness, "error: witnesses cover 13 of 14"),
 ], ids=["swapped", "subset-9", "subset-empty", "subset-full", "dropped"])
 def test_localize_rejects_edited_witnesses(tmp_path, capsys, edit, message):
     spec = str(SPECS / "schoen_composition.json")
@@ -195,9 +201,21 @@ def _set_field(*path, value):
     (SUP_2D, lambda doc: doc["witnesses"][0]["point"].append(1.0)),
     (SUP_2D, _set_field("config", "max_samples", value=2.5)),
     (SUP_2D, _set_field("config", "seed", value=1.5)),
+    (SUP_2D, _set_field("config", "box_radius", value=True)),
+    (SUP_2D, _set_field("seed", value=12345)),
+    (SUP_2D, _set_field("subsets_covered", value=1)),
+    (SUP_2D, _set_field("samples_used", value=-5)),
+    (SUP_2D, _set_field("samples_used", value=100001)),
+    (SUP_2D, _set_field("samples_used", value=3.0)),
+    (SUP_2D, _set_field("probe_points", value=[[0.0, 0.0]])),
+    (EUCLID_2D, lambda doc: doc.pop("probe_points")),
+    (EUCLID_2D, lambda doc: doc["probe_points"].pop()),
+    (EUCLID_2D, lambda doc: doc["witnesses"].append({"subset": [0], "point": [0.0, 0.0]})),
 ], ids=["probe-length", "dimension-float", "dimension-bool", "dimension-cap",
         "kind", "total", "subset-repeat", "point-length", "budget-float",
-        "seed-float"])
+        "seed-float", "box-radius-bool", "seed-mismatch", "covered-mismatch",
+        "samples-negative", "samples-over-budget", "samples-float",
+        "probe-on-sup", "probe-missing", "probe-count", "witness-on-smooth"])
 def test_localize_rejects_malformed_report(tmp_path, capsys, spec, edit):
     report = tmp_path / "report.json"
     assert main(["detect", "--spec", spec, "--out", str(report)]) == 0
@@ -210,6 +228,36 @@ def test_localize_rejects_malformed_report(tmp_path, capsys, spec, edit):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "malformed report" in err and err.count("\n") == 1
+
+
+def test_localize_rejects_truncated_smooth_report(tmp_path, capsys):
+    # a confirmed smooth report cut down to its first probe point: one
+    # residual cannot surround 0, so the hull check refuses it
+    report = tmp_path / "report.json"
+    assert main(["detect", "--spec", EUCLID_2D, "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    doc["probe_points"], doc["samples_used"] = doc["probe_points"][:1], 1
+    report.write_text(json.dumps(doc))
+    out = tmp_path / "poly.json"
+    assert main(["localize", "--spec", EUCLID_2D, "--report", str(report),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: 0 is not interior") and err.count("\n") == 1
+
+
+def test_localize_rejects_polytope_missing_fixed_point(tmp_path, capsys):
+    # f(w) = 2w is not nonexpansive: its residuals w surround 0, yet every
+    # row <v, -w> <= -|w|^2 cuts off its fixed point 0
+    spec = json.dumps({"kind": "affine", "matrix": [[2.0, 0.0], [0.0, 2.0]],
+                       "offset": [0.0, 0.0], "norm": "euclid"})
+    report = tmp_path / "report.json"
+    assert main(["detect", "--spec", spec, "--out", str(report)]) == 0
+    out = tmp_path / "poly.json"
+    assert main(["localize", "--spec", spec, "--report", str(report),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: containment violated")
 
 
 def test_localize_accepts_c16_report_with_c13_spec(tmp_path):

@@ -66,6 +66,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("max_samples", 2.5), ("seed", 1.5), ("max_samples", True), ("seed", False),
+        ("box_radius", True), ("gap_tol", False),
     ])
     def test_rejects_non_integer_budget_and_seed(self, field, value):
         with pytest.raises(DomainError):
@@ -403,6 +404,55 @@ def test_pinned_results(case):
     report = _pinned_run(*case)
     assert (report.samples_used, report.subsets_covered) == PINNED[case]
     assert report.confirmed == (case[1] != "translation")
+
+
+def _translation(X):
+    return X + np.array([1.0, -0.5, 2.0])[: X.shape[1]]
+
+
+def _contraction(X):
+    return 0.5 * X + 1.0
+
+
+class TestVerify:
+    # a confirmed report verifies against its own map, returning the
+    # checked points, and is refused against a map it does not certify
+    def test_sup(self):
+        report = detect_fixed_point_sup(_contraction, 3, DetectionConfig(seed=0),
+                                        vectorized=True)
+        points = report.verify(lambda W: _contraction(W) - W)
+        assert np.array_equal(points, [report.witnesses[m] for m in sorted(report.witnesses)])
+        with pytest.raises(DomainError, match="does not realize"):
+            report.verify(lambda W: _translation(W) - W)
+
+    def test_eigenvector(self):
+        report = detect_eigenvector(TriangleMap(1 / 6), DetectionConfig(seed=0))
+
+        def residuals(spec):
+            return lambda X: np.log(eval_map(spec, X)) - np.log(X)
+
+        points = report.verify(residuals(TriangleMap(1 / 6)))
+        assert points.shape == (6, 3)
+        with pytest.raises(DomainError, match="does not realize"):
+            report.verify(residuals(TriangleMap(0.0)))
+
+    def test_smooth(self):
+        report = detect_fixed_point_smooth(_contraction, 2, DetectionConfig(seed=0),
+                                           vectorized=True)
+        assert report.verify(lambda W: _contraction(W) - W) is report.probe_points
+        with pytest.raises(DomainError, match="not interior"):
+            report.verify(lambda W: _translation(W) - W)
+
+    def test_round_trip_and_undetermined(self):
+        report = detect_fixed_point_sup(_contraction, 2, DetectionConfig(seed=1),
+                                        vectorized=True)
+        clone = DetectionReport.from_json_dict(report.to_json_dict())
+        assert np.array_equal(clone.verify(lambda W: _contraction(W) - W),
+                              report.verify(lambda W: _contraction(W) - W))
+        undetermined = detect_fixed_point_sup(
+            _translation, 2, DetectionConfig(seed=1, max_samples=100), vectorized=True)
+        with pytest.raises(DomainError, match="not confirmed"):
+            undetermined.verify(lambda W: _translation(W) - W)
 
 
 class TestAdversarial:

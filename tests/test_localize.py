@@ -14,7 +14,6 @@ from coneglow import (
     localize_eigenvectors,
     localize_fixed_points,
     norm,
-    norm_constants,
     power_iteration,
 )
 from coneglow.spaces import extreme_points
@@ -109,22 +108,35 @@ class TestCircumcenter:
 
 
 class TestNormConstants:
+    # the localization factor, read off the ball: 3 * R0 for the sup norm,
+    # (2n-1) * R0 for the variation norm and so for eigenvectors
     def test_table(self):
-        assert norm_constants(NormId.SUP, 4).factor == 3.0
-        assert norm_constants(NormId.L1, 2).factor == 3.0
-        assert norm_constants(NormId.L1, 5).factor == 6.0
-        for n in range(3, 11):
-            assert norm_constants(NormId.VARIATION, n).factor == 2 * n - 1
+        rng = np.random.default_rng(36)
+        for n in range(1, 6):
+            pts = rng.uniform(-4, 4, (5, n))
+            _, r0 = circumcenter(pts, NormId.SUP)
+            assert localize_fixed_points(pts, NormId.SUP).radius == 3 * r0
+        for n in range(2, 11):
+            X = rng.uniform(0.5, 4, (6, n))
+            logs = np.log(X / X[:, -1:])
+            center, r0 = circumcenter(logs, NormId.VARIATION)
+            ball = localize_eigenvectors(X, n)
+            assert ball.radius == (2 * n - 1) * r0
+            assert np.array_equal(ball.center, np.exp(center))
 
     def test_variation_n4(self):
-        consts = norm_constants(NormId.VARIATION, 4)
-        assert consts.alpha == pytest.approx(2.0 / 3.0)
-        assert consts.beta == 1.0
-        assert consts.factor == 7.0
+        # witnesses 1 and e**2 * e_0 on the slice: R0 = 1, so radius 7
+        ball = localize_eigenvectors([[1.0, 1.0, 1.0, 1.0],
+                                      [np.exp(2.0), 1.0, 1.0, 1.0]], 4)
+        assert ball.metric == "hilbert"
+        assert ball.radius == pytest.approx(7.0, rel=1e-15)
+        witnesses = [[0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]]
+        assert localize_fixed_points(witnesses, NormId.VARIATION).radius \
+            == pytest.approx(7.0, rel=1e-15)
 
     def test_euclid_unsupported(self):
         with pytest.raises(DomainError):
-            norm_constants(NormId.EUCLID, 3)
+            localize_fixed_points([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], NormId.EUCLID)
 
 
 class TestVariationExtremeDistances:
@@ -258,7 +270,8 @@ class TestHalfspacePolytope:
 
 
 def test_l1_localization_unsupported():
-    # the l1 factor is tabulated, but no l1 circumcenter routine exists
-    assert norm_constants(NormId.L1, 3).factor == 4.0
+    # no l1 circumcenter routine exists, so no l1 ball either
     with pytest.raises(DomainError):
         localize_fixed_points([[0.0, 0.0], [1.0, 0.0]], NormId.L1)
+    with pytest.raises(DomainError):
+        circumcenter([[0.0, 0.0], [1.0, 0.0]], NormId.L1)
