@@ -129,28 +129,23 @@ def cmd_localize(args) -> int:
         report = detector.DetectionReport.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:  # DomainError included
         raise CliError(f"{args.report}: malformed report ({exc})") from exc
-    if not report.confirmed:
-        raise CliError("nothing to localize: the report is not confirmed")
 
     if kind == "cone":
         spec = payload
         n, expected = spec.dim, "eigenvector"
 
-        def residuals(X):
-            return np.log(conemaps.eval_map(spec, X)) - np.log(X)
+        def f(X):
+            return conemaps.eval_map(spec, X)
     else:
         A, b, norm_id = payload
         n = A.shape[0]
         expected = "fixed_point_sup" if norm_id is NormId.SUP else "fixed_point_smooth"
         f = _affine_callable(A, b)
-
-        def residuals(W):
-            return f(W) - W
     if report.dimension != n:
         raise CliError("report/spec dimension mismatch")
     if report.kind != expected:
         raise CliError(f"this spec needs a {expected} report, not {report.kind}")
-    points = report.verify(residuals)
+    points = report.verify(f)
 
     if kind == "cone":
         region = localize.localize_eigenvectors(points, n)

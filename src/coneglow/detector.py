@@ -45,12 +45,14 @@ _SEED_MOD = 2 ** 64
 _MAX_LOG_BOX = 700.0
 _BATCH_PLAN = (32, 64, 128, 256, 512, 1024, 2048)
 _BATCH_MAX = 4096
-# Per report kind: the masks a confirmed report covers in dimension n, and
-# the mask code that re-derives them (None: the hull of the probe residuals).
+# Per report kind: the masks a confirmed report covers in dimension n, the
+# mask code that re-derives them (None: the hull of the probe residuals),
+# and the residual of points X with images FX that the certificate is on.
 _KINDS = {
-    "eigenvector": (lambda n: (1 << n) - 2, variation_masks),
-    "fixed_point_sup": (lambda n: 1 << n, sup_masks),
-    "fixed_point_smooth": (lambda n: 0, None),
+    "eigenvector": (lambda n: (1 << n) - 2, variation_masks,
+                    lambda X, FX: np.log(FX) - np.log(X)),
+    "fixed_point_sup": (lambda n: 1 << n, sup_masks, lambda W, FW: FW - W),
+    "fixed_point_smooth": (lambda n: 0, None, lambda W, FW: FW - W),
 }
 
 
@@ -144,29 +146,32 @@ class DetectionReport:
     def total_subsets(self) -> int:
         return _KINDS[self.kind][0](self.dimension)
 
-    def verify(self, residuals) -> np.ndarray:
+    def verify(self, f) -> np.ndarray:
         """Re-derive the certificate from the map; return the checked points.
 
-        ``residuals(points)`` gives, per row, ``log f(x) - log x`` for an
-        eigenvector report and ``f(w) - w`` otherwise.  Witnesses, in mask
-        order, must each realize their own mask under the detectors' mask
-        code at half the report's gap (the JSON round trip can move a
-        ratio by one ulp), and together cover all ``total_subsets``; the
-        probe residuals of a smooth report must pass
+        ``f`` is the map on an ``(m, n)`` batch (for an eigenvector report,
+        the cone map, e.g. ``lambda X: eval_map(spec, X)``); the residuals
+        are ``log f(x) - log x`` on the cone and ``f(w) - w`` otherwise.
+        Witnesses, in mask order, must each realize their own mask under
+        the detectors' mask code at half the report's gap (the JSON round
+        trip can move a ratio by one ulp), and together cover all
+        ``total_subsets``; the probe residuals of a smooth report must pass
         ``interior_hull_certificate``.  Raises DomainError otherwise, and
         when the report is not confirmed.
         """
         if not self.confirmed:
-            raise DomainError("the report is not confirmed")
-        masks_of = _KINDS[self.kind][1]
-        if masks_of is None:
-            if not interior_hull_certificate(residuals(self.probe_points)).inside:
-                raise DomainError("0 is not interior to the hull of the probe residuals")
-            return self.probe_points
+            raise DomainError("nothing to localize: the report is not confirmed")
+        _, masks_of, residual = _KINDS[self.kind]
         claimed = sorted(self.witnesses)
-        points = np.reshape([self.witnesses[m] for m in claimed],
-                            (len(claimed), self.dimension))
-        masks, valid = masks_of(residuals(points), self.config.gap_tol / 2)
+        points = (self.probe_points if masks_of is None else
+                  np.reshape([self.witnesses[m] for m in claimed],
+                             (len(claimed), self.dimension)))
+        R = residual(points, _batch_apply(f, points, True))
+        if masks_of is None:
+            if not interior_hull_certificate(R).inside:
+                raise DomainError("0 is not interior to the hull of the probe residuals")
+            return points
+        masks, valid = masks_of(R, self.config.gap_tol / 2)
         realized = (valid & (masks == np.array(claimed)[:, None])).any(axis=1)
         if not realized.all():
             bad = claimed[int(np.argmin(realized))]

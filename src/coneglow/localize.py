@@ -21,6 +21,8 @@ from .illumination import interior_hull_certificate
 from .spaces import NormId, as_vector, exp_coords, hilbert_metric, norm
 
 HILBERT_METRIC = "hilbert"
+# Slack of the containment tests, for rounding in the distances and rows.
+_CONTAIN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,12 +40,12 @@ class BoundingBall:
         if not (np.isfinite(self.radius) and self.radius >= 0.0):
             raise DomainError("radius must be finite and nonnegative")
 
-    def contains(self, v, tol: float = 1e-9) -> bool:
+    def contains(self, v) -> bool:
         if self.metric == HILBERT_METRIC:
             distance = hilbert_metric(v, self.center)
         else:
             distance = norm(as_vector(v) - self.center, NormId(self.metric))
-        return distance <= self.radius + tol
+        return distance <= self.radius + _CONTAIN_TOL
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,9 +169,9 @@ class HalfspacePolytope:
 
     rows: tuple[tuple[np.ndarray, float], ...]
 
-    def contains(self, v, tol: float = 1e-9) -> bool:
+    def contains(self, v) -> bool:
         va = as_vector(v)
-        return all(float(normal @ va) <= offset + tol
+        return all(float(normal @ va) <= offset + _CONTAIN_TOL
                    for normal, offset in self.rows)
 
     def to_json_dict(self) -> dict:

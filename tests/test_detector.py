@@ -420,39 +420,40 @@ class TestVerify:
     def test_sup(self):
         report = detect_fixed_point_sup(_contraction, 3, DetectionConfig(seed=0),
                                         vectorized=True)
-        points = report.verify(lambda W: _contraction(W) - W)
+        points = report.verify(_contraction)
         assert np.array_equal(points, [report.witnesses[m] for m in sorted(report.witnesses)])
         with pytest.raises(DomainError, match="does not realize"):
-            report.verify(lambda W: _translation(W) - W)
+            report.verify(_translation)
 
     def test_eigenvector(self):
         report = detect_eigenvector(TriangleMap(1 / 6), DetectionConfig(seed=0))
-
-        def residuals(spec):
-            return lambda X: np.log(eval_map(spec, X)) - np.log(X)
-
-        points = report.verify(residuals(TriangleMap(1 / 6)))
+        points = report.verify(lambda X: eval_map(TriangleMap(1 / 6), X))
         assert points.shape == (6, 3)
         with pytest.raises(DomainError, match="does not realize"):
-            report.verify(residuals(TriangleMap(0.0)))
+            report.verify(lambda X: eval_map(TriangleMap(0.0), X))
 
     def test_smooth(self):
         report = detect_fixed_point_smooth(_contraction, 2, DetectionConfig(seed=0),
                                            vectorized=True)
-        assert report.verify(lambda W: _contraction(W) - W) is report.probe_points
+        assert report.verify(_contraction) is report.probe_points
         with pytest.raises(DomainError, match="not interior"):
-            report.verify(lambda W: _translation(W) - W)
+            report.verify(_translation)
 
     def test_round_trip_and_undetermined(self):
         report = detect_fixed_point_sup(_contraction, 2, DetectionConfig(seed=1),
                                         vectorized=True)
         clone = DetectionReport.from_json_dict(report.to_json_dict())
-        assert np.array_equal(clone.verify(lambda W: _contraction(W) - W),
-                              report.verify(lambda W: _contraction(W) - W))
+        assert np.array_equal(clone.verify(_contraction), report.verify(_contraction))
         undetermined = detect_fixed_point_sup(
             _translation, 2, DetectionConfig(seed=1, max_samples=100), vectorized=True)
         with pytest.raises(DomainError, match="not confirmed"):
-            undetermined.verify(lambda W: _translation(W) - W)
+            undetermined.verify(_translation)
+
+    def test_map_must_keep_the_batch_shape(self):
+        report = detect_fixed_point_sup(_contraction, 2, DetectionConfig(seed=0),
+                                        vectorized=True)
+        with pytest.raises(DomainError, match="batch shape"):
+            report.verify(lambda W: W[:, :1])
 
 
 class TestAdversarial:
