@@ -23,7 +23,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.special import logsumexp
 
 from .errors import DomainError, NonterminationError
 from .spaces import as_cone_point, hilbert_metric, to_slice
@@ -65,26 +64,11 @@ class MeanTerm:
             raise DomainError("sigma weights must sum to 1")
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "coeff", float(self.coeff))
-        if not self.coeff > 0.0:
-            raise DomainError("mean coefficients must be strictly positive")
+        if not (self.coeff > 0.0 and math.isfinite(self.coeff)):
+            raise DomainError(
+                f"mean coefficient {self.coeff} must be positive and finite")
         if math.isnan(self.r):
             raise DomainError("mean exponent must not be NaN")
-
-    def evaluate(self, X: np.ndarray) -> np.ndarray:
-        supp = self.sigma > 0.0
-        sub = X[:, supp]
-        if self.r == math.inf:
-            vals = np.max(sub, axis=1)
-        elif self.r == -math.inf:
-            vals = np.min(sub, axis=1)
-        else:
-            logs = np.log(sub)
-            weights = self.sigma[supp]
-            if self.r == 0.0:
-                vals = np.exp(logs @ weights)
-            else:
-                vals = np.exp(logsumexp(self.r * logs, axis=1, b=weights) / self.r)
-        return self.coeff * vals
 
 
 class MapSpec:
@@ -118,9 +102,28 @@ class MatrixMap(MapSpec):
         return X @ self.matrix.T
 
 
+class _MeanGroup(NamedTuple):
+    """Mean terms that share one exponent and one support.
+
+    ``weights`` holds one column of support weights per term; the terms'
+    values fill columns ``start:stop`` of the batch's term matrix.
+    """
+
+    r: float
+    cols: np.ndarray
+    weights: np.ndarray
+    start: int
+    stop: int
+
+
 @dataclass(frozen=True, eq=False)
 class MeanSumMap(MapSpec):
-    """Coordinate functions that are positive sums of weighted means."""
+    """Coordinate functions that are positive sums of weighted means.
+
+    Terms are grouped once by exponent and support, so a batch costs one
+    log pass, one pass per group and one product that places each term's
+    ``coeff`` in its coordinate.
+    """
 
     terms: tuple[tuple[MeanTerm, ...], ...]
 
@@ -139,18 +142,52 @@ class MeanSumMap(MapSpec):
                     raise DomainError("sigma length must equal the dimension")
         object.__setattr__(self, "terms", terms)
 
+        members: dict[tuple, list[tuple[int, MeanTerm]]] = {}
+        for i, row in enumerate(terms):
+            for term in row:
+                key = (term.r, tuple(np.flatnonzero(term.sigma > 0.0)))
+                members.setdefault(key, []).append((i, term))
+        placement = np.zeros((sum(map(len, terms)), n))
+        groups = []
+        stop = 0
+        for (r, support), group in members.items():
+            cols = np.array(support)
+            start, stop = stop, stop + len(group)
+            for k, (i, term) in enumerate(group, start):
+                placement[k, i] = term.coeff
+            weights = np.stack([term.sigma[cols] for _, term in group], axis=1)
+            groups.append(_MeanGroup(r, cols, weights, start, stop))
+        object.__setattr__(self, "_groups", tuple(groups))
+        object.__setattr__(self, "_placement", placement)
+
     @property
     def dim(self) -> int:
         return len(self.terms)
 
     def _eval_batch(self, X):
-        out = np.empty_like(X)
-        for i, row in enumerate(self.terms):
-            acc = row[0].evaluate(X)
-            for term in row[1:]:
-                acc = acc + term.evaluate(X)
-            out[:, i] = acc
-        return out
+        L = np.log(X)
+        V = np.empty((X.shape[0], self._placement.shape[0]))
+        for g in self._groups:
+            out = V[:, g.start:g.stop]
+            if g.r == math.inf:
+                out[:] = X[:, g.cols].max(axis=1, keepdims=True)
+            elif g.r == -math.inf:
+                out[:] = X[:, g.cols].min(axis=1, keepdims=True)
+            elif g.r == 0.0:
+                np.exp(L[:, g.cols] @ g.weights, out=out)
+            else:
+                # shift by the support's extreme log so every expm1
+                # argument is <= 0; log1p/expm1 keep tiny |r| accurate
+                sub = L[:, g.cols]
+                ext = (sub.max if g.r > 0.0 else sub.min)(axis=1, keepdims=True)
+                sub -= ext
+                sub *= g.r
+                mean = np.expm1(sub, out=sub) @ g.weights
+                np.log1p(mean, out=mean)
+                mean /= g.r
+                mean += ext
+                np.exp(mean, out=out)
+        return V @ self._placement
 
 
 def _harmonic_pair(s, t):

@@ -69,6 +69,21 @@ def test_detect_bad_sigma_exit_one(tmp_path, capsys):
     assert "sigma" in capsys.readouterr().err
 
 
+def test_detect_infinite_coeff_exit_one(tmp_path, capsys):
+    bad = tmp_path / "coeff.json"
+    bad.write_text(json.dumps({
+        "kind": "meansum",
+        "coordinates": [[{"r": 1, "sigma": [0.5, 0.5], "coeff": "inf"}],
+                        [{"r": 1, "sigma": [0.5, 0.5], "coeff": 1.0}]],
+    }))
+    out = tmp_path / "report.json"
+    code = main(["detect", "--spec", str(bad), "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "coefficient inf" in err and err.count("\n") == 1
+
+
 def test_localize_pipeline(ones_spec, tmp_path, capsys):
     report = tmp_path / "report.json"
     assert main(["detect", "--spec", ones_spec, "--out", str(report)]) == 0

@@ -33,16 +33,19 @@ from coneglow import (
 )
 
 
-def _builtin_specs():
-    rng = np.random.default_rng(12)
-    mean_rows = (
+def mixed_meansum():
+    return MeanSumMap((
         (MeanTerm(-1.0, [0.5, 0.5, 0.0, 0.0], 1.0),
          MeanTerm(2.0, [0.25, 0.25, 0.25, 0.25], 0.5)),
         (MeanTerm(0.0, [0.4, 0.3, 0.2, 0.1], 2.0),),
         (MeanTerm(math.inf, [0.5, 0.0, 0.5, 0.0], 1.0),),
         (MeanTerm(-math.inf, [0.0, 0.5, 0.0, 0.5], 1.5),),
-    )
-    meansum = MeanSumMap(mean_rows)
+    ))
+
+
+def _builtin_specs():
+    rng = np.random.default_rng(12)
+    meansum = mixed_meansum()
     matrix = MatrixMap(rng.uniform(0.05, 2.0, (4, 4)))
     return [
         matrix,
@@ -142,6 +145,65 @@ class TestEval:
         assert np.all(out > 0)
 
 
+def _reference_mean_sum(rows, X):
+    """Each ``(r, sigma, coeff)`` term on its own, as a shifted log-sum-exp."""
+    out = np.zeros_like(X)
+    for i, row in enumerate(rows):
+        for r, sigma, coeff in row:
+            supp = np.asarray(sigma) > 0.0
+            sub, w = X[:, supp], np.asarray(sigma)[supp]
+            if r == math.inf:
+                val = sub.max(axis=1)
+            elif r == -math.inf:
+                val = sub.min(axis=1)
+            elif r == 0.0:
+                val = np.exp(np.log(sub) @ w)
+            else:
+                z = r * np.log(sub) + np.log(w)
+                top = z.max(axis=1)
+                val = np.exp((top + np.log(np.exp(z - top[:, None]).sum(axis=1))) / r)
+            out[:, i] += coeff * val
+    return out
+
+
+class TestGroupedMeanSum:
+    def test_matches_per_term_reference(self):
+        rng = np.random.default_rng(31)
+        n = 6
+        exponents = (math.inf, -math.inf, 0.0, 1.0, -1.0, 0.5, -3.0, 2.0)
+        shared = (2.0, [0.0, 0.3, 0.0, 0.7, 0.0, 0.0])
+        rows = []
+        for i in range(n):
+            row = []
+            for _ in range(2):
+                supp = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+                sigma = np.zeros(n)
+                sigma[supp] = rng.dirichlet(np.ones(supp.size))
+                sigma /= sigma.sum()
+                row.append((exponents[int(rng.integers(len(exponents)))], sigma,
+                            float(rng.uniform(0.5, 2.0))))
+            if i % 2 == 0:  # one (r, support) group spread over three coordinates
+                row.append((shared[0], shared[1], 0.5 + i))
+            rows.append(row)
+        # r = 5 on a support that leaves out column 0, the largest of every row
+        rows[5].append((5.0, [0.0, 0.0, 0.5, 0.0, 0.25, 0.25], 1.0))
+        spec = MeanSumMap(tuple(tuple(MeanTerm(*t) for t in row) for row in rows))
+        logs = rng.uniform(-250.0, 150.0, (300, n))
+        logs[:, 0] = 250.0
+        X = np.exp(logs)
+        got = eval_map(spec, X)
+        want = _reference_mean_sum(rows, X)
+        assert np.max(np.abs(np.log(got) - np.log(want))) <= 1e-12
+
+    def test_tiny_exponent_is_geometric_mean(self):
+        # a power mean tends to the weighted geometric mean as r -> 0
+        x = np.array([2.0, 8.0, 1.0])
+        geometric = 2.0 ** 0.5 * 8.0 ** 0.25
+        for r in (1e-13, -1e-13, 1e-17, -1e-17, 1e-300, -1e-300):
+            spec = MeanSumMap(((MeanTerm(r, [0.5, 0.25, 0.25], 1.0),),) * 3)
+            assert np.all(np.abs(eval_map(spec, x) / geometric - 1.0) <= 1e-12)
+
+
 class TestConstructorValidation:
     def test_matrix_zero_row(self):
         with pytest.raises(DomainError):
@@ -174,6 +236,11 @@ class TestConstructorValidation:
             MeanTerm(1.0, [0.5, 0.6], 1.0)
         with pytest.raises(DomainError):
             MeanTerm(1.0, [0.5, 0.5], -1.0)
+
+    def test_mean_term_coeff_finite(self):
+        for coeff in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="coefficient"):
+                MeanTerm(1.0, [0.5, 0.5], coeff)
 
     def test_compose_dim_mismatch(self):
         with pytest.raises(DomainError):

@@ -9,6 +9,8 @@ from coneglow import (
     DetectionStatus,
     DomainError,
     MatrixMap,
+    MeanSumMap,
+    MeanTerm,
     SubsetMask,
     TriangleMap,
     build_adversarial_euclid,
@@ -20,6 +22,7 @@ from coneglow import (
     power_iteration,
     ratio_subsets,
 )
+from test_conemaps import mixed_meansum
 
 QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
 ROTOREFLECTION = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
@@ -346,11 +349,33 @@ class TestDetectFixedPointSmooth:
         assert calls == [3, 6, 201, 210, 270]
 
 
+def _partial_meansum6():
+    # two means per coordinate on two-column supports, one of each exponent class
+    exponents = (np.inf, -np.inf, 0.0, 1.0, -1.0, 3.0)
+    rows = []
+    for i in range(6):
+        near, far = np.zeros(6), np.zeros(6)
+        near[[i, (i + 1) % 6]] = 0.5
+        far[[i, (i + 3) % 6]] = [0.25, 0.75]
+        rows.append((MeanTerm(exponents[i], near, 1.0 + 0.1 * i),
+                     MeanTerm(exponents[(i + 2) % 6], far, 0.5)))
+    return MeanSumMap(tuple(rows))
+
+
+_EIGEN_SPECS = {
+    "schoen": demo_schoen_composition,
+    "triangle_1_6": lambda: TriangleMap(1 / 6),
+    "meansum_mixed": mixed_meansum,
+    "meansum_partial6": _partial_meansum6,
+}
+
+
 def _pinned_run(kind, name, seed):
-    config = DetectionConfig(seed=seed, max_samples=3000)
     if kind == "eigenvector":
-        spec = demo_schoen_composition() if name == "schoen" else TriangleMap(1 / 6)
-        return detect_eigenvector(spec, config)
+        # the meansum maps need up to about 8000 samples to confirm
+        config = DetectionConfig(seed=seed, max_samples=10_000)
+        return detect_eigenvector(_EIGEN_SPECS[name](), config)
+    config = DetectionConfig(seed=seed, max_samples=3000)
     if kind == "sup":
         return detect_fixed_point_sup(lambda X: 0.5 * X + 1.0, 3, config,
                                       vectorized=True)
@@ -366,7 +391,8 @@ def _pinned_run(kind, name, seed):
 
 
 # (samples_used, subsets_covered) of seeded runs, recorded before the three
-# detectors shared one sampling loop; integers, so a last-ulp difference
+# detectors shared one sampling loop (the meansum rows: before meansum
+# terms were evaluated in groups); integers, so a last-ulp difference
 # between NumPy builds cannot move them
 PINNED = {
     ("eigenvector", "schoen", 0): (19, 14),
@@ -377,6 +403,12 @@ PINNED = {
     ("eigenvector", "triangle_1_6", 0): (10, 6),
     ("eigenvector", "triangle_1_6", 1): (4, 6),
     ("eigenvector", "triangle_1_6", 2): (3, 6),
+    ("eigenvector", "meansum_mixed", 0): (5379, 14),
+    ("eigenvector", "meansum_mixed", 1): (8078, 14),
+    ("eigenvector", "meansum_mixed", 2): (1143, 14),
+    ("eigenvector", "meansum_partial6", 0): (5875, 62),
+    ("eigenvector", "meansum_partial6", 1): (3132, 62),
+    ("eigenvector", "meansum_partial6", 2): (7860, 62),
     ("sup", "half_plus_one_n3", 0): (41, 8),
     ("sup", "half_plus_one_n3", 1): (9, 8),
     ("sup", "half_plus_one_n3", 2): (15, 8),
