@@ -29,6 +29,9 @@ from .spaces import as_cone_point, hilbert_metric, to_slice
 
 SIGMA_TOL = 1e-12
 JSON_SIGMA_TOL = 1e-9
+# Below this |r| a power mean equals the geometric mean far within
+# rounding, while r * log(x) would sink into subnormal numbers.
+_GEOMETRIC_R = 1e-200
 
 
 def _as_batch(x) -> tuple[np.ndarray, bool]:
@@ -145,7 +148,8 @@ class MeanSumMap(MapSpec):
         members: dict[tuple, list[tuple[int, MeanTerm]]] = {}
         for i, row in enumerate(terms):
             for term in row:
-                key = (term.r, tuple(np.flatnonzero(term.sigma > 0.0)))
+                r = 0.0 if abs(term.r) < _GEOMETRIC_R else term.r
+                key = (r, tuple(np.flatnonzero(term.sigma > 0.0)))
                 members.setdefault(key, []).append((i, term))
         placement = np.zeros((sum(map(len, terms)), n))
         groups = []
@@ -176,17 +180,22 @@ class MeanSumMap(MapSpec):
             elif g.r == 0.0:
                 np.exp(L[:, g.cols] @ g.weights, out=out)
             else:
-                # shift by the support's extreme log so every expm1
-                # argument is <= 0; log1p/expm1 keep tiny |r| accurate
-                sub = L[:, g.cols]
-                ext = (sub.max if g.r > 0.0 else sub.min)(axis=1, keepdims=True)
-                sub -= ext
-                sub *= g.r
-                mean = np.expm1(sub, out=sub) @ g.weights
-                np.log1p(mean, out=mean)
-                mean /= g.r
-                mean += ext
-                np.exp(mean, out=out)
+                # shift by the support's extreme log: every exponent is
+                # <= 0 and the extreme column adds its whole weight, so
+                # s = sum w exp(z) is accurate relative to itself
+                z = L[:, g.cols]
+                ext = (z.max if g.r > 0.0 else z.min)(axis=1, keepdims=True)
+                z -= ext
+                z *= g.r
+                log_s = np.log(np.exp(z) @ g.weights)
+                # near s = 1 (small |r| or spread) log(s) loses the
+                # digits that log1p(sum w expm1(z)) keeps
+                near = log_s > -0.5
+                if near.any():
+                    np.log1p(np.expm1(z) @ g.weights, out=log_s, where=near)
+                log_s /= g.r
+                log_s += ext
+                np.exp(log_s, out=out)
         return V @ self._placement
 
 

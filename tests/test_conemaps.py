@@ -199,9 +199,22 @@ class TestGroupedMeanSum:
         # a power mean tends to the weighted geometric mean as r -> 0
         x = np.array([2.0, 8.0, 1.0])
         geometric = 2.0 ** 0.5 * 8.0 ** 0.25
-        for r in (1e-13, -1e-13, 1e-17, -1e-17, 1e-300, -1e-300):
+        for r in (1e-13, -1e-13, 1e-17, -1e-17, 1e-300, -1e-300, 5e-324, -5e-324):
             spec = MeanSumMap(((MeanTerm(r, [0.5, 0.25, 0.25], 1.0),),) * 3)
             assert np.all(np.abs(eval_map(spec, x) / geometric - 1.0) <= 1e-12)
+
+    def test_tiny_weight_on_extreme_column(self):
+        # after the shift the other column's term is negligible beside 1,
+        # so the mean rests on the extreme column's weight alone
+        for r, logs in ((1.0, [40.0, 0.0]), (5.0, [40.0, 0.0]),
+                        (-1.0, [-40.0, 0.0]), (2.0, [700.0, -700.0])):
+            for sigma in ([1e-17, 1.0], [1e-12, 1.0 - 1e-12]):
+                rows = [[(r, sigma, 1.0)]] * 2
+                spec = MeanSumMap(tuple(tuple(MeanTerm(*t) for t in row) for row in rows))
+                X = np.exp(np.array([logs]))
+                got = eval_map(spec, X)
+                want = _reference_mean_sum(rows, X)
+                assert np.max(np.abs(np.log(got) - np.log(want))) <= 1e-12
 
 
 class TestConstructorValidation:
