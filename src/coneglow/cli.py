@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -36,8 +37,13 @@ class CliError(Exception):
     """Fatal CLI error; its message goes to stderr and the exit code is 1."""
 
 
+def _label(path: str) -> str:
+    """Names a --spec or --report argument in errors; inline JSON reads <inline>."""
+    return "<inline>" if path.lstrip().startswith("{") else path
+
+
 def _load_json(path: str):
-    if path.lstrip().startswith("{"):  # inline spec instead of a path
+    if _label(path) == "<inline>":
         try:
             return json.loads(path)
         except json.JSONDecodeError as exc:
@@ -54,26 +60,27 @@ def _load_json(path: str):
 def _load_map_file(path: str):
     """Returns ('cone', MapSpec) or ('affine', (A, b, NormId))."""
     doc = _load_json(path)
+    label = _label(path)
     if isinstance(doc, dict) and doc.get("kind") == "affine":
         try:
             A = np.asarray(doc["matrix"], dtype=float)
             b = np.asarray(doc["offset"], dtype=float)
             norm_tag = doc["norm"]
         except KeyError as exc:
-            raise CliError(f"{path}: affine spec is missing field {exc}") from exc
+            raise CliError(f"{label}: affine spec is missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
-            raise CliError(f"{path}: affine spec has a non-numeric entry ({exc})") from exc
+            raise CliError(f"{label}: affine spec has a non-numeric entry ({exc})") from exc
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise CliError(f"{path}: affine matrix must be square")
+            raise CliError(f"{label}: affine matrix must be square")
         if b.shape != (A.shape[0],):
-            raise CliError(f"{path}: affine offset length must match the matrix")
+            raise CliError(f"{label}: affine offset length must match the matrix")
         if norm_tag not in ("sup", "euclid"):
-            raise CliError(f"{path}: affine norm must be 'sup' or 'euclid'")
+            raise CliError(f"{label}: affine norm must be 'sup' or 'euclid'")
         return "affine", (A, b, NormId(norm_tag))
     try:
         return "cone", conemaps.map_spec_from_dict(doc)
     except (TypeError, ValueError) as exc:  # DomainError, or a non-numeric entry
-        raise CliError(f"{path}: {exc}") from exc
+        raise CliError(f"{label}: {exc}") from exc
 
 
 def _config_from_args(args, seed=None) -> detector.DetectionConfig:
@@ -97,9 +104,15 @@ def _affine_callable(A: np.ndarray, b: np.ndarray):
 def _write_bytes(path: str | None, payload: bytes) -> None:
     if path is None:
         sys.stdout.write(payload.decode())
-    else:
-        with open(path, "wb") as fh:
-            fh.write(payload)
+        return
+    # Overwrite in place and cut to length afterwards.  Opening with "wb"
+    # truncates to zero first, and ext4 (auto_da_alloc) then forces the new
+    # data to disk on close; /dev/null and FIFOs cannot be cut.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(payload)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def cmd_detect(args) -> int:
@@ -128,7 +141,7 @@ def cmd_localize(args) -> int:
     try:
         report = detector.DetectionReport.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:  # DomainError included
-        raise CliError(f"{args.report}: malformed report ({exc})") from exc
+        raise CliError(f"{_label(args.report)}: malformed report ({exc})") from exc
 
     if kind == "cone":
         spec = payload

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -391,3 +392,92 @@ def test_non_numeric_spec_entry_exit_one(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'a'" in err
     assert err.count("\n") == 1
+
+
+def test_inline_spec_error_names_inline(tmp_path, capsys):
+    inline = json.dumps({
+        "kind": "meansum",
+        "coordinates": [[{"r": 1, "sigma": [0.5, 0.5], "coeff": "inf"}],
+                        [{"r": 1, "sigma": [0.5, 0.5], "coeff": 1.0}]],
+    })
+    assert main(["detect", "--spec", inline,
+                 "--out", str(tmp_path / "report.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: <inline>: mean coefficient inf")
+    assert '"kind"' not in err and err.count("\n") == 1
+
+
+# --out is overwritten in place: each case first fills it with more bytes
+# than any report, so a missing cut to length shows as trailing bytes.
+STALE = b"x" * 100_000
+SCHOEN = str(SPECS / "schoen_composition.json")
+
+
+def _detect(out):
+    return main(["detect", "--spec", SCHOEN, "--seed", "5", "--out", str(out)])
+
+
+def _localize(report, out):
+    return main(["localize", "--spec", SCHOEN, "--report", str(report),
+                 "--out", str(out)])
+
+
+@pytest.mark.parametrize("command", ["detect", "localize"])
+def test_out_overwritten_in_place(tmp_path, command):
+    report, fresh, stale = (tmp_path / name for name in ("r.json", "fresh", "stale"))
+    stale.write_bytes(STALE)
+    inode = stale.stat().st_ino
+    if command == "detect":
+        assert _detect(fresh) == 0 and _detect(stale) == 0
+    else:
+        assert _detect(report) == 0
+        assert _localize(report, fresh) == 0 and _localize(report, stale) == 0
+    assert stale.read_bytes() == fresh.read_bytes()
+    assert stale.stat().st_ino == inode
+
+
+def test_out_symlink_stays_symlink(tmp_path):
+    target, link, fresh = tmp_path / "target", tmp_path / "link", tmp_path / "fresh"
+    target.write_bytes(STALE)
+    link.symlink_to(target)
+    assert _detect(link) == 0 and _detect(fresh) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_out_dev_null(tmp_path):
+    assert _detect(os.devnull) == 0
+    assert _detect(tmp_path / "report.json") == 0
+    assert _localize(tmp_path / "report.json", os.devnull) == 0
+
+
+def test_out_directory_exit_one(tmp_path, capsys):
+    assert _detect(tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_errors_leave_existing_out_untouched(tmp_path):
+    out = tmp_path / "out.json"
+    out.write_bytes(STALE)
+    bad = json.dumps({"kind": "matrix", "matrix": [[1.0, -1.0], [1.0, 1.0]]})
+    assert main(["detect", "--spec", bad, "--out", str(out)]) == 1
+    assert out.read_bytes() == STALE
+
+    report = tmp_path / "report.json"
+    assert _detect(report) == 0
+    doc = json.loads(report.read_text())
+    _swap_first_points(doc)
+    report.write_text(json.dumps(doc))
+    assert _localize(report, out) == 1
+    assert out.read_bytes() == STALE
+
+
+def test_trials_shorter_overwrite(ones_spec, tmp_path):
+    out, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
+    args = ["trials", "--spec", ones_spec, "--seed", "4"]
+    assert main(args + ["--trials", "20", "--out", str(out)]) == 0
+    assert main(args + ["--trials", "3", "--out", str(out)]) == 0
+    assert main(args + ["--trials", "3", "--out", str(fresh)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
