@@ -29,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import conemaps, detector, localize
-from .errors import BudgetError, ConstructionError, DomainError, NonterminationError
+from .errors import BudgetError, ConstructionError, DomainError
 from .spaces import NormId
 
 
@@ -43,18 +43,20 @@ def _label(path: str) -> str:
 
 
 def _load_json(path: str):
-    if _label(path) == "<inline>":
-        try:
-            return json.loads(path)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"<inline>:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    label = _label(path)
     try:
+        if label == "<inline>":
+            return json.loads(path)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise CliError(f"{label}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{label}: not UTF-8 text ({exc.reason})") from exc
+    except RecursionError as exc:
+        raise CliError(f"{label}: JSON nested too deeply") from exc
 
 
 def _load_map_file(path: str):
@@ -74,6 +76,9 @@ def _load_map_file(path: str):
             raise CliError(f"{label}: affine matrix must be square")
         if b.shape != (A.shape[0],):
             raise CliError(f"{label}: affine offset length must match the matrix")
+        for name, entries in (("matrix", A), ("offset", b)):
+            if not np.all(np.isfinite(entries)):
+                raise CliError(f"{label}: affine {name} entries must be finite")
         if norm_tag not in ("sup", "euclid"):
             raise CliError(f"{label}: affine norm must be 'sup' or 'euclid'")
         return "affine", (A, b, NormId(norm_tag))
@@ -294,8 +299,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, DomainError, BudgetError, NonterminationError,
-            ConstructionError, OverflowError, OSError) as exc:
+    except (CliError, DomainError, BudgetError, ConstructionError,
+            OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,16 +15,13 @@ result used here requires.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .errors import DomainError, NonterminationError
+from .errors import DomainError
 from .spaces import as_cone_point, hilbert_metric, to_slice
 
 SIGMA_TOL = 1e-12
@@ -376,23 +373,6 @@ def normalized_map(spec: MapSpec, x) -> np.ndarray:
     return Y[0] if single else Y
 
 
-def conjugate_map(spec: MapSpec, y) -> np.ndarray:
-    """Log-coordinate conjugate of the normalized map, a self-map of V0."""
-    arr = np.asarray(y, dtype=float)
-    single = arr.ndim == 1
-    Y = arr[None, :] if single else arr
-    if np.any(Y[:, -1] != 0.0):
-        raise DomainError("conjugate map expects points in V0")
-    with np.errstate(over="ignore"):
-        X = np.exp(Y)
-    if not np.all(np.isfinite(X)):
-        raise OverflowError("exp overflowed; reduce the coordinate box")
-    X[:, -1] = 1.0
-    out = np.log(normalized_map(spec, X))
-    out[:, -1] = 0.0
-    return out[0] if single else out
-
-
 @dataclass(frozen=True)
 class EigenResult:
     """Power-iteration outcome on the normalized slice.
@@ -442,97 +422,6 @@ def power_iteration(spec: MapSpec, x0, tol: float = 1e-12,
         final_step=float(step),
         cw_range=(float(np.min(ratios)), float(np.max(ratios))),
     )
-
-
-class LinearOracleResult(NamedTuple):
-    exists: bool
-    unique: bool
-
-
-def linear_oracle(A) -> LinearOracleResult:
-    """Exact existence/uniqueness test for positive eigenvectors of a
-    nonnegative matrix.
-
-    Decomposes the adjacency digraph into communicating classes, computes
-    each class's spectral radius, and applies the classical
-    characterization: a positive eigenvector exists iff the final classes
-    (no outgoing access) are exactly the basic classes (radius equal to
-    the overall spectral radius), and it is unique up to scaling iff
-    there is exactly one basic final class.
-    """
-    M = np.asarray(A, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
-        raise DomainError("matrix must be square and nonempty")
-    if np.any(M < 0.0) or not np.all(np.isfinite(M)):
-        raise DomainError("matrix entries must be finite and nonnegative")
-    n = M.shape[0]
-    ncomp, labels = connected_components(
-        csr_matrix(M > 0.0), directed=True, connection="strong"
-    )
-    radii = np.empty(ncomp)
-    for comp in range(ncomp):
-        idx = np.nonzero(labels == comp)[0]
-        radii[comp] = _class_spectral_radius(M[np.ix_(idx, idx)])
-    rho = float(np.max(radii))
-    basic = {c for c in range(ncomp) if abs(radii[c] - rho) <= 1e-8 * rho}
-    final = set(range(ncomp))
-    for i in range(n):
-        for j in range(n):
-            if M[i, j] > 0.0 and labels[i] != labels[j]:
-                final.discard(labels[i])
-    exists = final == basic
-    unique = exists and len(basic) == 1
-    return LinearOracleResult(exists, unique)
-
-
-def _class_spectral_radius(sub: np.ndarray, tol: float = 1e-10,
-                           max_iter: int = 10 ** 5) -> float:
-    """Spectral radius of an irreducible block via shifted power iteration.
-
-    Adding the identity makes the block primitive, so the coordinate
-    ratios bracket the shifted radius and contract onto it.
-    """
-    k = sub.shape[0]
-    if k == 1:
-        return float(sub[0, 0])
-    B = sub + np.eye(k)
-    v = np.ones(k)
-    for _ in range(max_iter):
-        w = B @ v
-        ratios = w / v
-        lo, hi = float(np.min(ratios)), float(np.max(ratios))
-        v = w / np.sum(w)
-        if hi - lo <= tol * max(1.0, hi):
-            return 0.5 * (lo + hi) - 1.0
-    raise NonterminationError("class spectral radius did not converge")
-
-
-def is_order_preserving_homogeneous_probe(spec: MapSpec, trials: int = 64,
-                                          seed: int = 0) -> bool:
-    """Randomized check of order preservation and degree-1 homogeneity.
-
-    Samples comparable pairs x <= y and positive scalings; returns False
-    on any violation beyond 1e-9 relative.  A passing probe is evidence,
-    not proof.
-    """
-    if trials < 1:
-        raise DomainError("at least one trial is required")
-    rng = np.random.default_rng(seed)
-    n = spec.dim
-    rel = 1e-9
-    for _ in range(trials):
-        x = np.exp(rng.uniform(-3.0, 3.0, size=n))
-        y = x + rng.uniform(0.0, 2.0, size=n)
-        fx = eval_map(spec, x)
-        fy = eval_map(spec, y)
-        scale = np.maximum(1.0, np.abs(fx))
-        if np.any(fy < fx - rel * scale):
-            return False
-        alpha = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
-        fax = eval_map(spec, alpha * x)
-        if np.max(np.abs(fax - alpha * fx)) > rel * alpha * float(np.max(np.abs(fx))):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -618,14 +507,6 @@ def map_spec_from_dict(obj) -> MapSpec:
     except KeyError as exc:
         raise DomainError(f"map spec node {kind!r} is missing field {exc}") from exc
     raise DomainError(f"unrecognized map kind {kind!r}")
-
-
-def map_spec_to_json(spec: MapSpec) -> str:
-    return json.dumps(map_spec_to_dict(spec), indent=2)
-
-
-def map_spec_from_json(text: str) -> MapSpec:
-    return map_spec_from_dict(json.loads(text))
 
 
 def demo_schoen_composition() -> ComposeMap:

@@ -38,8 +38,10 @@ from .conemaps import MapSpec, eval_map
 from .illumination import (
     interior_hull_certificate, separates, sup_masks, variation_masks,
 )
-from .spaces import ENUMERATION_DIM_CAP, as_cone_point, as_vector
+from .spaces import as_vector
 
+# Detection enumerates 2**n masks; refuse beyond this.
+ENUMERATION_DIM_CAP = 24
 _SEED_MOD = 2 ** 64
 # Box radii beyond this overflow exp() during cone sampling.
 _MAX_LOG_BOX = 700.0
@@ -58,23 +60,6 @@ _KINDS = {
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-@dataclass(frozen=True)
-class SubsetMask:
-    """A nonempty proper subset of {0, .., n-1} as a bitmask."""
-
-    bits: int
-    n: int
-
-    def __post_init__(self):
-        if not (1 <= self.n <= ENUMERATION_DIM_CAP):
-            raise DomainError(f"dimension must be in 1..{ENUMERATION_DIM_CAP}")
-        if not (0 < self.bits < (1 << self.n) - 1):
-            raise DomainError("mask must denote a nonempty proper subset")
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n) if (self.bits >> i) & 1)
 
 
 @dataclass(frozen=True)
@@ -255,20 +240,6 @@ class DetectionReport:
             witnesses=witnesses,
             probe_points=probe,
         )
-
-
-def ratio_subsets(spec: MapSpec, x, gap_tol: float = 1e-9) -> list[SubsetMask]:
-    """Subsets whose coordinate ratios of ``f(x)/x`` sit strictly lowest.
-
-    At most n-1 subsets can qualify for a single point.  The gap is
-    measured in log space, relative to ``max(1, spread)``.
-    """
-    xa = as_cone_point(x)
-    fx = eval_map(spec, xa)
-    rho = (np.log(fx) - np.log(xa))[None, :]
-    masks, valid = variation_masks(rho, gap_tol)
-    n = xa.size
-    return [SubsetMask(int(m), n) for m, v in zip(masks[0], valid[0]) if v]
 
 
 def _draws(config: DetectionConfig, dim: int):

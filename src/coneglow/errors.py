@@ -9,9 +9,5 @@ class BudgetError(RuntimeError):
     """A guarded enumeration or solver size limit would be exceeded."""
 
 
-class NonterminationError(RuntimeError):
-    """An iterative procedure hit its iteration cap without resolving."""
-
-
 class ConstructionError(RuntimeError):
     """A derived object could not be built from the supplied data."""

@@ -16,8 +16,7 @@ points it illuminates:
 Strict inequalities carry slack ``gap_tol * max(1, scale)``, so a
 near-degenerate instance reports "not covered" rather than certifying
 falsely.  For the Euclidean ball, ``interior_hull_certificate`` decides
-whether 0 is interior to the residuals' convex hull.  ``illuminates_point``
-probes one point and one direction; it is the tests' reference.
+whether 0 is interior to the residuals' convex hull.
 """
 
 from __future__ import annotations
@@ -28,42 +27,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import DomainError
-from .spaces import NormId, as_vector, norm
 
-STRICT_TOL = 1e-12
 LP_TOL = 1e-9
 RANK_TOL = 1e-10
-_PROBE_STEPS = 2.0 ** -np.arange(41)  # dyadic probe 1, 1/2, ..., 2**-40
-
-
-def illuminates_point(z, v, norm_id: NormId) -> bool:
-    """Whether direction ``v`` illuminates the unit-sphere point ``z``.
-
-    ``t -> norm(z + t v)`` is convex and equals 1 at t = 0, so probing the
-    dyadic steps 2**-k, k <= 40, decides the predicate up to tolerance.
-    For the Euclidean ball the answer is analytic: ``<z, v> < 0``.
-    """
-    za = as_vector(z)
-    va = as_vector(v)
-    if za.shape != va.shape:
-        raise DomainError("point and direction must have equal length")
-    if abs(norm(za, norm_id) - 1.0) > STRICT_TOL:
-        raise DomainError("point must lie on the unit sphere")
-    vnorm = float(np.linalg.norm(va))
-    if vnorm == 0.0:
-        raise DomainError("direction must be nonzero")
-    if norm_id is NormId.EUCLID:
-        return float(za @ va) < -STRICT_TOL * vnorm
-    if norm_id is NormId.VARIATION and va[-1] != 0.0:
-        raise DomainError("variation-norm directions must lie in V0")
-    probes = za[None, :] + _PROBE_STEPS[:, None] * va[None, :]
-    if norm_id is NormId.SUP:
-        vals = np.max(np.abs(probes), axis=1)
-    elif norm_id is NormId.L1:
-        vals = np.sum(np.abs(probes), axis=1)
-    else:
-        vals = np.max(probes, axis=1) - np.min(probes, axis=1)
-    return bool(np.any(vals < 1.0 - STRICT_TOL))
 
 
 def variation_masks(rho: np.ndarray, gap_tol: float):

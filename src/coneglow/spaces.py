@@ -1,8 +1,8 @@
-"""Norms, unit-ball extreme points, and Hilbert's projective metric.
+"""Norms and Hilbert's projective metric.
 
-The four supported norms are the supremum and l1 norms on R^n, the
-Euclidean norm, and the variation norm ``max_i x_i - min_j x_j`` on the
-hyperplane V0 = {x : x_n = 0}.  Points of V0 are kept in ambient R^n with
+The three supported norms are the supremum and Euclidean norms on R^n,
+and the variation norm ``max_i x_i - min_j x_j`` on the hyperplane
+V0 = {x : x_n = 0}.  Points of V0 are kept in ambient R^n with
 an exactly-zero last coordinate rather than in the quotient R^n / R·e.
 
 The coordinatewise log is an isometry from the normalized cone slice
@@ -16,15 +16,11 @@ import enum
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
-
-# Extreme-point enumeration is exponential in n; refuse beyond this.
-ENUMERATION_DIM_CAP = 24
+from .errors import DomainError
 
 
 class NormId(enum.Enum):
     SUP = "sup"
-    L1 = "l1"
     EUCLID = "euclid"
     VARIATION = "variation"
 
@@ -64,8 +60,6 @@ def norm(v, norm_id: NormId) -> float:
     arr = as_vector(v)
     if norm_id is NormId.SUP:
         return float(np.max(np.abs(arr)))
-    if norm_id is NormId.L1:
-        return float(np.sum(np.abs(arr)))
     if norm_id is NormId.EUCLID:
         return float(np.linalg.norm(arr))
     if norm_id is NormId.VARIATION:
@@ -121,36 +115,3 @@ def exp_coords(y) -> np.ndarray:
     out[-1] = 1.0
     return out
 
-
-def extreme_points(norm_id: NormId, n: int) -> np.ndarray:
-    """Extreme points of the unit ball, one per row.
-
-    SUP: the 2**n sign vectors, ordered so that row ``J`` has +1 exactly
-    on the bits of ``J``.  L1: +e_i then -e_i (2n rows).  VARIATION: for
-    each nonempty I within the first n-1 coordinates, the 0/1 indicator
-    of I and its negation, last entry 0 (2**n - 2 rows); here ``n`` is
-    the ambient dimension and the ball lives in V0.
-    """
-    if n < 1:
-        raise DomainError("dimension must be at least 1")
-    if norm_id is NormId.EUCLID:
-        raise DomainError("the Euclidean ball has no finite extreme-point set")
-    if n > ENUMERATION_DIM_CAP:
-        raise BudgetError(
-            f"extreme-point enumeration is capped at n <= {ENUMERATION_DIM_CAP}"
-        )
-    if norm_id is NormId.SUP:
-        masks = np.arange(2 ** n, dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(n)) & 1
-        return (2.0 * bits - 1.0).astype(float)
-    if norm_id is NormId.L1:
-        eye = np.eye(n)
-        return np.vstack([eye, -eye])
-    if norm_id is NormId.VARIATION:
-        masks = np.arange(1, 2 ** (n - 1), dtype=np.int64)
-        indicators = np.zeros((masks.size, n))
-        if masks.size:
-            bits = (masks[:, None] >> np.arange(n - 1)) & 1
-            indicators[:, : n - 1] = bits
-        return np.vstack([indicators, -indicators])
-    raise DomainError(f"unknown norm id {norm_id!r}")

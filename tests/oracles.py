@@ -1,0 +1,185 @@
+"""Reference oracles the tests check the library against.
+
+None of these is on the detect -> verify -> localize path: each decides a
+property the slow, direct way, so the vectorized code can be compared
+with it.
+
+* ``illuminates_point`` probes one unit-sphere point and one direction;
+  the mask code of ``coneglow.illumination`` must agree with it.
+* ``extreme_points`` enumerates the extreme points of the sup and
+  variation unit balls.
+* ``linear_oracle`` decides existence and uniqueness of positive
+  eigenvectors of a nonnegative matrix from its class structure.
+* ``is_order_preserving_homogeneous_probe`` samples order preservation
+  and degree-1 homogeneity of a cone map.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+
+from coneglow import BudgetError, DomainError, MapSpec, NormId, eval_map, norm
+from coneglow.detector import ENUMERATION_DIM_CAP
+from coneglow.spaces import as_vector
+
+STRICT_TOL = 1e-12
+_PROBE_STEPS = 2.0 ** -np.arange(41)  # dyadic probe 1, 1/2, ..., 2**-40
+
+
+class NonterminationError(RuntimeError):
+    """An iterative procedure hit its iteration cap without resolving."""
+
+
+def illuminates_point(z, v, norm_id: NormId) -> bool:
+    """Whether direction ``v`` illuminates the unit-sphere point ``z``.
+
+    ``t -> norm(z + t v)`` is convex and equals 1 at t = 0, so probing the
+    dyadic steps 2**-k, k <= 40, decides the predicate up to tolerance.
+    For the Euclidean ball the answer is analytic: ``<z, v> < 0``.
+    """
+    za = as_vector(z)
+    va = as_vector(v)
+    if za.shape != va.shape:
+        raise DomainError("point and direction must have equal length")
+    if abs(norm(za, norm_id) - 1.0) > STRICT_TOL:
+        raise DomainError("point must lie on the unit sphere")
+    vnorm = float(np.linalg.norm(va))
+    if vnorm == 0.0:
+        raise DomainError("direction must be nonzero")
+    if norm_id is NormId.EUCLID:
+        return float(za @ va) < -STRICT_TOL * vnorm
+    if norm_id is NormId.VARIATION and va[-1] != 0.0:
+        raise DomainError("variation-norm directions must lie in V0")
+    probes = za[None, :] + _PROBE_STEPS[:, None] * va[None, :]
+    if norm_id is NormId.SUP:
+        vals = np.max(np.abs(probes), axis=1)
+    else:
+        vals = np.max(probes, axis=1) - np.min(probes, axis=1)
+    return bool(np.any(vals < 1.0 - STRICT_TOL))
+
+
+def extreme_points(norm_id: NormId, n: int) -> np.ndarray:
+    """Extreme points of the unit ball, one per row.
+
+    SUP: the 2**n sign vectors, ordered so that row ``J`` has +1 exactly
+    on the bits of ``J``.  VARIATION: for each nonempty I within the
+    first n-1 coordinates, the 0/1 indicator of I and its negation, last
+    entry 0 (2**n - 2 rows); here ``n`` is the ambient dimension and the
+    ball lives in V0.
+    """
+    if n < 1:
+        raise DomainError("dimension must be at least 1")
+    if norm_id is NormId.EUCLID:
+        raise DomainError("the Euclidean ball has no finite extreme-point set")
+    if n > ENUMERATION_DIM_CAP:
+        raise BudgetError(
+            f"extreme-point enumeration is capped at n <= {ENUMERATION_DIM_CAP}"
+        )
+    if norm_id is NormId.SUP:
+        masks = np.arange(2 ** n, dtype=np.int64)
+        bits = (masks[:, None] >> np.arange(n)) & 1
+        return (2.0 * bits - 1.0).astype(float)
+    if norm_id is NormId.VARIATION:
+        masks = np.arange(1, 2 ** (n - 1), dtype=np.int64)
+        indicators = np.zeros((masks.size, n))
+        if masks.size:
+            bits = (masks[:, None] >> np.arange(n - 1)) & 1
+            indicators[:, : n - 1] = bits
+        return np.vstack([indicators, -indicators])
+    raise DomainError(f"unknown norm id {norm_id!r}")
+
+
+class LinearOracleResult(NamedTuple):
+    exists: bool
+    unique: bool
+
+
+def linear_oracle(A) -> LinearOracleResult:
+    """Exact existence/uniqueness test for positive eigenvectors of a
+    nonnegative matrix.
+
+    Decomposes the adjacency digraph into communicating classes, computes
+    each class's spectral radius, and applies the classical
+    characterization: a positive eigenvector exists iff the final classes
+    (no outgoing access) are exactly the basic classes (radius equal to
+    the overall spectral radius), and it is unique up to scaling iff
+    there is exactly one basic final class.
+    """
+    M = np.asarray(A, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] == 0:
+        raise DomainError("matrix must be square and nonempty")
+    if np.any(M < 0.0) or not np.all(np.isfinite(M)):
+        raise DomainError("matrix entries must be finite and nonnegative")
+    n = M.shape[0]
+    ncomp, labels = connected_components(
+        csr_matrix(M > 0.0), directed=True, connection="strong"
+    )
+    radii = np.empty(ncomp)
+    for comp in range(ncomp):
+        idx = np.nonzero(labels == comp)[0]
+        radii[comp] = _class_spectral_radius(M[np.ix_(idx, idx)])
+    rho = float(np.max(radii))
+    basic = {c for c in range(ncomp) if abs(radii[c] - rho) <= 1e-8 * rho}
+    final = set(range(ncomp))
+    for i in range(n):
+        for j in range(n):
+            if M[i, j] > 0.0 and labels[i] != labels[j]:
+                final.discard(labels[i])
+    exists = final == basic
+    unique = exists and len(basic) == 1
+    return LinearOracleResult(exists, unique)
+
+
+def _class_spectral_radius(sub: np.ndarray, tol: float = 1e-10,
+                           max_iter: int = 10 ** 5) -> float:
+    """Spectral radius of an irreducible block via shifted power iteration.
+
+    Adding the identity makes the block primitive, so the coordinate
+    ratios bracket the shifted radius and contract onto it.
+    """
+    k = sub.shape[0]
+    if k == 1:
+        return float(sub[0, 0])
+    B = sub + np.eye(k)
+    v = np.ones(k)
+    for _ in range(max_iter):
+        w = B @ v
+        ratios = w / v
+        lo, hi = float(np.min(ratios)), float(np.max(ratios))
+        v = w / np.sum(w)
+        if hi - lo <= tol * max(1.0, hi):
+            return 0.5 * (lo + hi) - 1.0
+    raise NonterminationError("class spectral radius did not converge")
+
+
+def is_order_preserving_homogeneous_probe(spec: MapSpec, trials: int = 64,
+                                          seed: int = 0) -> bool:
+    """Randomized check of order preservation and degree-1 homogeneity.
+
+    Samples comparable pairs x <= y and positive scalings; returns False
+    on any violation beyond 1e-9 relative.  A passing probe is evidence,
+    not proof.
+    """
+    if trials < 1:
+        raise DomainError("at least one trial is required")
+    rng = np.random.default_rng(seed)
+    n = spec.dim
+    rel = 1e-9
+    for _ in range(trials):
+        x = np.exp(rng.uniform(-3.0, 3.0, size=n))
+        y = x + rng.uniform(0.0, 2.0, size=n)
+        fx = eval_map(spec, x)
+        fy = eval_map(spec, y)
+        scale = np.maximum(1.0, np.abs(fx))
+        if np.any(fy < fx - rel * scale):
+            return False
+        alpha = float(np.exp(rng.uniform(math.log(1e-3), math.log(1e3))))
+        fax = eval_map(spec, alpha * x)
+        if np.max(np.abs(fax - alpha * fx)) > rel * alpha * float(np.max(np.abs(fx))):
+            return False
+    return True

