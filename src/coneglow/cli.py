@@ -19,6 +19,7 @@ detected in its declared norm.  Every output embeds the full config
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import stat
@@ -179,8 +180,7 @@ def cmd_localize(args) -> int:
             print(f"fixed point: {known.tolist()}")
             out = region.to_json_dict()
         else:
-            region, bounded = localize.halfspace_polytope(
-                lambda w: f(w[None, :])[0], points)
+            region, bounded = localize.halfspace_polytope(f, points)
             out = dict(region.to_json_dict(), bounded=bounded)
     if not region.contains(known):
         raise CliError(f"containment violated: the {name} {known.tolist()} "
@@ -189,14 +189,8 @@ def cmd_localize(args) -> int:
     return 0
 
 
-def _run_trial(packed):
-    spec_dict, box_radius, max_samples, gap_tol, seed = packed
-    spec = conemaps.map_spec_from_dict(spec_dict)
-    config = detector.DetectionConfig(
-        box_radius=box_radius, max_samples=max_samples,
-        seed=seed, gap_tol=gap_tol,
-    )
-    report = detector.detect_eigenvector(spec, config)
+def _run_trial(job):
+    report = detector.detect_eigenvector(*job)
     return report.samples_used, int(report.confirmed)
 
 
@@ -207,12 +201,8 @@ def cmd_trials(args) -> int:
     if kind != "cone":
         raise CliError("trials require a cone map spec")
     base = _config_from_args(args)
-    spec_dict = conemaps.map_spec_to_dict(spec)
-    jobs = [
-        (spec_dict, base.box_radius, base.max_samples, base.gap_tol,
-         (base.seed + t) % detector._SEED_MOD)
-        for t in range(args.trials)
-    ]
+    jobs = [(spec, dataclasses.replace(base, seed=(base.seed + t) % detector._SEED_MOD))
+            for t in range(args.trials)]
 
     raw = os.environ.get("CONEGLOW_THREADS", "1")
     if not (raw.strip().isdigit() and int(raw) >= 1):

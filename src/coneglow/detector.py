@@ -17,7 +17,7 @@ Three detectors share one sampling skeleton:
 All three draw their samples from ``_draws``, a PCG64 stream seeded by
 ``config.seed`` and consumed in sample order, so batch sizes never
 change results.  The first two pass each batch's masks to ``_cover``,
-the one first-witness-per-mask loop, which also builds their reports.
+the one first-witness-per-mask rule, which also builds their reports.
 ``DetectionReport.verify`` re-derives a report's certificate from the
 map without trusting the search: the same mask code for the first two,
 one hull certificate on the probe residuals for the third.
@@ -264,25 +264,23 @@ def _cover(kind: str, n: int, config: DetectionConfig, batches) -> DetectionRepo
 
     ``batches`` yields ``(offset, points, masks, valid)``, one row per
     sample, in the shape ``variation_masks`` returns; it is not consumed
-    when the kind's total is 0.
+    when the kind's total is 0.  Boolean indexing runs in row-major
+    order, so ``np.unique``'s first index of a new mask is its first row.
     """
     total = _KINDS[kind][0](n)
     covered = np.zeros(1 << n, dtype=bool)
     witnesses: dict[int, np.ndarray] = {}
     used = 0
     for offset, points, masks, valid in batches if total else ():
-        used = offset + len(points)
         fresh = valid & ~covered[masks]
-        for row in np.nonzero(fresh.any(axis=1))[0]:
-            for mask in masks[row, fresh[row]]:
-                if not covered[mask]:
-                    covered[mask] = True
-                    witnesses[int(mask)] = points[row].copy()
-            if len(witnesses) == total:
-                used = offset + int(row) + 1
-                break
+        new, first = np.unique(masks[fresh], return_index=True)
+        rows = np.nonzero(fresh)[0][first]
+        covered[new] = True
+        witnesses.update(zip(new.tolist(), points[rows]))
         if len(witnesses) == total:
+            used = offset + int(rows.max()) + 1
             break
+        used = offset + len(points)
     status = (DetectionStatus.CONFIRMED if len(witnesses) == total
               else DetectionStatus.UNDETERMINED)
     return DetectionReport(kind=kind, status=status, dimension=n, samples_used=used,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
+from .detector import _batch_apply
 from .errors import DomainError
 from .illumination import interior_hull_certificate
 from .spaces import NormId, as_vector, exp_coords, hilbert_metric, norm
@@ -186,30 +187,27 @@ class HalfspacePolytope:
 def halfspace_polytope(f, probes) -> tuple[HalfspacePolytope, bool]:
     """Half-space localization for a Euclidean-nonexpansive map.
 
-    Every fixed point satisfies ``<v, w - f(w)> <= <w, w - f(w)>`` for
-    every probe w, so the rows cut out a polytope containing the
-    fixed-point set.  A nonempty polytope is bounded iff its normals
+    ``f`` is the map on an ``(m, n)`` batch, as for
+    ``DetectionReport.verify``.  Every fixed point satisfies
+    ``<v, w - f(w)> <= <w, w - f(w)>`` for every probe w, so the rows cut
+    out a polytope containing the fixed-point set; probes with a zero
+    residual give no row.  A nonempty polytope is bounded iff its normals
     positively span, which one ``interior_hull_certificate`` decides; if
     they do not, one feasibility LP runs, as an empty one counts bounded.
     """
-    rows = []
-    n = None
-    for w in probes:
-        wa = as_vector(w)
-        n = wa.size if n is None else n
-        if wa.size != n:
-            raise DomainError("probes must share one length")
-        normal = wa - np.asarray(f(wa), dtype=float)
-        if float(np.linalg.norm(normal)) <= 1e-12 * (1.0 + float(np.linalg.norm(wa))):
-            warnings.warn("skipping probe with zero residual", stacklevel=2)
-            continue
-        rows.append((normal, float(wa @ normal)))
-    if not rows:
+    P = _as_points(probes)
+    normals = P - _batch_apply(f, P, True)
+    usable = (np.linalg.norm(normals, axis=1)
+              > 1e-12 * (1.0 + np.linalg.norm(P, axis=1)))
+    if not usable.all():
+        warnings.warn(f"skipping {np.count_nonzero(~usable)} probe(s) with zero residual",
+                      stacklevel=2)
+    if not usable.any():
         raise DomainError("no usable probes (all residuals vanished)")
-
-    normals, offsets = map(np.array, zip(*rows))
+    P, normals = P[usable], normals[usable]
+    offsets = np.einsum("ij,ij->i", P, normals)
     bounded = interior_hull_certificate(normals).inside
     if not bounded:  # status 2: empty, so vacuously bounded
-        bounded = linprog(np.zeros(n), A_ub=normals, b_ub=offsets,
+        bounded = linprog(np.zeros(P.shape[1]), A_ub=normals, b_ub=offsets,
                           bounds=(None, None), method="highs").status == 2
-    return HalfspacePolytope(tuple(rows)), bounded
+    return HalfspacePolytope(tuple(zip(normals, offsets.tolist()))), bounded

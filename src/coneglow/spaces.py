@@ -61,7 +61,7 @@ def norm(v, norm_id: NormId) -> float:
     if norm_id is NormId.SUP:
         return float(np.max(np.abs(arr)))
     if norm_id is NormId.EUCLID:
-        return float(np.linalg.norm(arr))
+        return float(np.hypot.reduce(arr))  # no squares to under- or overflow
     if norm_id is NormId.VARIATION:
         _require_last_zero(arr)
         return float(np.max(arr) - np.min(arr))

@@ -12,6 +12,8 @@ with it.
   eigenvectors of a nonnegative matrix from its class structure.
 * ``is_order_preserving_homogeneous_probe`` samples order preservation
   and degree-1 homogeneity of a cone map.
+* ``cover_reference`` records the first witness of each mask row by row,
+  the loop ``coneglow.detector._cover`` replaces with array steps.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from coneglow import BudgetError, DomainError, MapSpec, NormId, eval_map, norm
-from coneglow.detector import ENUMERATION_DIM_CAP
+from coneglow.detector import (
+    _KINDS, ENUMERATION_DIM_CAP, DetectionReport, DetectionStatus,
+)
 from coneglow.spaces import as_vector
 
 STRICT_TOL = 1e-12
@@ -183,3 +187,34 @@ def is_order_preserving_homogeneous_probe(spec: MapSpec, trials: int = 64,
         if np.max(np.abs(fax - alpha * fx)) > rel * alpha * float(np.max(np.abs(fx))):
             return False
     return True
+
+
+def cover_reference(kind: str, n: int, config, batches) -> DetectionReport:
+    """Record the first witness of each mask until all are covered.
+
+    ``batches`` yields ``(offset, points, masks, valid)``, one row per
+    sample, in the shape ``variation_masks`` returns; it is not consumed
+    when the kind's total is 0.  Walks each batch row by row and, within a
+    row, mask by mask.
+    """
+    total = _KINDS[kind][0](n)
+    covered = np.zeros(1 << n, dtype=bool)
+    witnesses: dict[int, np.ndarray] = {}
+    used = 0
+    for offset, points, masks, valid in batches if total else ():
+        used = offset + len(points)
+        fresh = valid & ~covered[masks]
+        for row in np.nonzero(fresh.any(axis=1))[0]:
+            for mask in masks[row, fresh[row]]:
+                if not covered[mask]:
+                    covered[mask] = True
+                    witnesses[int(mask)] = points[row].copy()
+            if len(witnesses) == total:
+                used = offset + int(row) + 1
+                break
+        if len(witnesses) == total:
+            break
+    status = (DetectionStatus.CONFIRMED if len(witnesses) == total
+              else DetectionStatus.UNDETERMINED)
+    return DetectionReport(kind=kind, status=status, dimension=n, samples_used=used,
+                           config=config, witnesses=witnesses)

@@ -22,7 +22,7 @@ from coneglow import (
     power_iteration,
     variation_masks,
 )
-from oracles import illuminates_point
+from oracles import cover_reference, illuminates_point
 from test_conemaps import mixed_meansum
 
 QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -113,6 +113,71 @@ class TestRatioSubsets:
                     if min(outside) - max(inside) > thr:
                         want.add(mask)
                 assert got == want
+
+
+def _mask_batches(masks, valid, sizes, n):
+    """``(offset, points, masks, valid)`` batches of the given sizes; row i
+    of the points is the sample index i in every coordinate."""
+    masks, valid = np.asarray(masks), np.asarray(valid, dtype=bool)
+    offset = 0
+    for size in sizes:
+        rows = slice(offset, offset + size)
+        points = np.repeat(np.arange(offset, offset + size, dtype=float)[:, None], n, axis=1)
+        yield offset, points, masks[rows], valid[rows]
+        offset += size
+
+
+class TestCover:
+    CONFIG = DetectionConfig(max_samples=10 ** 4)
+
+    def _check(self, kind, n, masks, valid, sizes):
+        got = detector._cover(kind, n, self.CONFIG, _mask_batches(masks, valid, sizes, n))
+        want = cover_reference(kind, n, self.CONFIG, _mask_batches(masks, valid, sizes, n))
+        assert (got.status, got.samples_used) == (want.status, want.samples_used)
+        assert sorted(got.witnesses) == sorted(want.witnesses)
+        for mask, point in want.witnesses.items():
+            assert np.array_equal(got.witnesses[mask], point)
+        return got
+
+    def test_mask_realized_by_several_rows(self):
+        # sup patterns of n = 2: mask 1 in rows 0, 1, 3 of one batch, first row wins
+        masks = [[1], [1], [2], [1], [0], [3]]
+        report = self._check("fixed_point_sup", 2, masks, np.ones((6, 1)), [6])
+        assert report.witnesses[1][0] == 0.0
+        assert (report.confirmed, report.samples_used) == (True, 6)
+
+    def test_two_masks_first_realized_by_one_row(self):
+        # eigenvector subsets of n = 3; row 1 brings masks 2 and 6 at once
+        masks = [[1, 3], [2, 6], [4, 5], [3, 5]]
+        valid = [[True, False], [True, True], [True, True], [True, True]]
+        report = self._check("eigenvector", 3, masks, valid, [2, 2])
+        assert report.witnesses[2][0] == report.witnesses[6][0] == 1.0
+        assert report.witnesses[3][0] == 3.0  # invalid in row 0
+        assert (report.confirmed, report.samples_used) == (True, 4)
+
+    def test_completion_mid_batch(self):
+        masks = [[0], [1], [0], [2], [3], [3], [1], [2]]
+        report = self._check("fixed_point_sup", 2, masks, np.ones((8, 1)), [3, 5])
+        assert (report.confirmed, report.samples_used) == (True, 5)
+
+    def test_uncovered_spends_every_batch(self):
+        masks = [[0], [1], [1], [0], [2]]
+        report = self._check("fixed_point_sup", 2, masks, np.ones((5, 1)), [2, 3])
+        assert (report.confirmed, report.samples_used) == (False, 5)
+
+    @pytest.mark.parametrize("kind,n,lo,width", [
+        ("eigenvector", 3, 1, 2), ("eigenvector", 5, 1, 4), ("fixed_point_sup", 3, 0, 1),
+        ("fixed_point_sup", 6, 0, 1),
+    ])
+    def test_random_batches_match_reference(self, kind, n, lo, width):
+        rng = np.random.default_rng(n)
+        total = detector._KINDS[kind][0](n)
+        for _ in range(50):
+            sizes = rng.integers(1, 40, size=rng.integers(1, 8))
+            rows = int(sizes.sum())
+            masks = rng.integers(lo, lo + total, size=(rows, width))
+            valid = rng.random((rows, width)) < rng.uniform(0.2, 1.0)
+            self._check(kind, n, masks, valid, sizes)
 
 
 class TestDetectEigenvector:

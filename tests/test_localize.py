@@ -211,7 +211,7 @@ class TestHalfspacePolytope:
     def test_zero_map_unit_box(self):
         probes = [np.array([1.0, 0.0]), np.array([-1.0, 0.0]),
                   np.array([0.0, 1.0]), np.array([0.0, -1.0])]
-        polytope, bounded = halfspace_polytope(lambda w: np.zeros(2), probes)
+        polytope, bounded = halfspace_polytope(np.zeros_like, probes)
         assert bounded
         assert polytope.contains([0.0, 0.0])
         assert polytope.contains([0.9, 0.9])
@@ -220,7 +220,7 @@ class TestHalfspacePolytope:
     def test_contraction_rows(self):
         probes = [np.array([1.0, 0.0]), np.array([-1.0, 0.0]),
                   np.array([0.0, 1.0]), np.array([0.0, -1.0])]
-        polytope, bounded = halfspace_polytope(lambda w: 0.5 * w, probes)
+        polytope, bounded = halfspace_polytope(lambda W: 0.5 * W, probes)
         assert bounded
         assert polytope.contains(np.zeros(2))
         for (normal, offset), w in zip(polytope.rows, probes):
@@ -231,7 +231,7 @@ class TestHalfspacePolytope:
         b = np.array([1.0, 0.0])
         probes = [np.array([1.0, 2.0]), np.array([-3.0, 0.5]),
                   np.array([0.0, -1.0])]
-        polytope, bounded = halfspace_polytope(lambda w: w + b, probes)
+        polytope, bounded = halfspace_polytope(lambda W: W + b, probes)
         assert not bounded
         for normal, _ in polytope.rows:
             assert np.allclose(normal, -b)
@@ -241,7 +241,7 @@ class TestHalfspacePolytope:
         # (-1, 0) do not positively span, yet nothing is left to bound
         probes = [np.array([1.0, 0.0]), np.array([2.0, 0.0])]
         polytope, bounded = halfspace_polytope(
-            lambda w: np.array([3.0 * w[0] - 3.0, w[1]]), probes)
+            lambda W: np.column_stack([3.0 * W[:, 0] - 3.0, W[:, 1]]), probes)
         assert [tuple(normal) for normal, _ in polytope.rows] == [(1.0, 0.0), (-1.0, 0.0)]
         assert [offset for _, offset in polytope.rows] == [1.0, -2.0]
         assert bounded
@@ -249,7 +249,7 @@ class TestHalfspacePolytope:
     def test_zero_residual_probe_skipped(self):
         probes = [np.zeros(2), np.array([1.0, 1.0])]
         with pytest.warns(UserWarning):
-            polytope, _ = halfspace_polytope(lambda w: 0.5 * w, probes)
+            polytope, _ = halfspace_polytope(lambda W: 0.5 * W, probes)
         assert len(polytope.rows) == 1
 
     def test_contains_known_fixed_point(self):
@@ -264,9 +264,31 @@ class TestHalfspacePolytope:
             # enough probes that the residual normals positively span the
             # plane with overwhelming probability, making the polytope compact
             probes = [rng.uniform(-10, 10, 2) for _ in range(40)]
-            polytope, bounded = halfspace_polytope(lambda w: Q @ w + b, probes)
+            polytope, bounded = halfspace_polytope(lambda W: W @ Q.T + b, probes)
             assert polytope.contains(fixed)
             assert bounded
+
+    def test_normals_are_negated_residuals(self):
+        # the rows are built on the residuals DetectionReport.verify checks
+        rng = np.random.default_rng(5)
+        A = 0.3 * rng.normal(size=(3, 3))
+        b = rng.normal(size=3)
+        P = rng.uniform(-100, 100, (30, 3))
+
+        def f(W):
+            return W @ A.T + b
+
+        polytope, _ = halfspace_polytope(f, P)
+        normals = np.array([normal for normal, _ in polytope.rows])
+        assert np.array_equal(normals, P - f(P))
+        assert np.array_equal(normals, -(f(P) - P))
+
+    def test_shape_changing_map_rejected(self):
+        probes = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(DomainError, match="batch shape"):
+            halfspace_polytope(lambda W: W[:, :1], probes)
+        with pytest.raises(DomainError, match="batch shape"):
+            halfspace_polytope(lambda W: W[0], probes)
 
 
 def test_l1_localization_unsupported():

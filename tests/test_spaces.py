@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,14 @@ def test_norm_zero_iff_zero():
     assert norm([0.0, 0.0], NormId.SUP) == 0.0
     assert norm([0.0, 0.0, 0.0], NormId.VARIATION) == 0.0
     assert norm([1e-300, 0.0], NormId.SUP) > 0.0
+
+
+def test_euclid_norm_scale_safe():
+    # squaring the entries would give 0.0 and inf (with an overflow warning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert norm([1e-300, 0.0], NormId.EUCLID) == 1e-300
+        assert norm([1e200, 1e200], NormId.EUCLID) == pytest.approx(math.sqrt(2) * 1e200)
 
 
 def test_variation_rejects_off_hyperplane():
