@@ -25,7 +25,6 @@ import os
 import stat
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -61,7 +60,8 @@ def _load_json(path: str):
 
 
 def _load_map_file(path: str):
-    """Returns ('cone', MapSpec) or ('affine', (A, b, NormId))."""
+    """Returns (report kind, batch map, payload); the payload is the
+    MapSpec of a cone map, or (A, b) of an affine map."""
     doc = _load_json(path)
     label = _label(path)
     if isinstance(doc, dict) and doc.get("kind") == "affine":
@@ -82,29 +82,25 @@ def _load_map_file(path: str):
                 raise CliError(f"{label}: affine {name} entries must be finite")
         if norm_tag not in ("sup", "euclid"):
             raise CliError(f"{label}: affine norm must be 'sup' or 'euclid'")
-        return "affine", (A, b, NormId(norm_tag))
+        kind = "fixed_point_sup" if norm_tag == "sup" else "fixed_point_smooth"
+        return kind, (lambda X: X @ A.T + b), (A, b)
     try:
-        return "cone", conemaps.map_spec_from_dict(doc)
+        spec = conemaps.map_spec_from_dict(doc)
     except (TypeError, ValueError) as exc:  # DomainError, or a non-numeric entry
         raise CliError(f"{label}: {exc}") from exc
+    return "eigenvector", (lambda X: conemaps.eval_map(spec, X)), spec
 
 
-def _config_from_args(args, seed=None) -> detector.DetectionConfig:
+def _config_from_args(args) -> detector.DetectionConfig:
     try:
         return detector.DetectionConfig(
             box_radius=args.box_radius,
             max_samples=args.max_samples,
-            seed=args.seed if seed is None else seed,
+            seed=args.seed,
             gap_tol=args.gap_tol,
         )
     except DomainError as exc:
         raise CliError(str(exc)) from exc
-
-
-def _affine_callable(A: np.ndarray, b: np.ndarray):
-    def f(X):
-        return X @ A.T + b
-    return f
 
 
 def _write_bytes(path: str | None, payload: bytes) -> None:
@@ -122,103 +118,75 @@ def _write_bytes(path: str | None, payload: bytes) -> None:
 
 
 def cmd_detect(args) -> int:
-    kind, payload = _load_map_file(args.spec)
+    kind, f, payload = _load_map_file(args.spec)
     config = _config_from_args(args)
-    if kind == "cone":
+    if kind == "eigenvector":
         report = detector.detect_eigenvector(payload, config)
     else:
-        A, b, norm_id = payload
-        f = _affine_callable(A, b)
-        if norm_id is NormId.SUP:
-            report = detector.detect_fixed_point_sup(
-                f, A.shape[0], config, vectorized=True
-            )
-        else:
-            report = detector.detect_fixed_point_smooth(
-                f, A.shape[0], config, vectorized=True
-            )
+        detect = (detector.detect_fixed_point_sup if kind == "fixed_point_sup"
+                  else detector.detect_fixed_point_smooth)
+        report = detect(f, len(payload[1]), config, vectorized=True)
     _write_bytes(args.out, report.to_json_bytes())
     return 0 if report.confirmed else 2
 
 
 def cmd_localize(args) -> int:
-    kind, payload = _load_map_file(args.spec)
+    kind, f, payload = _load_map_file(args.spec)
     doc = _load_json(args.report)
     try:
         report = detector.DetectionReport.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:  # DomainError included
         raise CliError(f"{_label(args.report)}: malformed report ({exc})") from exc
-
-    if kind == "cone":
-        spec = payload
-        n, expected = spec.dim, "eigenvector"
-
-        def f(X):
-            return conemaps.eval_map(spec, X)
-    else:
-        A, b, norm_id = payload
-        n = A.shape[0]
-        expected = "fixed_point_sup" if norm_id is NormId.SUP else "fixed_point_smooth"
-        f = _affine_callable(A, b)
+    n = payload.dim if kind == "eigenvector" else len(payload[1])
     if report.dimension != n:
         raise CliError("report/spec dimension mismatch")
-    if report.kind != expected:
-        raise CliError(f"this spec needs a {expected} report, not {report.kind}")
+    if report.kind != kind:
+        raise CliError(f"this spec needs a {kind} report, not {report.kind}")
     points = report.verify(f)
 
-    if kind == "cone":
+    if kind == "eigenvector":
         region = localize.localize_eigenvectors(points, n)
-        eig = conemaps.power_iteration(spec, np.ones(n))
-        print(f"eigenvector: {eig.vector.tolist()}")
-        print(f"eigenvalue: {eig.eigenvalue}")
-        known, name = eig.vector, "eigenvector"
+        eig = conemaps.power_iteration(payload, np.ones(n))
+        if eig.converged:
+            print(f"eigenvector: {eig.vector.tolist()}")
+            print(f"eigenvalue: {eig.eigenvalue}")
+            known, name = eig.vector, "eigenvector"
+        else:  # no reference point to check the ball against
+            print(f"eigenvector: not converged after {eig.iterations} power iterations")
+            known = None
         out = region.to_json_dict()
     else:
+        A, b = payload
         known, name = np.linalg.solve(np.eye(n) - A, b), "fixed point"
-        if norm_id is NormId.SUP:
+        if kind == "fixed_point_sup":
             region = localize.localize_fixed_points(points, NormId.SUP)
             print(f"fixed point: {known.tolist()}")
             out = region.to_json_dict()
         else:
             region, bounded = localize.halfspace_polytope(f, points)
             out = dict(region.to_json_dict(), bounded=bounded)
-    if not region.contains(known):
+    if known is not None and not region.contains(known):
         raise CliError(f"containment violated: the {name} {known.tolist()} "
                        f"lies outside the localized set")
     _write_bytes(args.out, (json.dumps(out, indent=2) + "\n").encode())
     return 0
 
 
-def _run_trial(job):
-    report = detector.detect_eigenvector(*job)
-    return report.samples_used, int(report.confirmed)
-
-
 def cmd_trials(args) -> int:
     if args.trials < 1:
         raise CliError("--trials must be at least 1")
-    kind, spec = _load_map_file(args.spec)
-    if kind != "cone":
+    kind, _, spec = _load_map_file(args.spec)
+    if kind != "eigenvector":
         raise CliError("trials require a cone map spec")
     base = _config_from_args(args)
-    jobs = [(spec, dataclasses.replace(base, seed=(base.seed + t) % detector._SEED_MOD))
-            for t in range(args.trials)]
-
-    raw = os.environ.get("CONEGLOW_THREADS", "1")
-    if not (raw.strip().isdigit() and int(raw) >= 1):
-        raise CliError(f"CONEGLOW_THREADS must be a positive integer, not {raw!r}")
-    workers = min(int(raw), os.cpu_count() or 1, args.trials)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trial, jobs, chunksize=8))
-    else:
-        results = [_run_trial(job) for job in jobs]
+    results = []
+    for t in range(args.trials):
+        config = dataclasses.replace(base, seed=(base.seed + t) % detector._SEED_MOD)
+        report = detector.detect_eigenvector(spec, config)
+        results.append((report.samples_used, int(report.confirmed)))
 
     counts = [samples for samples, _ in results]
-    lines = ["# config " + json.dumps(
-        {"box_radius": base.box_radius, "max_samples": base.max_samples,
-         "seed": base.seed, "gap_tol": base.gap_tol, "trials": args.trials}
-    )]
+    lines = ["# config " + json.dumps(dict(base.to_json_dict(), trials=args.trials))]
     lines.append("trial_index,samples_used,confirmed")
     for t, (samples, confirmed) in enumerate(results):
         lines.append(f"{t},{samples},{confirmed}")

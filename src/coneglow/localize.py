@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .detector import _batch_apply
 from .errors import DomainError
@@ -152,8 +151,11 @@ def localize_eigenvectors(witnesses, n: int) -> BoundingBall:
     Witness cone points are normalized onto the slice and carried to V0
     by the log isometry, where ``localize_fixed_points`` bounds them in
     the variation norm; the ball is carried back: radius (2n-1) * R0
-    around the exponentiated center.
+    around the exponentiated center.  For n = 1 the slice is the one
+    point [1], which is the whole eigenvector set up to scale.
     """
+    if n == 1:
+        return BoundingBall(center=np.ones(1), radius=0.0, metric=HILBERT_METRIC)
     X = _as_points(witnesses)
     if X.shape[1] != n:
         raise DomainError("witness dimension mismatch")
@@ -191,9 +193,9 @@ def halfspace_polytope(f, probes) -> tuple[HalfspacePolytope, bool]:
     ``DetectionReport.verify``.  Every fixed point satisfies
     ``<v, w - f(w)> <= <w, w - f(w)>`` for every probe w, so the rows cut
     out a polytope containing the fixed-point set; probes with a zero
-    residual give no row.  A nonempty polytope is bounded iff its normals
-    positively span, which one ``interior_hull_certificate`` decides; if
-    they do not, one feasibility LP runs, as an empty one counts bounded.
+    residual give no row.  ``bounded`` says the normals positively span,
+    which one ``interior_hull_certificate`` decides: then the polytope is
+    bounded.  After ``verify`` on a smooth report it is always true.
     """
     P = _as_points(probes)
     normals = P - _batch_apply(f, P, True)
@@ -206,8 +208,5 @@ def halfspace_polytope(f, probes) -> tuple[HalfspacePolytope, bool]:
         raise DomainError("no usable probes (all residuals vanished)")
     P, normals = P[usable], normals[usable]
     offsets = np.einsum("ij,ij->i", P, normals)
-    bounded = interior_hull_certificate(normals).inside
-    if not bounded:  # status 2: empty, so vacuously bounded
-        bounded = linprog(np.zeros(P.shape[1]), A_ub=normals, b_ub=offsets,
-                          bounds=(None, None), method="highs").status == 2
-    return HalfspacePolytope(tuple(zip(normals, offsets.tolist()))), bounded
+    return (HalfspacePolytope(tuple(zip(normals, offsets.tolist()))),
+            interior_hull_certificate(normals).inside)

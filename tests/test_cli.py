@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coneglow import conemaps
 from coneglow.cli import main
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
@@ -97,6 +98,35 @@ def test_localize_pipeline(ones_spec, tmp_path, capsys):
     assert doc["radius"] > 0
     printed = capsys.readouterr().out
     assert "eigenvector" in printed
+
+
+def test_localize_unconverged_power_iteration(tmp_path, capsys, monkeypatch):
+    # from the ones vector the power iterates of this matrix alternate
+    # between (1, 1) and (2, 1); its eigenvector is (sqrt 2, 1)
+    spec = json.dumps({"kind": "matrix", "matrix": [[0, 2], [1, 0]]})
+    report, ball = tmp_path / "report.json", tmp_path / "ball.json"
+    assert main(["detect", "--spec", spec, "--out", str(report)]) == 0
+    power_iteration = conemaps.power_iteration
+    monkeypatch.setattr(conemaps, "power_iteration",
+                        lambda *args: power_iteration(*args, max_iter=50))
+    assert main(["localize", "--spec", spec, "--report", str(report),
+                 "--out", str(ball)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == "eigenvector: not converged after 50 power iterations\n"
+    doc = json.loads(ball.read_text())
+    assert doc["metric"] == "hilbert" and doc["radius"] > 0
+
+
+def test_localize_one_dimensional_eigenvector(tmp_path, capsys):
+    spec = json.dumps({"kind": "matrix", "matrix": [[3.0]]})
+    report, ball = tmp_path / "report.json", tmp_path / "ball.json"
+    assert main(["detect", "--spec", spec, "--out", str(report)]) == 0
+    assert json.loads(report.read_text())["samples_used"] == 0
+    assert main(["localize", "--spec", spec, "--report", str(report),
+                 "--out", str(ball)]) == 0
+    assert json.loads(ball.read_text()) == {"metric": "hilbert", "center": [1.0],
+                                            "radius": 0.0}
+    assert "eigenvalue: 3.0" in capsys.readouterr().out
 
 
 def test_localize_undetermined_exit_one(triangle_c0_spec, tmp_path, capsys):
@@ -353,17 +383,6 @@ def test_inline_spec(tmp_path):
     assert json.loads(out.read_text())["status"] == "confirmed"
 
 
-def test_worker_count_does_not_change_trials(ones_spec, tmp_path, monkeypatch):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    args = ["trials", "--spec", ones_spec, "--trials", "8", "--seed", "2"]
-    monkeypatch.setenv("CONEGLOW_THREADS", "1")
-    assert main(args + ["--out", str(serial)]) == 0
-    monkeypatch.setenv("CONEGLOW_THREADS", "2")
-    assert main(args + ["--out", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_trials_nonpositive_count_exit_one(ones_spec, tmp_path, capsys, count):
     out = tmp_path / "t.csv"
@@ -371,13 +390,6 @@ def test_trials_nonpositive_count_exit_one(ones_spec, tmp_path, capsys, count):
                  "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: --trials")
-
-
-def test_threads_not_integer_exit_one(ones_spec, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CONEGLOW_THREADS", "abc")
-    assert main(["trials", "--spec", ones_spec, "--trials", "2",
-                 "--out", str(tmp_path / "t.csv")]) == 1
-    assert "CONEGLOW_THREADS" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", [

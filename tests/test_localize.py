@@ -236,15 +236,15 @@ class TestHalfspacePolytope:
         for normal, _ in polytope.rows:
             assert np.allclose(normal, -b)
 
-    def test_empty_polytope_counts_as_bounded(self):
-        # rows x <= 1 and x >= 2 in the plane: the normals (1, 0) and
-        # (-1, 0) do not positively span, yet nothing is left to bound
+    def test_empty_polytope_not_flagged_bounded(self):
+        # rows x <= 1 and x >= 2 in the plane: the polytope is empty, but
+        # the normals (1, 0) and (-1, 0) do not positively span
         probes = [np.array([1.0, 0.0]), np.array([2.0, 0.0])]
         polytope, bounded = halfspace_polytope(
             lambda W: np.column_stack([3.0 * W[:, 0] - 3.0, W[:, 1]]), probes)
         assert [tuple(normal) for normal, _ in polytope.rows] == [(1.0, 0.0), (-1.0, 0.0)]
         assert [offset for _, offset in polytope.rows] == [1.0, -2.0]
-        assert bounded
+        assert bounded is False
 
     def test_zero_residual_probe_skipped(self):
         probes = [np.zeros(2), np.array([1.0, 1.0])]
