@@ -28,11 +28,8 @@ from .conemaps import (
     SchoenMap,
     SumMap,
     TriangleMap,
-    demo_schoen_composition,
     eval_map,
     map_spec_from_dict,
-    map_spec_to_dict,
-    normalized_map,
     power_iteration,
 )
 from .detector import (
@@ -62,8 +59,7 @@ __all__ = [
     "HullCertificate", "variation_masks", "sup_masks", "interior_hull_certificate",
     "MapSpec", "MatrixMap", "MeanSumMap", "MeanTerm", "SchoenMap",
     "TriangleMap", "ComposeMap", "SumMap", "ScaleMap", "EigenResult",
-    "eval_map", "normalized_map", "power_iteration",
-    "map_spec_to_dict", "map_spec_from_dict", "demo_schoen_composition",
+    "eval_map", "power_iteration", "map_spec_from_dict",
     "DetectionConfig", "DetectionReport", "DetectionStatus",
     "detect_eigenvector", "detect_fixed_point_sup",
     "detect_fixed_point_smooth", "AdversarialMapSpec",

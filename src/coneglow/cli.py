@@ -175,6 +175,11 @@ def cmd_localize(args) -> int:
 def cmd_trials(args) -> int:
     if args.trials < 1:
         raise CliError("--trials must be at least 1")
+    if args.expect:
+        try:
+            ref_min, ref_max, ref_mean, ref_median = map(float, args.expect.split(","))
+        except ValueError as exc:
+            raise CliError("--expect wants 'min,max,mean,median'") from exc
     kind, _, spec = _load_map_file(args.spec)
     if kind != "eigenvector":
         raise CliError("trials require a cone map spec")
@@ -198,11 +203,6 @@ def cmd_trials(args) -> int:
     print(f"trials: {args.trials}  min: {summary[0]}  max: {summary[1]}  "
           f"mean: {summary[2]}  median: {summary[3]}")
     if args.expect:
-        try:
-            ref = [float(part) for part in args.expect.split(",")]
-            ref_min, ref_max, ref_mean, ref_median = ref
-        except ValueError as exc:
-            raise CliError("--expect wants 'min,max,mean,median'") from exc
         print(f"expected: min: {ref_min}  max: {ref_max}  "
               f"mean: {ref_mean}  median: {ref_median}")
         print(f"diff: mean {summary[2] - ref_mean:+.3f}  "

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .spaces import as_cone_point, hilbert_metric, to_slice
+from .spaces import to_slice
 
 SIGMA_TOL = 1e-12
 JSON_SIGMA_TOL = 1e-9
@@ -348,6 +348,10 @@ class ScaleMap(MapSpec):
         return self.alpha * self.child._eval_batch(X)
 
 
+_OVERFLOW = ("map evaluation overflowed the floating range; reduce the "
+             "sampling box radius or rescale the input")
+
+
 def eval_map(spec: MapSpec, x) -> np.ndarray:
     """Evaluate ``spec`` at a cone point or an ``(m, n)`` batch of them."""
     X, single = _as_batch(x)
@@ -356,20 +360,7 @@ def eval_map(spec: MapSpec, x) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         Y = spec._eval_batch(X)
     if not np.all(np.isfinite(Y)):
-        raise OverflowError(
-            "map evaluation overflowed the floating range; reduce the "
-            "sampling box radius or rescale the input"
-        )
-    return Y[0] if single else Y
-
-
-def normalized_map(spec: MapSpec, x) -> np.ndarray:
-    """The self-map of Sigma0: evaluate and rescale to last entry 1."""
-    X, single = _as_batch(x)
-    if np.any(X[:, -1] != 1.0):
-        raise DomainError("normalized map expects points on Sigma0")
-    Y = eval_map(spec, X)
-    Y = Y / Y[:, -1][:, None]
+        raise OverflowError(_OVERFLOW)
     return Y[0] if single else Y
 
 
@@ -386,7 +377,6 @@ class EigenResult:
     eigenvalue: float
     iterations: int
     converged: bool
-    final_step: float
     cw_range: tuple[float, float]
 
 
@@ -400,18 +390,29 @@ def power_iteration(spec: MapSpec, x0, tol: float = 1e-12,
     """
     if not tol > 0.0:
         raise DomainError("tolerance must be positive")
-    x = to_slice(as_cone_point(x0))
+    x = to_slice(x0)
     if x.size != spec.dim:
         raise DomainError("start point dimension mismatch")
+    x, _ = _as_batch(x)  # rescaling can over- or underflow an entry
     step = math.inf
     iterations = 0
-    while iterations < max_iter:
-        nxt = normalized_map(spec, x)
-        step = hilbert_metric(nxt, x)
-        x = nxt
-        iterations += 1
-        if step < tol:
-            break
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while iterations < max_iter:
+            fx = spec._eval_batch(x)
+            if not np.all(np.isfinite(fx)):
+                raise OverflowError(_OVERFLOW)
+            nxt = fx / fx[:, -1:]
+            if not np.all(np.isfinite(nxt)):
+                raise DomainError("vector entries must be finite")
+            if np.any(nxt <= 0.0):
+                raise DomainError("cone points must have strictly positive entries")
+            ratios = np.log(nxt) - np.log(x)
+            step = float(np.max(ratios) - np.min(ratios))
+            x = nxt
+            iterations += 1
+            if step < tol:
+                break
+    x = x[0]
     fx = eval_map(spec, x)
     ratios = fx / x
     return EigenResult(
@@ -419,23 +420,12 @@ def power_iteration(spec: MapSpec, x0, tol: float = 1e-12,
         eigenvalue=float(fx[-1]),
         iterations=iterations,
         converged=step < tol,
-        final_step=float(step),
         cw_range=(float(np.min(ratios)), float(np.max(ratios))),
     )
 
 
 # ---------------------------------------------------------------------------
 # JSON wire format
-
-
-def _mean_term_to_dict(term: MeanTerm) -> dict:
-    if term.r == math.inf:
-        r = "inf"
-    elif term.r == -math.inf:
-        r = "-inf"
-    else:
-        r = term.r
-    return {"r": r, "sigma": term.sigma.tolist(), "coeff": term.coeff}
 
 
 def _mean_term_from_dict(obj: dict) -> MeanTerm:
@@ -453,32 +443,6 @@ def _mean_term_from_dict(obj: dict) -> MeanTerm:
     if abs(total - 1.0) > JSON_SIGMA_TOL:
         raise DomainError("sigma weights must sum to 1 within 1e-9")
     return MeanTerm(r=float(r), sigma=sigma / total, coeff=float(obj["coeff"]))
-
-
-def map_spec_to_dict(spec: MapSpec) -> dict:
-    if isinstance(spec, MatrixMap):
-        return {"kind": "matrix", "matrix": spec.matrix.tolist()}
-    if isinstance(spec, SchoenMap):
-        return {"kind": "schoen", "coefficients": spec.coefficients.tolist()}
-    if isinstance(spec, TriangleMap):
-        return {"kind": "triangle", "c": spec.c}
-    if isinstance(spec, MeanSumMap):
-        return {
-            "kind": "meansum",
-            "coordinates": [
-                [_mean_term_to_dict(t) for t in row] for row in spec.terms
-            ],
-        }
-    if isinstance(spec, ComposeMap):
-        return {"kind": "compose",
-                "children": [map_spec_to_dict(c) for c in spec.children]}
-    if isinstance(spec, SumMap):
-        return {"kind": "sum",
-                "children": [map_spec_to_dict(c) for c in spec.children]}
-    if isinstance(spec, ScaleMap):
-        return {"kind": "scale", "alpha": spec.alpha,
-                "child": map_spec_to_dict(spec.child)}
-    raise DomainError(f"unknown map spec node {type(spec).__name__}")
 
 
 def map_spec_from_dict(obj) -> MapSpec:
@@ -507,21 +471,3 @@ def map_spec_from_dict(obj) -> MapSpec:
     except KeyError as exc:
         raise DomainError(f"map spec node {kind!r} is missing field {exc}") from exc
     raise DomainError(f"unrecognized map kind {kind!r}")
-
-
-def demo_schoen_composition() -> ComposeMap:
-    """The bundled composition of two Schoen maps used in the docs and
-    the acceptance suite; its unique normalized eigenvector is known."""
-    first = SchoenMap(np.array([
-        [1.0, 2.0, 3.0, 4.0],
-        [2.0, 1.0, 1.0, 1.0],
-        [3.0, 1.0, 3.0, 5.0],
-        [4.0, 3.0, 1.0, 2.0],
-    ]))
-    second = SchoenMap(np.array([
-        [2.0, 5.0, 7.0, 2.0],
-        [3.0, 3.0, 1.0, 1.0],
-        [4.0, 4.0, 13.0, 1.0],
-        [1.0, 2.0, 7.0, 8.0],
-    ]))
-    return ComposeMap((first, second))

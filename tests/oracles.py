@@ -14,22 +14,34 @@ with it.
   and degree-1 homogeneity of a cone map.
 * ``cover_reference`` records the first witness of each mask row by row,
   the loop ``coneglow.detector._cover`` replaces with array steps.
+* ``normalized_map`` is the self-map of the slice Sigma0, and
+  ``power_iteration_reference`` iterates it with every iterate checked,
+  the loop ``coneglow.conemaps.power_iteration`` runs on the batch kernel.
+* ``schoen_composition`` loads the bundled Schoen composition spec.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from coneglow import BudgetError, DomainError, MapSpec, NormId, eval_map, norm
+from coneglow import (
+    BudgetError, DomainError, EigenResult, MapSpec, NormId, eval_map,
+    hilbert_metric, map_spec_from_dict, norm, to_slice,
+)
+from coneglow.conemaps import _as_batch
 from coneglow.detector import (
     _KINDS, ENUMERATION_DIM_CAP, DetectionReport, DetectionStatus,
 )
-from coneglow.spaces import as_vector
+from coneglow.spaces import as_cone_point, as_vector
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
 
 STRICT_TOL = 1e-12
 _PROBE_STEPS = 2.0 ** -np.arange(41)  # dyadic probe 1, 1/2, ..., 2**-40
@@ -218,3 +230,48 @@ def cover_reference(kind: str, n: int, config, batches) -> DetectionReport:
               else DetectionStatus.UNDETERMINED)
     return DetectionReport(kind=kind, status=status, dimension=n, samples_used=used,
                            config=config, witnesses=witnesses)
+
+
+def normalized_map(spec: MapSpec, x) -> np.ndarray:
+    """The self-map of Sigma0: evaluate and rescale to last entry 1."""
+    X, single = _as_batch(x)
+    if np.any(X[:, -1] != 1.0):
+        raise DomainError("normalized map expects points on Sigma0")
+    Y = eval_map(spec, X)
+    Y = Y / Y[:, -1][:, None]
+    return Y[0] if single else Y
+
+
+def power_iteration_reference(spec: MapSpec, x0, tol: float = 1e-12,
+                              max_iter: int = 10 ** 5) -> EigenResult:
+    """Iterate ``normalized_map`` until the Hilbert-metric step is < tol,
+    validating each iterate through ``eval_map`` and ``hilbert_metric``."""
+    if not tol > 0.0:
+        raise DomainError("tolerance must be positive")
+    x = to_slice(as_cone_point(x0))
+    if x.size != spec.dim:
+        raise DomainError("start point dimension mismatch")
+    step = math.inf
+    iterations = 0
+    while iterations < max_iter:
+        nxt = normalized_map(spec, x)
+        step = hilbert_metric(nxt, x)
+        x = nxt
+        iterations += 1
+        if step < tol:
+            break
+    fx = eval_map(spec, x)
+    ratios = fx / x
+    return EigenResult(
+        vector=x,
+        eigenvalue=float(fx[-1]),
+        iterations=iterations,
+        converged=step < tol,
+        cw_range=(float(np.min(ratios)), float(np.max(ratios))),
+    )
+
+
+def schoen_composition() -> MapSpec:
+    """The bundled composition of two Schoen maps, ``specs/schoen_composition.json``."""
+    with open(SPECS / "schoen_composition.json", encoding="utf-8") as fh:
+        return map_spec_from_dict(json.load(fh))

@@ -21,7 +21,6 @@ from coneglow import (
     MatrixMap,
     NormId,
     TriangleMap,
-    demo_schoen_composition,
     detect_eigenvector,
     detect_fixed_point_smooth,
     detect_fixed_point_sup,
@@ -33,12 +32,11 @@ from coneglow import (
     localize_fixed_points,
     log_coords,
     norm,
-    normalized_map,
     power_iteration,
     to_slice,
     variation_masks,
 )
-from oracles import extreme_points, linear_oracle
+from oracles import extreme_points, linear_oracle, normalized_map, schoen_composition
 
 REFERENCE_EIGENVECTOR = np.array([0.24138896, 0.10237913, 0.56235034, 1.0])
 
@@ -51,7 +49,7 @@ def _line(num, desc, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def schoen_trials():
-    spec = demo_schoen_composition()
+    spec = schoen_composition()
     start = time.perf_counter()
     reports = [detect_eigenvector(spec, DetectionConfig(seed=s))
                for s in range(500)]
@@ -76,7 +74,7 @@ def triangle_runs():
 
 class TestCriterion1:
     def test_power_iteration_converges_fast(self):
-        spec = demo_schoen_composition()
+        spec = schoen_composition()
         start = time.perf_counter()
         res = power_iteration(spec, np.ones(4), tol=1e-12)
         elapsed = time.perf_counter() - start
@@ -93,7 +91,7 @@ class TestCriterion1:
                "(0.48030331, 0.19802327, 1.35438420, 1)",
     )
     def test_reference_eigenvector_value(self):
-        res = power_iteration(demo_schoen_composition(), np.ones(4), tol=1e-12)
+        res = power_iteration(schoen_composition(), np.ones(4), tol=1e-12)
         err = float(np.max(np.abs(res.vector - REFERENCE_EIGENVECTOR)))
         ok = err <= 1e-6
         _line(1, "composition eigenvector equals the reference value at 1e-6",
@@ -156,7 +154,7 @@ class TestCriterion3:
 
 class TestCriterion4:
     def test_eigenvector_containment(self, schoen_trials, triangle_runs):
-        spec = demo_schoen_composition()
+        spec = schoen_composition()
         eig = power_iteration(spec, np.ones(4), tol=1e-12).vector
         checked = 0
         ok = True
@@ -228,7 +226,7 @@ class TestCriterion5:
 
     def test_ratio_subsets_vs_exhaustive(self):
         rng = np.random.default_rng(506)
-        specs = [demo_schoen_composition(), TriangleMap(1 / 6)]
+        specs = [schoen_composition(), TriangleMap(1 / 6)]
         for n in (3, 5, 8):
             specs.append(MatrixMap(rng.uniform(0.05, 2.0, (n, n))))
         mismatches = 0
@@ -309,7 +307,7 @@ class TestCriterion7:
         )
         meansum = MeanSumMap(mean_rows)
         matrix = MatrixMap(rng.uniform(0.05, 2.0, (4, 4)))
-        specs = [matrix, meansum, demo_schoen_composition(),
+        specs = [matrix, meansum, schoen_composition(),
                  SumMap((meansum, matrix)), ScaleMap(3.0, meansum),
                  ComposeMap((meansum, matrix)), TriangleMap(0.0),
                  TriangleMap(1 / 6), TriangleMap(1 / 3)]
@@ -377,7 +375,7 @@ class TestCriterion7:
                      f"[epsilon {cert.epsilon!r}]")
 
     def test_report_determinism(self):
-        spec = demo_schoen_composition()
+        spec = schoen_composition()
         a = detect_eigenvector(spec, DetectionConfig(seed=42))
         b = detect_eigenvector(spec, DetectionConfig(seed=42))
         ok = a.to_json_bytes() == b.to_json_bytes()

@@ -360,6 +360,16 @@ def test_trials_expect_diff(ones_spec, tmp_path, capsys):
     assert "diff:" in printed
 
 
+def test_trials_malformed_expect_runs_nothing(ones_spec, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main(["trials", "--spec", ones_spec, "--trials", "3",
+                 "--out", str(out), "--expect", "1,2,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --expect wants 'min,max,mean,median'\n"
+    assert not out.exists()
+
+
 def test_trials_rejects_affine(tmp_path, capsys):
     spec = tmp_path / "affine.json"
     spec.write_text(json.dumps({

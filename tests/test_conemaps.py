@@ -15,17 +15,17 @@ from coneglow import (
     SchoenMap,
     SumMap,
     TriangleMap,
-    demo_schoen_composition,
     eval_map,
     exp_coords,
     hilbert_metric,
     log_coords,
     map_spec_from_dict,
-    map_spec_to_dict,
-    normalized_map,
     power_iteration,
 )
-from oracles import is_order_preserving_homogeneous_probe, linear_oracle
+from oracles import (
+    SPECS, is_order_preserving_homogeneous_probe, linear_oracle, normalized_map,
+    power_iteration_reference, schoen_composition,
+)
 
 
 def mixed_meansum():
@@ -45,7 +45,7 @@ def _builtin_specs():
     return [
         matrix,
         meansum,
-        demo_schoen_composition(),
+        schoen_composition(),
         SumMap((meansum, matrix)),
         ScaleMap(2.5, meansum),
         ComposeMap((meansum, matrix)),
@@ -120,7 +120,7 @@ class TestEval:
     def test_schoen_survives_huge_entry_ranges(self):
         # harmonic couplings are computed through reciprocals, so inputs
         # spanning e**(+-300) stay inside the floating range
-        spec = demo_schoen_composition()
+        spec = schoen_composition()
         x = np.exp(np.array([300.0, -300.0, 150.0, 0.0]))
         out = eval_map(spec, x)
         assert np.all(np.isfinite(out))
@@ -260,15 +260,6 @@ class TestConstructorValidation:
 
 
 class TestNormalizedAndConjugate:
-    def test_normalized_examples(self):
-        spec = MatrixMap([[1, 1], [1, 1]])
-        assert np.array_equal(normalized_map(spec, [1.0, 1.0]), [1.0, 1.0])
-        assert np.array_equal(normalized_map(spec, [2.0, 1.0]), [1.0, 1.0])
-
-    def test_normalized_requires_slice(self):
-        with pytest.raises(DomainError):
-            normalized_map(MatrixMap([[1, 1], [1, 1]]), [2.0, 2.0])
-
     def test_conjugate_variation_nonexpansive(self):
         # the normalized map conjugated into V0 by the log isometry
         from coneglow import NormId, norm
@@ -349,9 +340,9 @@ class TestPowerIteration:
         assert res.eigenvalue == pytest.approx(2.0, abs=1e-12)
 
     def test_schoen_composition_converges(self):
-        res = power_iteration(demo_schoen_composition(), np.ones(4))
+        res = power_iteration(schoen_composition(), np.ones(4))
         assert res.converged
-        fx = eval_map(demo_schoen_composition(), res.vector)
+        fx = eval_map(schoen_composition(), res.vector)
         assert np.max(np.abs(fx - res.eigenvalue * res.vector)) <= \
             1e-8 * np.max(np.abs(res.vector))
         assert res.cw_range[0] <= res.eigenvalue <= res.cw_range[1]
@@ -359,7 +350,7 @@ class TestPowerIteration:
     def test_printed_value_is_first_factor_eigenvector(self):
         # the reference eigenvector used by the acceptance gate is
         # reproduced, to all printed digits, by the first factor alone
-        first = demo_schoen_composition().children[0]
+        first = schoen_composition().children[0]
         res = power_iteration(first, np.ones(4))
         printed = np.array([0.24138896, 0.10237913, 0.56235034, 1.0])
         assert res.converged
@@ -377,7 +368,81 @@ class TestPowerIteration:
         res = power_iteration(spec, [2.0, 1.0], tol=1e-12, max_iter=50)
         assert not res.converged
         assert res.iterations == 50
-        assert res.final_step > 0
+
+
+def _assert_same_as_reference(spec, x0, **kwargs):
+    got = power_iteration(spec, x0, **kwargs)
+    want = power_iteration_reference(spec, x0, **kwargs)
+    assert np.array_equal(got.vector, want.vector)
+    assert got.eigenvalue == want.eigenvalue
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.cw_range == want.cw_range
+
+
+class TestPowerIterationMatchesReference:
+    """The batch-kernel loop gives the checked loop's results bit for bit."""
+
+    @pytest.mark.parametrize("name", ["ones_matrix", "schoen_composition",
+                                      "triangle_c0", "triangle_c13", "triangle_c16"])
+    def test_bundled_specs(self, name):
+        with open(SPECS / f"{name}.json", encoding="utf-8") as fh:
+            spec = map_spec_from_dict(json.load(fh))
+        rng = np.random.default_rng(43)
+        _assert_same_as_reference(spec, np.ones(spec.dim))
+        _assert_same_as_reference(spec, np.exp(rng.uniform(-2, 2, spec.dim)))
+
+    def test_meansum_panel(self):
+        # n = 8 maps drawn like the eigen_detect benchmark panel
+        rng = np.random.default_rng(44)
+        n = 8
+        for _ in range(20):
+            spec = MeanSumMap(tuple(
+                tuple(MeanTerm(choices[rng.integers(len(choices))],
+                               rng.dirichlet(np.full(n, 20.0)),
+                               float(rng.uniform(0.8, 1.25)))
+                      for choices in ((0.0, 1.0, 2.0, math.inf),
+                                      (-math.inf, -1.0, 0.0, 1.0)))
+                for _ in range(n)))
+            _assert_same_as_reference(spec, np.exp(rng.uniform(-3, 3, n)))
+
+    def test_period_two_budget(self):
+        _assert_same_as_reference(MatrixMap([[0, 2], [1, 0]]), np.ones(2),
+                                  max_iter=50)
+
+    @pytest.mark.parametrize("matrix, x0, error, message", [
+        ([[1e300, 0], [0, 1]], [1.0, 1.0], OverflowError,
+         "map evaluation overflowed"),
+        ([[1e-300, 0], [0, 1]], [1.0, 1.0], DomainError,
+         "cone points must have strictly positive entries"),
+        # the second iterate is (inf, 1) once divided by its last entry
+        ([[1, 0], [0, 1e-300]], [1.0, 1.0], DomainError,
+         "vector entries must be finite"),
+        ([[1, 1], [1, 1]], [[1.0, 1.0]], DomainError,
+         "expected a nonempty 1-d real vector"),
+        ([[1, 1], [1, 1]], [1.0, 1.0, 1.0], DomainError,
+         "start point dimension mismatch"),
+        ([[1, 1], [1, 1]], [0.0, 1.0], DomainError,
+         "cone points must have strictly positive entries"),
+        ([[1, 1], [1, 1]], [math.nan, 1.0], DomainError,
+         "vector entries must be finite"),
+        # rescaled onto the slice the start point is (inf, 1)
+        ([[1, 1], [1, 1]], [1e300, 1e-300], DomainError,
+         "cone points must be finite"),
+    ])
+    def test_errors(self, matrix, x0, error, message):
+        # the same exception after the same number of map evaluations
+        raised = []
+        for run in (power_iteration, power_iteration_reference):
+            spec = MatrixMap(matrix)
+            calls = []
+            evaluate = spec._eval_batch
+            object.__setattr__(spec, "_eval_batch",
+                               lambda X: calls.append(X) or evaluate(X))
+            with np.errstate(all="ignore"), pytest.raises(error, match=message) as info:
+                run(spec, x0)
+            raised.append((str(info.value), len(calls)))
+        assert raised[0] == raised[1]
 
 
 class TestLinearOracle:
@@ -417,10 +482,38 @@ class TestLinearOracle:
 
 class TestJsonSchema:
     def test_roundtrip_all_kinds(self):
-        for spec in _builtin_specs() + [TriangleMap(0.2)]:
-            clone = map_spec_from_dict(json.loads(json.dumps(map_spec_to_dict(spec))))
-            x = np.exp(np.linspace(-1, 1, spec.dim))
-            assert np.allclose(eval_map(spec, x), eval_map(clone, x), rtol=1e-15)
+        # each node kind parsed from a literal dict evaluates like the
+        # spec built in Python
+        matrix = [[1.0, 2.0], [0.5, 1.0]]
+        meansum = {"kind": "meansum", "coordinates": [
+            [{"r": -1.0, "sigma": [0.5, 0.5], "coeff": 1.0},
+             {"r": "inf", "sigma": [1.0, 0.0], "coeff": 0.5}],
+            [{"r": 0.0, "sigma": [0.25, 0.75], "coeff": 2.0},
+             {"r": "-inf", "sigma": [0.5, 0.5], "coeff": 1.5}],
+        ]}
+        built = MeanSumMap((
+            (MeanTerm(-1.0, [0.5, 0.5], 1.0), MeanTerm(math.inf, [1.0, 0.0], 0.5)),
+            (MeanTerm(0.0, [0.25, 0.75], 2.0), MeanTerm(-math.inf, [0.5, 0.5], 1.5)),
+        ))
+        coefficients = np.arange(1.0, 17.0).reshape(4, 4)
+        cases = [
+            ({"kind": "matrix", "matrix": matrix}, MatrixMap(matrix)),
+            (meansum, built),
+            ({"kind": "schoen", "coefficients": coefficients.tolist()},
+             SchoenMap(coefficients)),
+            ({"kind": "triangle", "c": 0.2}, TriangleMap(0.2)),
+            ({"kind": "compose", "children": [meansum, {"kind": "matrix", "matrix": matrix}]},
+             ComposeMap((built, MatrixMap(matrix)))),
+            ({"kind": "sum", "children": [meansum, {"kind": "matrix", "matrix": matrix}]},
+             SumMap((built, MatrixMap(matrix)))),
+            ({"kind": "scale", "alpha": 2.5, "child": meansum}, ScaleMap(2.5, built)),
+        ]
+        rng = np.random.default_rng(45)
+        for doc, spec in cases:
+            parsed = map_spec_from_dict(doc)
+            assert type(parsed) is type(spec)
+            X = np.exp(rng.uniform(-1, 1, (5, spec.dim)))
+            assert np.array_equal(eval_map(parsed, X), eval_map(spec, X))
 
     def test_sigma_sum_gate(self):
         doc = {
@@ -448,7 +541,8 @@ class TestJsonSchema:
                             [{"r": "-inf", "sigma": [0.0, 1.0], "coeff": 1.0}]],
         }
         spec = map_spec_from_dict(doc)
-        assert json.loads(json.dumps(map_spec_to_dict(spec)))["coordinates"][0][0]["r"] == "inf"
+        assert spec.terms[0][0].r == math.inf
+        assert spec.terms[1][0].r == -math.inf
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):

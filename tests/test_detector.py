@@ -14,7 +14,6 @@ from coneglow import (
     NormId,
     TriangleMap,
     build_adversarial_euclid,
-    demo_schoen_composition,
     detect_eigenvector,
     detect_fixed_point_smooth,
     detect_fixed_point_sup,
@@ -22,7 +21,7 @@ from coneglow import (
     power_iteration,
     variation_masks,
 )
-from oracles import cover_reference, illuminates_point
+from oracles import cover_reference, illuminates_point, schoen_composition
 from test_conemaps import mixed_meansum
 
 QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -88,7 +87,7 @@ class TestRatioSubsets:
 
     def test_at_most_n_minus_one(self):
         rng = np.random.default_rng(20)
-        spec = demo_schoen_composition()
+        spec = schoen_composition()
         for _ in range(100):
             x = np.append(np.exp(rng.uniform(-50, 50, 3)), 1.0)
             masks = ratio_subsets(spec, x)
@@ -96,7 +95,7 @@ class TestRatioSubsets:
 
     def test_brute_force_equivalence(self):
         rng = np.random.default_rng(21)
-        specs = [demo_schoen_composition(), TriangleMap(1 / 6),
+        specs = [schoen_composition(), TriangleMap(1 / 6),
                  MatrixMap(rng.uniform(0.05, 2.0, (6, 6)))]
         for spec in specs:
             n = spec.dim
@@ -190,7 +189,7 @@ class TestDetectEigenvector:
 
     def test_witnesses_revalidate(self):
         config = DetectionConfig(seed=5)
-        spec = demo_schoen_composition()
+        spec = schoen_composition()
         report = detect_eigenvector(spec, config)
         assert report.confirmed
         assert len(report.witnesses) == report.total_subsets == 14
@@ -216,7 +215,7 @@ class TestDetectEigenvector:
         assert report.subsets_covered == 1
 
     def test_determinism_bytes(self):
-        spec = demo_schoen_composition()
+        spec = schoen_composition()
         a = detect_eigenvector(spec, DetectionConfig(seed=11))
         b = detect_eigenvector(spec, DetectionConfig(seed=11))
         assert a.to_json_bytes() == b.to_json_bytes()
@@ -228,7 +227,7 @@ class TestDetectEigenvector:
 
         def runs():
             cfg = DetectionConfig(seed=11, max_samples=700)
-            yield detect_eigenvector(demo_schoen_composition(), cfg)
+            yield detect_eigenvector(schoen_composition(), cfg)
             yield detect_eigenvector(TriangleMap(0.0), cfg)
             yield detect_fixed_point_sup(lambda X: 0.5 * X + 1.0, 3, cfg,
                                          vectorized=True)
@@ -255,7 +254,7 @@ class TestDetectEigenvector:
 
     def test_soundness_on_confirmed(self):
         rng = np.random.default_rng(22)
-        for spec in (demo_schoen_composition(), TriangleMap(1 / 6),
+        for spec in (schoen_composition(), TriangleMap(1 / 6),
                      MatrixMap(rng.uniform(0.1, 2.0, (4, 4)))):
             report = detect_eigenvector(spec, DetectionConfig(seed=7))
             assert report.confirmed
@@ -427,7 +426,7 @@ def _partial_meansum6():
 
 
 _EIGEN_SPECS = {
-    "schoen": demo_schoen_composition,
+    "schoen": schoen_composition,
     "triangle_1_6": lambda: TriangleMap(1 / 6),
     "meansum_mixed": mixed_meansum,
     "meansum_partial6": _partial_meansum6,

@@ -7,7 +7,6 @@ from coneglow import (
     MatrixMap,
     NormId,
     circumcenter,
-    demo_schoen_composition,
     detect_eigenvector,
     halfspace_polytope,
     hilbert_metric,
@@ -16,7 +15,7 @@ from coneglow import (
     norm,
     power_iteration,
 )
-from oracles import extreme_points
+from oracles import extreme_points, schoen_composition
 
 
 class TestCircumcenter:
@@ -195,7 +194,7 @@ class TestLocalizeEigenvectors:
         assert hilbert_metric([1.0, 1.0], ball.center) <= ball.radius
 
     def test_schoen_ball_contains_eigenvector(self):
-        spec = demo_schoen_composition()
+        spec = schoen_composition()
         report = detect_eigenvector(spec, DetectionConfig(seed=4))
         witnesses = [report.witnesses[m] for m in sorted(report.witnesses)]
         ball = localize_eigenvectors(witnesses, 4)
