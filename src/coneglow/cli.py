@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import stat
@@ -221,7 +222,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="relative strictness gap (default 1e-9)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="coneglow",
         description="Certify and localize fixed points of nonexpansive maps "
@@ -253,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, DomainError, BudgetError, ConstructionError,

@@ -393,7 +393,7 @@ def power_iteration(spec: MapSpec, x0, tol: float = 1e-12,
     x = to_slice(x0)
     if x.size != spec.dim:
         raise DomainError("start point dimension mismatch")
-    x, _ = _as_batch(x)  # rescaling can over- or underflow an entry
+    x = x[None, :]
     step = math.inf
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

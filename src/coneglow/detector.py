@@ -36,7 +36,8 @@ import numpy as np
 from .errors import BudgetError, ConstructionError, DomainError
 from .conemaps import MapSpec, eval_map
 from .illumination import (
-    interior_hull_certificate, separates, sup_masks, variation_masks,
+    gordan_separator, interior_hull_certificate, separates, sup_masks,
+    variation_masks,
 )
 from .spaces import as_vector
 
@@ -349,6 +350,9 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
     separating functional skips re-solves: while every residual stays on
     its nonnegative side the verdict cannot have flipped.  Each batch is
     tested against it at once, up to the first n+1 block that breaks it.
+    There, ``gordan_separator`` (one NNLS solve) first looks for a new
+    separator; only when it finds none does the hull LP run, so in a
+    confirming run the LP typically runs once, at the boundary it confirms.
     """
     if n < 1:
         raise DomainError("dimension must be at least 1")
@@ -378,8 +382,11 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
                     checked = last
                     break
                 b = checked + (int(np.argmax(broken)) // stride + 1) * stride
-            cert = interior_hull_certificate(residuals[:b])
             checked = b
+            phi = gordan_separator(residuals[:b])
+            if phi is not None:
+                continue
+            cert = interior_hull_certificate(residuals[:b])
             if cert.inside:
                 status, used = DetectionStatus.CONFIRMED, b
                 break

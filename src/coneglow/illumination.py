@@ -16,7 +16,8 @@ points it illuminates:
 Strict inequalities carry slack ``gap_tol * max(1, scale)``, so a
 near-degenerate instance reports "not covered" rather than certifying
 falsely.  For the Euclidean ball, ``interior_hull_certificate`` decides
-whether 0 is interior to the residuals' convex hull.
+whether 0 is interior to the residuals' convex hull, and
+``gordan_separator`` proves that it is not with one NNLS solve.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 from .errors import DomainError
 
@@ -65,7 +66,7 @@ def sup_masks(residuals: np.ndarray, gap_tol: float):
 
 @dataclass(frozen=True)
 class HullCertificate:
-    """``separator``: a nonzero phi passing ``separates``, or None."""
+    """``separator``: a unit phi passing ``separates``, or None."""
 
     inside: bool
     epsilon: float
@@ -78,6 +79,42 @@ def separates(V: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return ~(V @ phi < -1e-12 * scale)
 
 
+def _as_vectors(vectors) -> np.ndarray:
+    try:
+        V = np.asarray(vectors, dtype=float)
+    except ValueError as exc:
+        raise DomainError(f"vectors must be real and share one length ({exc})") from exc
+    if V.ndim != 2 or V.size == 0 or not np.all(np.isfinite(V)):
+        raise DomainError("expected a nonempty list of finite vectors of one length")
+    return V
+
+
+def gordan_separator(vectors) -> np.ndarray | None:
+    """A unit phi with ``<v_i, phi> >= 0`` for every row, or None.
+
+    Gordan's alternative: either some strictly positive combination of
+    the rows is 0, or such a phi exists.  One nonnegative least-squares
+    solve (Lawson-Hanson) decides which: ``w = sum (1 + mu_i) v_i`` with
+    ``mu >= 0`` of least norm satisfies ``V w >= 0`` by the KKT
+    conditions, and ``w = 0`` exactly when the rows have a strictly
+    positive dependence.  phi is ``w / |w|``, returned only if it passes
+    ``separates``; unit length matters, because the slack there is
+    absolute in phi and a near-zero ``w`` would pass it unscaled.
+    """
+    V = _as_vectors(vectors)
+    s = V.sum(axis=0)
+    try:
+        mu, _ = nnls(V.T, -s)
+    except RuntimeError:  # iteration limit: leave the verdict to the LP
+        return None
+    w = V.T @ mu + s
+    size = np.linalg.norm(w)
+    if size == 0.0:
+        return None
+    phi = w / size
+    return phi if separates(V, phi).all() else None
+
+
 def interior_hull_certificate(vectors) -> HullCertificate:
     """LP certificate that 0 lies in the interior of conv{v_1..v_m}.
 
@@ -87,16 +124,11 @@ def interior_hull_certificate(vectors) -> HullCertificate:
     interior to interior.  With ``lambda_i = eps + mu_i``, ``mu_i >= 0``
     as bounds, HiGHS solves n+1 equality rows.  ``epsilon`` is -inf when
     the program is infeasible (0 outside the affine hull), nan when HiGHS
-    cannot settle it.  If 0 is not interior, the Gordan separator is
-    minus the duals of the balance rows, a solution of ``V phi = 1``, or
-    a null-space vector, whichever passes ``separates`` first.
+    cannot settle it.  If 0 is not interior, the separator is
+    ``gordan_separator``'s, or for rank-deficient rows a unit null-space
+    vector when that one passes ``separates``.
     """
-    try:
-        V = np.asarray(vectors, dtype=float)
-    except ValueError as exc:
-        raise DomainError(f"vectors must be real and share one length ({exc})") from exc
-    if V.ndim != 2 or V.size == 0 or not np.all(np.isfinite(V)):
-        raise DomainError("expected a nonempty list of finite vectors of one length")
+    V = _as_vectors(vectors)
     m, n = V.shape
 
     # Columns mu_1..mu_m, then eps, whose coefficients are the row sums.
@@ -106,19 +138,14 @@ def interior_hull_certificate(vectors) -> HullCertificate:
                   b_eq=np.append(np.zeros(n), 1.0),
                   bounds=[(0.0, None)] * m + [(None, None)], method="highs")
     full_rank = np.linalg.matrix_rank(V, tol=RANK_TOL) == n
-    if res.status == 0:
-        eps = float(res.x[m])
-        if eps > LP_TOL and full_rank:
-            return HullCertificate(True, eps)
-        phi = -res.eqlin.marginals[:n]
-    else:
-        # Never unbounded (eps <= 1/m).  Residuals exactly on a plane off 0
-        # give inconsistent rows HiGHS may leave unsettled, not infeasible.
-        eps = -np.inf if res.status == 2 else np.nan
-        phi = np.linalg.lstsq(V, np.ones(m), rcond=None)[0]
-    found = np.any(phi) and separates(V, phi).all()
-    if not full_rank and not found:
-        phi = np.linalg.svd(V, full_matrices=m < n)[2][-1]  # a unit vector
-        found = separates(V, phi).all()
-    return HullCertificate(False, eps, phi if found else None)
-
+    # Never unbounded (eps <= 1/m).  Residuals exactly on a plane off 0
+    # give inconsistent rows HiGHS may leave unsettled, not infeasible.
+    eps = (float(res.x[m]) if res.status == 0 else
+           -np.inf if res.status == 2 else np.nan)
+    if eps > LP_TOL and full_rank:
+        return HullCertificate(True, eps)
+    phi = gordan_separator(V)
+    if phi is None and not full_rank:
+        null = np.linalg.svd(V, full_matrices=m < n)[2][-1]  # a unit vector
+        phi = null if separates(V, null).all() else None
+    return HullCertificate(False, eps, phi)

@@ -83,9 +83,19 @@ def hilbert_metric(x, y) -> float:
 
 
 def to_slice(x) -> np.ndarray:
-    """Scale a cone point onto the slice Sigma0 (last entry exactly 1)."""
+    """Scale a cone point onto the slice Sigma0 (last entry exactly 1).
+
+    Raises DomainError when an entry over- or underflows the rescaling,
+    which can happen once the entries span more than the float range.
+    """
     arr = as_cone_point(x)
-    return arr / arr[-1]
+    with np.errstate(over="ignore"):
+        out = arr / arr[-1]
+    if not np.all(np.isfinite(out)):
+        raise DomainError("cone points must be finite")
+    if np.any(out <= 0.0):
+        raise DomainError("cone points must have strictly positive entries")
+    return out
 
 
 def log_coords(x) -> np.ndarray:

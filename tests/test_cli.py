@@ -542,3 +542,33 @@ def test_trials_shorter_overwrite(ones_spec, tmp_path):
     assert main(args + ["--trials", "3", "--out", str(out)]) == 0
     assert main(args + ["--trials", "3", "--out", str(fresh)]) == 0
     assert out.read_bytes() == fresh.read_bytes()
+
+
+def test_repeated_main_matches_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process: neither a second call nor a
+    # rejected command line in between may change what a command writes
+    import subprocess
+    import sys
+
+    def argvs(d):
+        return [["detect", "--spec", SCHOEN, "--seed", "5", "--out", str(d / "report.json")],
+                ["localize", "--spec", SCHOEN, "--report", str(d / "report.json"),
+                 "--out", str(d / "ball.json")]]
+
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(SPECS.parent / "src"))
+    fresh_stdout = [subprocess.run([sys.executable, "-m", "coneglow.cli", *argv],
+                                   env=env, capture_output=True, check=True).stdout
+                    for argv in argvs(fresh)]
+    for name in ("first", "second"):
+        d = tmp_path / name
+        d.mkdir()
+        for argv, want in zip(argvs(d), fresh_stdout):
+            with pytest.raises(SystemExit):
+                main([argv[0], "--no-such-flag"])
+            capsys.readouterr()
+            assert main(argv) == 0
+            assert capsys.readouterr().out.encode() == want
+        for file in ("report.json", "ball.json"):
+            assert (d / file).read_bytes() == (fresh / file).read_bytes()

@@ -400,16 +400,50 @@ class TestDetectFixedPointSmooth:
         if small_batches:
             use_small_batches(monkeypatch)
         solve = detector.interior_hull_certificate
-        calls = []
+        separate = detector.gordan_separator
+        calls, separator_calls = [], []
         monkeypatch.setattr(detector, "interior_hull_certificate",
                             lambda V: calls.append(len(V)) or solve(V))
+        monkeypatch.setattr(detector, "gordan_separator",
+                            lambda V: separator_calls.append(len(V)) or separate(V))
         report = detect_fixed_point_smooth(
             corner_contraction, 2, DetectionConfig(seed=1, max_samples=600),
             vectorized=True)
         assert report.confirmed and report.samples_used == 270
-        # solved only at the boundaries whose block broke the cached
-        # separator; the other 85 boundaries up to 270 were skipped
-        assert calls == [3, 6, 201, 210, 270]
+        # a new separator is sought only at the boundaries whose block broke
+        # the cached one (the other 87 boundaries up to 270 were skipped),
+        # and the LP runs only where none exists: the confirming boundary
+        assert separator_calls == [3, 201, 270]
+        assert calls == [270]
+
+    def test_infinite_residual_is_a_domain_error(self):
+        # the separator's NNLS solve must not see the inf: the detector
+        # raises the hull certificate's one error, not numpy's
+        def blows_up(X):
+            out = 0.9 * X
+            out[2:] = np.inf
+            return out
+
+        with pytest.raises(DomainError, match="^expected a nonempty list of "
+                                              "finite vectors of one length$"):
+            detect_fixed_point_smooth(blows_up, 2, DetectionConfig(seed=0),
+                                      vectorized=True)
+
+    def test_separator_iteration_limit_leaves_the_lp_to_decide(self, monkeypatch):
+        from coneglow import illumination
+
+        def stuck(A, b):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        config = DetectionConfig(seed=1, max_samples=600)
+        want = detect_fixed_point_smooth(corner_contraction, 2, config,
+                                         vectorized=True).to_json_bytes()
+        monkeypatch.setattr(illumination, "nnls", stuck)
+        assert illumination.gordan_separator([(1.0, 0.0), (2.0, 1.0)]) is None
+        report = detect_fixed_point_smooth(corner_contraction, 2, config,
+                                           vectorized=True)
+        assert report.samples_used == 270
+        assert report.to_json_bytes() == want
 
 
 def _partial_meansum6():

@@ -6,11 +6,13 @@ import pytest
 from coneglow import (
     DomainError,
     NormId,
+    gordan_separator,
     interior_hull_certificate,
     norm,
     sup_masks,
     variation_masks,
 )
+from coneglow.illumination import separates
 from oracles import extreme_points, illuminates_point
 
 GAP_TOL = 1e-9
@@ -264,3 +266,61 @@ class TestInteriorHullCertificate:
                     cert = interior_hull_certificate(residuals)
                 assert cert.inside
                 assert cert.epsilon > 1e-3
+
+
+def _assert_unit_separator(V, phi):
+    assert phi is not None
+    assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-12)
+    assert separates(np.asarray(V, dtype=float), phi).all()
+
+
+class TestGordanSeparator:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_shifted_cloud(self, n):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(20):
+            u = rng.normal(size=n)
+            u /= np.linalg.norm(u)
+            m = int(rng.integers(1, 4 * n + 4))
+            V = rng.normal(size=(m, n)) + 5.0 * u
+            V = V[V @ u > 0.1]  # u separates what is kept
+            assert len(V)
+            _assert_unit_separator(V, gordan_separator(V))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("distance", [2.0, 40.0, 1000.0])
+    def test_residuals_on_a_plane_off_zero(self, n, distance):
+        # as a map without fixed points produces them: exactly on a plane
+        rng = np.random.default_rng(400 + n)
+        u = rng.normal(size=n)
+        u /= np.linalg.norm(u)
+        spread = rng.uniform(-100.0, 100.0, size=(50 * n, n))
+        spread -= np.outer(spread @ u, u)
+        V = -distance * u + spread
+        _assert_unit_separator(V, gordan_separator(V))
+
+    def test_none_when_zero_is_interior(self):
+        assert gordan_separator([(1, 0), (-1, 1), (-1, -1)]) is None
+        for n in range(1, 7):
+            eye = np.eye(n)
+            assert gordan_separator(np.vstack([eye, -eye])) is None
+
+    def test_never_contradicts_the_lp(self):
+        rng = np.random.default_rng(17)
+        inside = found = 0
+        for _ in range(500):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, 3 * n + 4))
+            V = rng.normal(size=(m, n)) + rng.normal(size=n) * rng.uniform(0.0, 1.5)
+            phi = gordan_separator(V)
+            if interior_hull_certificate(V).inside:
+                inside += 1
+                assert phi is None
+            elif phi is not None:
+                found += 1
+                _assert_unit_separator(V, phi)
+        assert inside > 50 and found > 50
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(DomainError, match="finite vectors"):
+            gordan_separator([(1.0, np.inf), (0.0, 1.0)])

@@ -113,6 +113,20 @@ def test_log_exp_domain_and_overflow():
         exp_coords([1000.0, 0.0])
 
 
+@pytest.mark.parametrize("x, message", [
+    ([1e300, 1e-300], "cone points must be finite"),
+    ([1e-300, 1e300], "cone points must have strictly positive entries"),
+])
+def test_to_slice_refuses_entries_beyond_float_range(x, message):
+    # rescaled by the last entry, one entry leaves the float range: no
+    # point off the open cone and no numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            to_slice(x)
+    assert np.array_equal(to_slice([1e300, 1e150]), [1e150, 1.0])
+
+
 def test_isometry_between_slice_and_v0():
     rng = np.random.default_rng(3)
     for _ in range(500):
