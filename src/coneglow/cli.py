@@ -61,8 +61,8 @@ def _load_json(path: str):
 
 
 def _load_map_file(path: str):
-    """Returns (report kind, batch map, payload); the payload is the
-    MapSpec of a cone map, or (A, b) of an affine map."""
+    """Returns (report kind, batch map, dimension, payload); the payload
+    is the MapSpec of a cone map, or (A, b) of an affine map."""
     doc = _load_json(path)
     label = _label(path)
     if isinstance(doc, dict) and doc.get("kind") == "affine":
@@ -84,12 +84,12 @@ def _load_map_file(path: str):
         if norm_tag not in ("sup", "euclid"):
             raise CliError(f"{label}: affine norm must be 'sup' or 'euclid'")
         kind = "fixed_point_sup" if norm_tag == "sup" else "fixed_point_smooth"
-        return kind, (lambda X: X @ A.T + b), (A, b)
+        return kind, (lambda X: X @ A.T + b), len(b), (A, b)
     try:
         spec = conemaps.map_spec_from_dict(doc)
     except (TypeError, ValueError) as exc:  # DomainError, or a non-numeric entry
         raise CliError(f"{label}: {exc}") from exc
-    return "eigenvector", (lambda X: conemaps.eval_map(spec, X)), spec
+    return "eigenvector", (lambda X: conemaps.eval_map(spec, X)), spec.dim, spec
 
 
 def _config_from_args(args) -> detector.DetectionConfig:
@@ -119,26 +119,25 @@ def _write_bytes(path: str | None, payload: bytes) -> None:
 
 
 def cmd_detect(args) -> int:
-    kind, f, payload = _load_map_file(args.spec)
+    kind, f, n, payload = _load_map_file(args.spec)
     config = _config_from_args(args)
     if kind == "eigenvector":
         report = detector.detect_eigenvector(payload, config)
     else:
         detect = (detector.detect_fixed_point_sup if kind == "fixed_point_sup"
                   else detector.detect_fixed_point_smooth)
-        report = detect(f, len(payload[1]), config, vectorized=True)
+        report = detect(f, n, config)
     _write_bytes(args.out, report.to_json_bytes())
     return 0 if report.confirmed else 2
 
 
 def cmd_localize(args) -> int:
-    kind, f, payload = _load_map_file(args.spec)
+    kind, f, n, payload = _load_map_file(args.spec)
     doc = _load_json(args.report)
     try:
         report = detector.DetectionReport.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:  # DomainError included
         raise CliError(f"{_label(args.report)}: malformed report ({exc})") from exc
-    n = payload.dim if kind == "eigenvector" else len(payload[1])
     if report.dimension != n:
         raise CliError("report/spec dimension mismatch")
     if report.kind != kind:
@@ -181,7 +180,7 @@ def cmd_trials(args) -> int:
             ref_min, ref_max, ref_mean, ref_median = map(float, args.expect.split(","))
         except ValueError as exc:
             raise CliError("--expect wants 'min,max,mean,median'") from exc
-    kind, _, spec = _load_map_file(args.spec)
+    kind, _, _, spec = _load_map_file(args.spec)
     if kind != "eigenvector":
         raise CliError("trials require a cone map spec")
     base = _config_from_args(args)

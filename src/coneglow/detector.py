@@ -1,26 +1,21 @@
 """Randomized certification of nonempty bounded fixed-point/eigenvector sets.
 
-Three detectors share one sampling skeleton:
+Every detector runs one test: sample points, take the map's residuals in
+the right coordinates, and ask whether they illuminate the unit ball.
+``_draws`` yields batches of points X and their coordinates Y, and
+``_residuals`` is ``log f(X) - Y`` on the cone (``X = Exp(Y)``, Y in a
+box inside V0) and ``f(X) - Y`` with ``X = Y`` otherwise.  Then:
 
-* ``detect_eigenvector`` draws cone points ``Exp(y)`` with ``y`` uniform
-  in a box inside V0 and records, per sample, every nonempty proper
-  subset J whose coordinate ratios ``f(x)_j / x_j`` sit strictly below
-  the rest (``illumination.variation_masks``).  Full coverage of the
-  2**n - 2 subsets certifies a nonempty eigenspace that is bounded in
-  Hilbert's metric.
-* ``detect_fixed_point_sup`` records strict sign patterns of
-  ``f(w) - w`` for box samples (``illumination.sup_masks``); all 2**n
-  patterns certify a sup-norm nonexpansive map.
-* ``detect_fixed_point_smooth`` accumulates residuals and certifies once
-  0 enters the interior of their convex hull (Euclidean norm).
+* ``detect_eigenvector`` cuts each residual into the subsets J whose
+  ratios ``f(x)_j / x_j`` sit strictly below the rest
+  (``illumination.variation_masks``), ``detect_fixed_point_sup`` into
+  its strict sign pattern (``illumination.sup_masks``).  ``_cover``
+  keeps the first witness of each mask; covering all of them certifies.
+* ``detect_fixed_point_smooth`` certifies once 0 enters the interior of
+  the residuals' convex hull (Euclidean norm).
 
-All three draw their samples from ``_draws``, a PCG64 stream seeded by
-``config.seed`` and consumed in sample order, so batch sizes never
-change results.  The first two pass each batch's masks to ``_cover``,
-the one first-witness-per-mask rule, which also builds their reports.
 ``DetectionReport.verify`` re-derives a report's certificate from the
-map without trusting the search: the same mask code for the first two,
-one hull certificate on the probe residuals for the third.
+map through the same ``_residuals``, without trusting the search.
 """
 
 from __future__ import annotations
@@ -50,12 +45,11 @@ _BATCH_PLAN = (32, 64, 128, 256, 512, 1024, 2048)
 _BATCH_MAX = 4096
 # Per report kind: the masks a confirmed report covers in dimension n, the
 # mask code that re-derives them (None: the hull of the probe residuals),
-# and the residual of points X with images FX that the certificate is on.
+# and whether its residuals are taken in the cone's log coordinates.
 _KINDS = {
-    "eigenvector": (lambda n: (1 << n) - 2, variation_masks,
-                    lambda X, FX: np.log(FX) - np.log(X)),
-    "fixed_point_sup": (lambda n: 1 << n, sup_masks, lambda W, FW: FW - W),
-    "fixed_point_smooth": (lambda n: 0, None, lambda W, FW: FW - W),
+    "eigenvector": (lambda n: (1 << n) - 2, variation_masks, True),
+    "fixed_point_sup": (lambda n: 1 << n, sup_masks, False),
+    "fixed_point_smooth": (lambda n: 0, None, False),
 }
 
 
@@ -136,23 +130,21 @@ class DetectionReport:
         """Re-derive the certificate from the map; return the checked points.
 
         ``f`` is the map on an ``(m, n)`` batch (for an eigenvector report,
-        the cone map, e.g. ``lambda X: eval_map(spec, X)``); the residuals
-        are ``log f(x) - log x`` on the cone and ``f(w) - w`` otherwise.
-        Witnesses, in mask order, must each realize their own mask under
-        the detectors' mask code at half the report's gap (the JSON round
-        trip can move a ratio by one ulp), and together cover all
-        ``total_subsets``; the probe residuals of a smooth report must pass
-        ``interior_hull_certificate``.  Raises DomainError otherwise, and
-        when the report is not confirmed.
+        the cone map, e.g. ``lambda X: eval_map(spec, X)``).  Witnesses, in
+        mask order, must each realize their own mask under the detectors'
+        mask code at half the report's gap (the JSON round trip can move a
+        ratio by one ulp), and together cover all ``total_subsets``; the probe
+        residuals of a smooth report must pass ``interior_hull_certificate``.
+        Raises DomainError otherwise, and when the report is not confirmed.
         """
         if not self.confirmed:
             raise DomainError("nothing to localize: the report is not confirmed")
-        _, masks_of, residual = _KINDS[self.kind]
+        _, masks_of, cone = _KINDS[self.kind]
         claimed = sorted(self.witnesses)
         points = (self.probe_points if masks_of is None else
                   np.reshape([self.witnesses[m] for m in claimed],
                              (len(claimed), self.dimension)))
-        R = residual(points, _batch_apply(f, points, True))
+        R = _residuals(f, points, cone)
         if masks_of is None:
             if not interior_hull_certificate(R).inside:
                 raise DomainError("0 is not interior to the hull of the probe residuals")
@@ -243,12 +235,45 @@ class DetectionReport:
         )
 
 
-def _draws(config: DetectionConfig, dim: int):
-    """Yield ``(offset, batch)`` of uniform box samples in sample order.
+def _check_arguments(kind: str, n, config: DetectionConfig, vectorized) -> None:
+    if not vectorized:
+        raise DomainError("maps must take an (m, n) batch; vectorized=False is not supported")
+    if not (_is_int(n) and n >= 1):
+        raise DomainError("dimension must be at least 1")
+    if _KINDS[kind][1] is not None and n > ENUMERATION_DIM_CAP:
+        raise BudgetError(f"detection is capped at n <= {ENUMERATION_DIM_CAP}")
+    if _KINDS[kind][2] and config.box_radius > _MAX_LOG_BOX:
+        raise DomainError(f"box radius above {_MAX_LOG_BOX} overflows exp(); reduce it")
 
-    Batches grow through ``_BATCH_PLAN`` and then stay at ``_BATCH_MAX``
-    rows until the budget is spent.  PCG64 is consumed in sample order,
-    so the batch sizes never change which samples are drawn.
+
+def _batch_apply(f, X):
+    """``f`` on the ``(m, n)`` batch X, checked to keep X's shape and to be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(f(X), dtype=float)
+    if out.shape != X.shape:
+        raise DomainError("the map must preserve the batch shape")
+    if not np.all(np.isfinite(out)):
+        raise DomainError("map values must be finite")
+    return out
+
+
+def _residuals(f, X, cone: bool, Y=None) -> np.ndarray:
+    """``log f(X) - Y`` on the cone, ``f(X) - Y`` otherwise; Y holds X's
+    coordinates (``log X`` on the cone).  Detectors pass their drawn Y, as
+    ``log(exp(y))`` can differ from y by an ulp and change witnesses."""
+    FX = _batch_apply(f, X)
+    if Y is None:  # after f, which refuses points outside its domain
+        Y = np.log(X) if cone else X
+    return (np.log(FX) if cone else FX) - Y
+
+
+def _draws(config: DetectionConfig, n: int, cone: bool):
+    """Yield ``(offset, X, Y)``: sample points X and their coordinates Y.
+
+    Y is uniform in the box; on the cone its last column is 0, so the
+    slice point ``X = exp(Y)`` ends in exactly 1.  Batches grow through
+    ``_BATCH_PLAN``, then stay at ``_BATCH_MAX`` rows.  PCG64 is consumed
+    in sample order, so batch sizes never change which samples are drawn.
     """
     rng = np.random.default_rng(config.seed)
     R = config.box_radius
@@ -256,7 +281,10 @@ def _draws(config: DetectionConfig, dim: int):
     offset = 0
     while offset < config.max_samples:
         size = min(next(sizes), config.max_samples - offset)
-        yield offset, rng.uniform(-R, R, size=(size, dim))
+        Y = rng.uniform(-R, R, size=(size, n - 1 if cone else n))
+        if cone:
+            Y = np.hstack([Y, np.zeros((size, 1))])
+        yield offset, np.exp(Y) if cone else Y, Y
         offset += size
 
 
@@ -288,6 +316,15 @@ def _cover(kind: str, n: int, config: DetectionConfig, batches) -> DetectionRepo
                            config=config, witnesses=witnesses)
 
 
+def _detect_masks(kind: str, f, n, config: DetectionConfig, vectorized) -> DetectionReport:
+    """Cut each batch's residuals into the kind's masks and ``_cover`` them."""
+    _check_arguments(kind, n, config, vectorized)
+    _, masks_of, cone = _KINDS[kind]
+    batches = ((offset, X, *masks_of(_residuals(f, X, cone, Y), config.gap_tol))
+               for offset, X, Y in _draws(config, n, cone))
+    return _cover(kind, n, config, batches)
+
+
 def detect_eigenvector(spec: MapSpec, config: DetectionConfig) -> DetectionReport:
     """Randomized eigenvector certification on the positive cone.
 
@@ -295,67 +332,33 @@ def detect_eigenvector(spec: MapSpec, config: DetectionConfig) -> DetectionRepor
     full coverage (Confirmed) or at the sample budget (Undetermined; not
     evidence of absence).  Deterministic given the config seed.
     """
-    n = spec.dim
-    if n > ENUMERATION_DIM_CAP:
-        raise BudgetError(f"detection is capped at n <= {ENUMERATION_DIM_CAP}")
-    if config.box_radius > _MAX_LOG_BOX:
-        raise DomainError(
-            f"box radius above {_MAX_LOG_BOX} overflows exp(); reduce it"
-        )
-
-    def batches():
-        for offset, Y in _draws(config, n - 1):
-            X = np.empty((len(Y), n))
-            np.exp(Y, out=X[:, : n - 1])
-            X[:, -1] = 1.0
-            rho = np.log(eval_map(spec, X))
-            rho[:, : n - 1] -= Y
-            yield offset, X, *variation_masks(rho, config.gap_tol)
-
-    return _cover("eigenvector", n, config, batches())
-
-
-def _batch_apply(f, X, vectorized):
-    if vectorized:
-        out = np.asarray(f(X), dtype=float)
-        if out.shape != X.shape:
-            raise DomainError("vectorized map must preserve the batch shape")
-        return out
-    return np.stack([np.asarray(f(x), dtype=float) for x in X])
+    return _detect_masks("eigenvector", lambda X: eval_map(spec, X), spec.dim, config, True)
 
 
 def detect_fixed_point_sup(f, n: int, config: DetectionConfig,
-                           vectorized: bool = False) -> DetectionReport:
+                           vectorized: bool = True) -> DetectionReport:
     """Sign-pattern certification for a sup-norm nonexpansive map.
 
-    The caller asserts nonexpansiveness; pass ``vectorized=True`` when
-    ``f`` accepts an ``(m, n)`` batch.  Patterns only count when every
+    The caller asserts nonexpansiveness; ``f`` takes an ``(m, n)`` batch
+    (``vectorized=False`` is refused).  Patterns only count when every
     residual coordinate clears the strictness slack.
     """
-    if n < 1 or n > ENUMERATION_DIM_CAP:
-        raise BudgetError(f"detection is capped at n <= {ENUMERATION_DIM_CAP}")
-    batches = (
-        (offset, W, *sup_masks(_batch_apply(f, W, vectorized) - W, config.gap_tol))
-        for offset, W in _draws(config, n)
-    )
-    return _cover("fixed_point_sup", n, config, batches)
+    return _detect_masks("fixed_point_sup", f, n, config, vectorized)
 
 
 def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
-                              vectorized: bool = False) -> DetectionReport:
+                              vectorized: bool = True) -> DetectionReport:
     """Convex-hull certification for a Euclidean-nonexpansive map.
 
+    ``f`` takes an ``(m, n)`` batch (``vectorized=False`` is refused).
     After every n+1 new samples the accumulated residuals are tested for
-    0 in the interior of their convex hull.  Between tests a cached
-    separating functional skips re-solves: while every residual stays on
-    its nonnegative side the verdict cannot have flipped.  Each batch is
-    tested against it at once, up to the first n+1 block that breaks it.
-    There, ``gordan_separator`` (one NNLS solve) first looks for a new
-    separator; only when it finds none does the hull LP run, so in a
-    confirming run the LP typically runs once, at the boundary it confirms.
+    0 in the interior of their convex hull.  A cached separating
+    functional skips the tests while every residual stays on its
+    nonnegative side.  At the first n+1 block that breaks it,
+    ``gordan_separator`` looks for a new one, and only where none exists
+    does the hull LP run: in a confirming run, typically once.
     """
-    if n < 1:
-        raise DomainError("dimension must be at least 1")
+    _check_arguments("fixed_point_smooth", n, config, vectorized)
     stride = n + 1
     # Buffers double on demand, so an early confirmation stays small.
     points = residuals = np.empty((0, n))
@@ -363,7 +366,7 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
     status = DetectionStatus.UNDETERMINED
     checked = used = 0  # checked: the last boundary whose verdict is known
 
-    for offset, W in _draws(config, n):
+    for offset, W, _ in _draws(config, n, False):
         used = offset + len(W)
         if used > len(points):
             cap = min(config.max_samples, max(used, 2 * len(points)))
@@ -371,7 +374,7 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
             points = np.vstack([points[:offset], extra])
             residuals = np.vstack([residuals[:offset], extra])
         points[offset:used] = W
-        residuals[offset:used] = _batch_apply(f, W, vectorized) - W
+        residuals[offset:used] = _residuals(f, W, False)
         last = used - used % stride
         while checked < last:
             if phi is None:
@@ -384,13 +387,9 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
                 b = checked + (int(np.argmax(broken)) // stride + 1) * stride
             checked = b
             phi = gordan_separator(residuals[:b])
-            if phi is not None:
-                continue
-            cert = interior_hull_certificate(residuals[:b])
-            if cert.inside:
+            if phi is None and interior_hull_certificate(residuals[:b]).inside:
                 status, used = DetectionStatus.CONFIRMED, b
                 break
-            phi = cert.separator
         if status is DetectionStatus.CONFIRMED:
             break
     return DetectionReport(

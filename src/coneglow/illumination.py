@@ -17,12 +17,12 @@ Strict inequalities carry slack ``gap_tol * max(1, scale)``, so a
 near-degenerate instance reports "not covered" rather than certifying
 falsely.  For the Euclidean ball, ``interior_hull_certificate`` decides
 whether 0 is interior to the residuals' convex hull, and
-``gordan_separator`` proves that it is not with one NNLS solve.
+``gordan_separator`` proves that it is not, by one NNLS solve or a null vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog, nnls
@@ -66,11 +66,8 @@ def sup_masks(residuals: np.ndarray, gap_tol: float):
 
 @dataclass(frozen=True)
 class HullCertificate:
-    """``separator``: a unit phi passing ``separates``, or None."""
-
     inside: bool
     epsilon: float
-    separator: np.ndarray | None = field(default=None, compare=False)
 
 
 def separates(V: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -99,20 +96,25 @@ def gordan_separator(vectors) -> np.ndarray | None:
     conditions, and ``w = 0`` exactly when the rows have a strictly
     positive dependence.  phi is ``w / |w|``, returned only if it passes
     ``separates``; unit length matters, because the slack there is
-    absolute in phi and a near-zero ``w`` would pass it unscaled.
+    absolute in phi and a near-zero ``w`` would pass it unscaled.  Where
+    that fails but the rows do not span the space, 0 is still not
+    interior, and phi is a unit null-space vector if that one passes.
     """
     V = _as_vectors(vectors)
+    m, n = V.shape
     s = V.sum(axis=0)
     try:
-        mu, _ = nnls(V.T, -s)
-    except RuntimeError:  # iteration limit: leave the verdict to the LP
-        return None
-    w = V.T @ mu + s
+        w = V.T @ nnls(V.T, -s)[0] + s
+    except RuntimeError:  # iteration limit: no separator from NNLS
+        w = np.zeros(n)
     size = np.linalg.norm(w)
-    if size == 0.0:
-        return None
-    phi = w / size
-    return phi if separates(V, phi).all() else None
+    if size > 0.0 and separates(V, phi := w / size).all():
+        return phi
+    if np.linalg.matrix_rank(V, tol=RANK_TOL) < n:
+        null = np.linalg.svd(V, full_matrices=m < n)[2][-1]  # a unit vector
+        if separates(V, null).all():
+            return null
+    return None
 
 
 def interior_hull_certificate(vectors) -> HullCertificate:
@@ -124,9 +126,7 @@ def interior_hull_certificate(vectors) -> HullCertificate:
     interior to interior.  With ``lambda_i = eps + mu_i``, ``mu_i >= 0``
     as bounds, HiGHS solves n+1 equality rows.  ``epsilon`` is -inf when
     the program is infeasible (0 outside the affine hull), nan when HiGHS
-    cannot settle it.  If 0 is not interior, the separator is
-    ``gordan_separator``'s, or for rank-deficient rows a unit null-space
-    vector when that one passes ``separates``.
+    cannot settle it.
     """
     V = _as_vectors(vectors)
     m, n = V.shape
@@ -142,10 +142,4 @@ def interior_hull_certificate(vectors) -> HullCertificate:
     # give inconsistent rows HiGHS may leave unsettled, not infeasible.
     eps = (float(res.x[m]) if res.status == 0 else
            -np.inf if res.status == 2 else np.nan)
-    if eps > LP_TOL and full_rank:
-        return HullCertificate(True, eps)
-    phi = gordan_separator(V)
-    if phi is None and not full_rank:
-        null = np.linalg.svd(V, full_matrices=m < n)[2][-1]  # a unit vector
-        phi = null if separates(V, null).all() else None
-    return HullCertificate(False, eps, phi)
+    return HullCertificate(bool(eps > LP_TOL and full_rank), eps)

@@ -198,7 +198,7 @@ def halfspace_polytope(f, probes) -> tuple[HalfspacePolytope, bool]:
     bounded.  After ``verify`` on a smooth report it is always true.
     """
     P = _as_points(probes)
-    normals = P - _batch_apply(f, P, True)
+    normals = P - _batch_apply(f, P)
     usable = (np.linalg.norm(normals, axis=1)
               > 1e-12 * (1.0 + np.linalg.norm(P, axis=1)))
     if not usable.all():

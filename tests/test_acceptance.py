@@ -187,7 +187,7 @@ class TestCriterion4:
             b = rng.uniform(-1.0, 1.0, n)
             report = detect_fixed_point_sup(
                 lambda X, A=A, b=b: X @ A.T + b, n,
-                DetectionConfig(seed=1000 + i), vectorized=True)
+                DetectionConfig(seed=1000 + i))
             if not report.confirmed:
                 ok = False
                 continue
@@ -261,13 +261,13 @@ class TestCriterion6:
         for seed in range(20):
             rep = detect_fixed_point_sup(
                 lambda X: X + shift, 3,
-                DetectionConfig(seed=seed, max_samples=budget), vectorized=True)
+                DetectionConfig(seed=seed, max_samples=budget))
             ok = ok and not rep.confirmed
         adversarial = build_adversarial_euclid([[1.0, 0.0]], c=1.0)
         for seed in range(20):
             rep = detect_fixed_point_smooth(
                 adversarial, 2,
-                DetectionConfig(seed=seed, max_samples=budget), vectorized=True)
+                DetectionConfig(seed=seed, max_samples=budget))
             ok = ok and not rep.confirmed
         upper = MatrixMap([[1.0, 1.0], [0.0, 1.0]])
         for seed in range(20):

@@ -1,8 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from coneglow import detector
 from coneglow import (
+    BudgetError,
     ConstructionError,
     DetectionConfig,
     DetectionReport,
@@ -229,15 +232,13 @@ class TestDetectEigenvector:
             cfg = DetectionConfig(seed=11, max_samples=700)
             yield detect_eigenvector(schoen_composition(), cfg)
             yield detect_eigenvector(TriangleMap(0.0), cfg)
-            yield detect_fixed_point_sup(lambda X: 0.5 * X + 1.0, 3, cfg,
-                                         vectorized=True)
-            yield detect_fixed_point_sup(lambda X: X + b, 2, cfg, vectorized=True)
+            yield detect_fixed_point_sup(lambda X: 0.5 * X + 1.0, 3, cfg)
+            yield detect_fixed_point_sup(lambda X: X + b, 2, cfg)
             for f in (lambda X: X @ QUARTER_TURN.T, lambda X: X + b,
                       corner_contraction):
                 for seed in range(3):
                     yield detect_fixed_point_smooth(
-                        f, 2, DetectionConfig(seed=seed, max_samples=700),
-                        vectorized=True)
+                        f, 2, DetectionConfig(seed=seed, max_samples=700))
 
         default = [r.to_json_bytes() for r in runs()]
         use_small_batches(monkeypatch)
@@ -283,22 +284,21 @@ class TestDetectEigenvector:
 class TestDetectFixedPointSup:
     def test_zero_map_confirms(self):
         report = detect_fixed_point_sup(lambda X: 0.0 * X, 3,
-                                        DetectionConfig(seed=0), vectorized=True)
+                                        DetectionConfig(seed=0))
         assert report.confirmed
         assert report.total_subsets == 8
 
     def test_translation_never_confirms(self):
         b = np.array([1.0, -0.5])
         report = detect_fixed_point_sup(lambda X: X + b, 2,
-                                        DetectionConfig(seed=1, max_samples=3000),
-                                        vectorized=True)
+                                        DetectionConfig(seed=1, max_samples=3000))
         assert not report.confirmed
         assert report.subsets_covered == 1
 
     def test_affine_contraction_confirms(self):
         b = np.array([1.0, 2.0])
         report = detect_fixed_point_sup(lambda X: 0.5 * X + b, 2,
-                                        DetectionConfig(seed=2), vectorized=True)
+                                        DetectionConfig(seed=2))
         assert report.confirmed
         # witnesses realize their own sign patterns
         for mask, w in report.witnesses.items():
@@ -306,23 +306,38 @@ class TestDetectFixedPointSup:
             for j in range(2):
                 assert (r[j] < 0) == bool((mask >> j) & 1)
 
-    def test_unvectorized_callable(self):
-        report = detect_fixed_point_sup(lambda x: 0.25 * x, 2,
-                                        DetectionConfig(seed=3, max_samples=2000))
-        assert report.confirmed
 
-    def test_vectorized_matches_unvectorized(self):
-        config = DetectionConfig(seed=4, max_samples=2000)
-        slow = detect_fixed_point_sup(lambda x: 0.25 * x + 1.0, 3, config)
-        fast = detect_fixed_point_sup(lambda X: 0.25 * X + 1.0, 3, config,
-                                      vectorized=True)
-        assert slow.to_json_bytes() == fast.to_json_bytes()
+def _detect_in_dimension(kind, n):
+    config = DetectionConfig(seed=0, max_samples=10)
+    if kind == "eigenvector":
+        # the dimension is checked before the map is evaluated
+        return detect_eigenvector(SimpleNamespace(dim=n), config)
+    detect = detect_fixed_point_sup if kind == "sup" else detect_fixed_point_smooth
+    return detect(lambda X: 0.5 * X, n, config)
+
+
+class TestDetectorArguments:
+    @pytest.mark.parametrize("kind", ["eigenvector", "sup", "smooth"])
+    @pytest.mark.parametrize("n", [0, -1, 2.0, True])
+    def test_dimension_must_be_a_positive_integer(self, kind, n):
+        with pytest.raises(DomainError, match="^dimension must be at least 1$"):
+            _detect_in_dimension(kind, n)
+
+    @pytest.mark.parametrize("kind", ["eigenvector", "sup"])
+    def test_mask_kinds_are_capped(self, kind):
+        with pytest.raises(BudgetError, match="capped at n <= 24"):
+            _detect_in_dimension(kind, 25)
+
+    @pytest.mark.parametrize("detect", [detect_fixed_point_sup, detect_fixed_point_smooth])
+    def test_per_point_maps_are_refused(self, detect):
+        with pytest.raises(DomainError, match="vectorized=False"):
+            detect(lambda x: 0.5 * x, 2, DetectionConfig(seed=0), vectorized=False)
 
 
 class TestDetectFixedPointSmooth:
     def test_contraction_confirms(self):
         report = detect_fixed_point_smooth(lambda X: 0.9 * X, 2,
-                                           DetectionConfig(seed=0), vectorized=True)
+                                           DetectionConfig(seed=0))
         assert report.confirmed
         assert report.probe_points is not None
         assert len(report.probe_points) == report.samples_used
@@ -330,14 +345,13 @@ class TestDetectFixedPointSmooth:
     def test_rotation_confirms(self):
         Q = np.array([[0.0, -1.0], [1.0, 0.0]])
         report = detect_fixed_point_smooth(lambda X: X @ Q.T, 2,
-                                           DetectionConfig(seed=1), vectorized=True)
+                                           DetectionConfig(seed=1))
         assert report.confirmed
 
     def test_translation_undetermined(self):
         b = np.array([0.5, 1.0])
         report = detect_fixed_point_smooth(lambda X: X + b, 2,
-                                           DetectionConfig(seed=2, max_samples=3000),
-                                           vectorized=True)
+                                           DetectionConfig(seed=2, max_samples=3000))
         assert not report.confirmed
         assert report.samples_used == 3000
 
@@ -347,8 +361,7 @@ class TestDetectFixedPointSmooth:
         tracemalloc.start()
         try:
             report = detect_fixed_point_smooth(
-                lambda X: 0.5 * X, 2, DetectionConfig(seed=0, max_samples=10 ** 7),
-                vectorized=True)
+                lambda X: 0.5 * X, 2, DetectionConfig(seed=0, max_samples=10 ** 7))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -386,12 +399,12 @@ class TestDetectFixedPointSmooth:
             for seed in range(4):
                 config = DetectionConfig(seed=seed, max_samples=120)
                 expected[f, seed] = naive(f, 2, config)
-                report = detect_fixed_point_smooth(f, 2, config, vectorized=True)
+                report = detect_fixed_point_smooth(f, 2, config)
                 assert (report.status.value, report.samples_used) == expected[f, seed]
         use_small_batches(monkeypatch)
         for (f, seed), want in expected.items():
             config = DetectionConfig(seed=seed, max_samples=120)
-            report = detect_fixed_point_smooth(f, 2, config, vectorized=True)
+            report = detect_fixed_point_smooth(f, 2, config)
             assert (report.status.value, report.samples_used) == want
 
     @pytest.mark.parametrize("small_batches", [False, True])
@@ -407,8 +420,7 @@ class TestDetectFixedPointSmooth:
         monkeypatch.setattr(detector, "gordan_separator",
                             lambda V: separator_calls.append(len(V)) or separate(V))
         report = detect_fixed_point_smooth(
-            corner_contraction, 2, DetectionConfig(seed=1, max_samples=600),
-            vectorized=True)
+            corner_contraction, 2, DetectionConfig(seed=1, max_samples=600))
         assert report.confirmed and report.samples_used == 270
         # a new separator is sought only at the boundaries whose block broke
         # the cached one (the other 87 boundaries up to 270 were skipped),
@@ -417,17 +429,15 @@ class TestDetectFixedPointSmooth:
         assert calls == [270]
 
     def test_infinite_residual_is_a_domain_error(self):
-        # the separator's NNLS solve must not see the inf: the detector
-        # raises the hull certificate's one error, not numpy's
+        # the inf never reaches the separator's NNLS solve: the detector
+        # raises one error naming the map's values, not numpy's
         def blows_up(X):
             out = 0.9 * X
             out[2:] = np.inf
             return out
 
-        with pytest.raises(DomainError, match="^expected a nonempty list of "
-                                              "finite vectors of one length$"):
-            detect_fixed_point_smooth(blows_up, 2, DetectionConfig(seed=0),
-                                      vectorized=True)
+        with pytest.raises(DomainError, match="^map values must be finite$"):
+            detect_fixed_point_smooth(blows_up, 2, DetectionConfig(seed=0))
 
     def test_separator_iteration_limit_leaves_the_lp_to_decide(self, monkeypatch):
         from coneglow import illumination
@@ -436,14 +446,30 @@ class TestDetectFixedPointSmooth:
             raise RuntimeError("Maximum number of iterations reached.")
 
         config = DetectionConfig(seed=1, max_samples=600)
-        want = detect_fixed_point_smooth(corner_contraction, 2, config,
-                                         vectorized=True).to_json_bytes()
+        want = detect_fixed_point_smooth(corner_contraction, 2, config).to_json_bytes()
         monkeypatch.setattr(illumination, "nnls", stuck)
         assert illumination.gordan_separator([(1.0, 0.0), (2.0, 1.0)]) is None
-        report = detect_fixed_point_smooth(corner_contraction, 2, config,
-                                           vectorized=True)
+        report = detect_fixed_point_smooth(corner_contraction, 2, config)
         assert report.samples_used == 270
         assert report.to_json_bytes() == want
+
+    def test_rank_deficient_residuals_need_no_lp(self, monkeypatch):
+        # a rotation about the z-axis leaves residuals without a z-component:
+        # the first NNLS solve finds no separator, gordan_separator answers
+        # with the null vector e_3 instead, and it holds for every later block
+        from coneglow import illumination
+
+        calls = []
+        for name in ("linprog", "nnls"):
+            def counted(*args, _name=name, _solve=getattr(illumination, name), **kwargs):
+                calls.append(_name)
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(illumination, name, counted)
+        Z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        report = detect_fixed_point_smooth(lambda X: X @ Z.T, 3,
+                                           DetectionConfig(seed=0, max_samples=3000))
+        assert (report.confirmed, report.samples_used) == (False, 3000)
+        assert calls == ["nnls"]
 
 
 def _partial_meansum6():
@@ -474,8 +500,7 @@ def _pinned_run(kind, name, seed):
         return detect_eigenvector(_EIGEN_SPECS[name](), config)
     config = DetectionConfig(seed=seed, max_samples=3000)
     if kind == "sup":
-        return detect_fixed_point_sup(lambda X: 0.5 * X + 1.0, 3, config,
-                                      vectorized=True)
+        return detect_fixed_point_sup(lambda X: 0.5 * X + 1.0, 3, config)
     f, n = {
         "quarter_turn": (lambda X: X @ QUARTER_TURN.T, 2),
         "rotoreflection": (lambda X: X @ ROTOREFLECTION.T, 3),
@@ -484,7 +509,7 @@ def _pinned_run(kind, name, seed):
         "corner": (corner_contraction, 2),
         "translation": (lambda X: X + np.array([0.5, 1.0]), 2),
     }[name]
-    return detect_fixed_point_smooth(f, n, config, vectorized=True)
+    return detect_fixed_point_smooth(f, n, config)
 
 
 # (samples_used, subsets_covered) of seeded runs, recorded before the three
@@ -547,8 +572,7 @@ class TestVerify:
     # a confirmed report verifies against its own map, returning the
     # checked points, and is refused against a map it does not certify
     def test_sup(self):
-        report = detect_fixed_point_sup(_contraction, 3, DetectionConfig(seed=0),
-                                        vectorized=True)
+        report = detect_fixed_point_sup(_contraction, 3, DetectionConfig(seed=0))
         points = report.verify(_contraction)
         assert np.array_equal(points, [report.witnesses[m] for m in sorted(report.witnesses)])
         with pytest.raises(DomainError, match="does not realize"):
@@ -562,25 +586,22 @@ class TestVerify:
             report.verify(lambda X: eval_map(TriangleMap(0.0), X))
 
     def test_smooth(self):
-        report = detect_fixed_point_smooth(_contraction, 2, DetectionConfig(seed=0),
-                                           vectorized=True)
+        report = detect_fixed_point_smooth(_contraction, 2, DetectionConfig(seed=0))
         assert report.verify(_contraction) is report.probe_points
         with pytest.raises(DomainError, match="not interior"):
             report.verify(_translation)
 
     def test_round_trip_and_undetermined(self):
-        report = detect_fixed_point_sup(_contraction, 2, DetectionConfig(seed=1),
-                                        vectorized=True)
+        report = detect_fixed_point_sup(_contraction, 2, DetectionConfig(seed=1))
         clone = DetectionReport.from_json_dict(report.to_json_dict())
         assert np.array_equal(clone.verify(_contraction), report.verify(_contraction))
         undetermined = detect_fixed_point_sup(
-            _translation, 2, DetectionConfig(seed=1, max_samples=100), vectorized=True)
+            _translation, 2, DetectionConfig(seed=1, max_samples=100))
         with pytest.raises(DomainError, match="not confirmed"):
             undetermined.verify(_translation)
 
     def test_map_must_keep_the_batch_shape(self):
-        report = detect_fixed_point_sup(_contraction, 2, DetectionConfig(seed=0),
-                                        vectorized=True)
+        report = detect_fixed_point_sup(_contraction, 2, DetectionConfig(seed=0))
         with pytest.raises(DomainError, match="batch shape"):
             report.verify(lambda W: W[:, :1])
 
@@ -618,8 +639,7 @@ class TestAdversarial:
         adv = build_adversarial_euclid([[1.0, 0.0]], c=1.0)
         for seed in range(3):
             report = detect_fixed_point_smooth(
-                adv, 2, DetectionConfig(seed=seed, max_samples=20000),
-                vectorized=True)
+                adv, 2, DetectionConfig(seed=seed, max_samples=20000))
             assert not report.confirmed
 
     def test_too_many_directions(self):

@@ -167,10 +167,11 @@ class TestMaskOracle:
                 _oracle_cover(r[None, :], NormId.VARIATION, n)
 
 
-def _assert_separates(vectors, cert):
-    # a nonzero phi with V phi >= 0, to the slack the smooth detector uses
+def _assert_separates(vectors):
+    # gordan_separator finds a nonzero phi with V phi >= 0, to the slack the
+    # smooth detector uses, wherever 0 is not interior to the hull
     V = np.asarray(vectors, dtype=float)
-    phi = cert.separator
+    phi = gordan_separator(V)
     assert phi is not None and np.any(phi != 0.0)
     scale = np.maximum(1.0, np.max(np.abs(V), axis=1))
     assert np.all(V @ phi >= -1e-12 * scale)
@@ -181,21 +182,23 @@ class TestInteriorHullCertificate:
         cert = interior_hull_certificate([(1, 0), (-1, 1), (-1, -1)])
         assert cert.inside
         assert cert.epsilon == pytest.approx(0.25, abs=1e-12)
-        assert cert.separator is None
+        assert gordan_separator([(1, 0), (-1, 1), (-1, -1)]) is None
 
     def test_separated_instance(self):
         vecs = [(1, 0), (2, 0), (3, 1)]
         cert = interior_hull_certificate(vecs)
         assert not cert.inside
         assert cert.epsilon < 0
-        _assert_separates(vecs, cert)
+        _assert_separates(vecs)
 
     def test_rank_deficient_instance(self):
         vecs = [(1, 0), (-1, 0)]
         cert = interior_hull_certificate(vecs)
         assert not cert.inside
         assert cert.epsilon > 0  # in the relative interior, but not interior
-        _assert_separates(vecs, cert)
+        # the rows have a positive dependence, so no NNLS separator exists;
+        # gordan_separator answers with a null-space vector
+        assert np.array_equal(np.abs(gordan_separator(vecs)), [0.0, 1.0])
 
     @pytest.mark.parametrize("vecs", [
         [(1.0, 0.0)],
@@ -206,7 +209,7 @@ class TestInteriorHullCertificate:
         cert = interior_hull_certificate(vecs)
         assert not cert.inside
         assert cert.epsilon == -np.inf
-        _assert_separates(vecs, cert)
+        _assert_separates(vecs)
 
     @pytest.mark.parametrize("noise", [0.0, 1e-9, 1e-6])
     def test_many_residuals_near_one_plane(self, noise):
@@ -222,11 +225,21 @@ class TestInteriorHullCertificate:
         cert = interior_hull_certificate(V)
         assert time.perf_counter() - start < 30.0
         assert not cert.inside
-        _assert_separates(V, cert)
+        _assert_separates(V)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             interior_hull_certificate([])
+
+    def test_no_separator_solve(self, monkeypatch):
+        from coneglow import illumination
+
+        def no_nnls(A, b):
+            raise AssertionError("the hull certificate called nnls")
+
+        monkeypatch.setattr(illumination, "nnls", no_nnls)
+        for vecs in ([(1, 0), (2, 0), (3, 1)], [(1, 0), (-1, 0)], [(1, 0), (-1, 1), (-1, -1)]):
+            interior_hull_certificate(vecs)
 
     def test_grid_oracle_agreement_2d(self):
         angles = np.arange(3600) * (2 * np.pi / 3600)
@@ -245,7 +258,7 @@ class TestInteriorHullCertificate:
             cert = interior_hull_certificate(list(vecs))
             assert cert.inside == (margin > 0)
             if not cert.inside:
-                _assert_separates(vecs, cert)
+                _assert_separates(vecs)
         assert checked > 250
 
     def test_illumination_implies_interior(self):

@@ -171,7 +171,7 @@ class TestLocalizeFixedPoints:
     def test_sup_contraction_ball_contains_zero(self):
         from coneglow import detect_fixed_point_sup
         report = detect_fixed_point_sup(lambda X: 0.5 * X, 3,
-                                        DetectionConfig(seed=0), vectorized=True)
+                                        DetectionConfig(seed=0))
         assert report.confirmed
         witnesses = [report.witnesses[m] for m in sorted(report.witnesses)]
         ball = localize_fixed_points(witnesses, NormId.SUP)
