@@ -136,7 +136,7 @@ def cmd_localize(args) -> int:
     doc = _load_json(args.report)
     try:
         report = detector.DetectionReport.from_json_dict(doc)
-    except (KeyError, TypeError, ValueError) as exc:  # DomainError included
+    except (KeyError, TypeError, ValueError, BudgetError) as exc:  # DomainError included
         raise CliError(f"{_label(args.report)}: malformed report ({exc})") from exc
     if report.dimension != n:
         raise CliError("report/spec dimension mismatch")
@@ -211,14 +211,15 @@ def cmd_trials(args) -> int:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0,
-                        help="unsigned 64-bit RNG seed (default 0)")
-    parser.add_argument("--box-radius", type=float, default=100.0,
-                        help="sampling box radius (default 100)")
-    parser.add_argument("--max-samples", type=int, default=100000,
-                        help="sample budget per run (default 100000)")
-    parser.add_argument("--gap-tol", type=float, default=1e-9,
-                        help="relative strictness gap (default 1e-9)")
+    default = detector.DetectionConfig()
+    parser.add_argument("--seed", type=int, default=default.seed,
+                        help="unsigned 64-bit RNG seed (default %(default)s)")
+    parser.add_argument("--box-radius", type=float, default=default.box_radius,
+                        help="sampling box radius (default %(default)s)")
+    parser.add_argument("--max-samples", type=int, default=default.max_samples,
+                        help="sample budget per run (default %(default)s)")
+    parser.add_argument("--gap-tol", type=float, default=default.gap_tol,
+                        help="relative strictness gap, in [0, 1) (default %(default)s)")
 
 
 @functools.cache

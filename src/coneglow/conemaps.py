@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .spaces import to_slice
+from .spaces import require_cone, to_slice
 
 SIGMA_TOL = 1e-12
 JSON_SIGMA_TOL = 1e-9
@@ -38,11 +38,7 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] == 0:
         raise DomainError("expected a vector or a batch of vectors")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("cone points must be finite")
-    if np.any(arr <= 0.0):
-        raise DomainError("cone points must have strictly positive entries")
-    return arr, single
+    return require_cone(arr), single
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,8 +400,7 @@ def power_iteration(spec: MapSpec, x0, tol: float = 1e-12,
             nxt = fx / fx[:, -1:]
             if not np.all(np.isfinite(nxt)):
                 raise DomainError("vector entries must be finite")
-            if np.any(nxt <= 0.0):
-                raise DomainError("cone points must have strictly positive entries")
+            require_cone(nxt)
             ratios = np.log(nxt) - np.log(x)
             step = float(np.max(ratios) - np.min(ratios))
             x = nxt

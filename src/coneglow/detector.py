@@ -4,7 +4,8 @@ Every detector runs one test: sample points, take the map's residuals in
 the right coordinates, and ask whether they illuminate the unit ball.
 ``_draws`` yields batches of points X and their coordinates Y, and
 ``_residuals`` is ``log f(X) - Y`` on the cone (``X = Exp(Y)``, Y in a
-box inside V0) and ``f(X) - Y`` with ``X = Y`` otherwise.  Then:
+box inside V0) and ``f(X) - Y`` with ``X = Y`` otherwise, and is the
+one check of a map's values.  Then:
 
 * ``detect_eigenvector`` cuts each residual into the subsets J whose
   ratios ``f(x)_j / x_j`` sit strictly below the rest
@@ -16,6 +17,7 @@ box inside V0) and ``f(X) - Y`` with ``X = Y`` otherwise.  Then:
 
 ``DetectionReport.verify`` re-derives a report's certificate from the
 map through the same ``_residuals``, without trusting the search.
+Detectors and reports share one dimension rule, ``_check_dimension``.
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ class DetectionConfig:
             raise DomainError("sample budget must be at least 1")
         if not (0 <= self.seed < _SEED_MOD):
             raise DomainError("seed must be an unsigned 64-bit integer")
-        if not (math.isfinite(self.gap_tol) and self.gap_tol >= 0.0):
-            raise DomainError("gap tolerance must be nonnegative")
+        # A gap of at least 1 times the scale is never met: no mask could count.
+        if not 0.0 <= self.gap_tol < 1.0:
+            raise DomainError("gap tolerance must be in [0, 1)")
 
     def to_json_dict(self) -> dict:
         return {
@@ -193,8 +196,7 @@ class DetectionReport:
         kind, n = doc["kind"], doc["dimension"]
         if kind not in _KINDS:
             raise DomainError(f"unknown report kind {kind!r}")
-        if not (_is_int(n) and 1 <= n <= ENUMERATION_DIM_CAP):
-            raise DomainError(f"dimension must be an integer in 1..{ENUMERATION_DIM_CAP}")
+        _check_dimension(kind, n)
         total = _KINDS[kind][0](n)
         config = DetectionConfig(**doc["config"])
         used = doc["samples_used"]
@@ -235,36 +237,39 @@ class DetectionReport:
         )
 
 
-def _check_arguments(kind: str, n, config: DetectionConfig, vectorized) -> None:
-    if not vectorized:
-        raise DomainError("maps must take an (m, n) batch; vectorized=False is not supported")
+def _check_dimension(kind: str, n) -> None:
+    """n is an integer >= 1, and at most the cap for the kinds that enumerate masks."""
     if not (_is_int(n) and n >= 1):
         raise DomainError("dimension must be at least 1")
     if _KINDS[kind][1] is not None and n > ENUMERATION_DIM_CAP:
         raise BudgetError(f"detection is capped at n <= {ENUMERATION_DIM_CAP}")
+
+
+def _check_arguments(kind: str, n, config: DetectionConfig, vectorized) -> None:
+    if not vectorized:
+        raise DomainError("maps must take an (m, n) batch; vectorized=False is not supported")
+    _check_dimension(kind, n)
     if _KINDS[kind][2] and config.box_radius > _MAX_LOG_BOX:
         raise DomainError(f"box radius above {_MAX_LOG_BOX} overflows exp(); reduce it")
-
-
-def _batch_apply(f, X):
-    """``f`` on the ``(m, n)`` batch X, checked to keep X's shape and to be finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(f(X), dtype=float)
-    if out.shape != X.shape:
-        raise DomainError("the map must preserve the batch shape")
-    if not np.all(np.isfinite(out)):
-        raise DomainError("map values must be finite")
-    return out
 
 
 def _residuals(f, X, cone: bool, Y=None) -> np.ndarray:
     """``log f(X) - Y`` on the cone, ``f(X) - Y`` otherwise; Y holds X's
     coordinates (``log X`` on the cone).  Detectors pass their drawn Y, as
-    ``log(exp(y))`` can differ from y by an ulp and change witnesses."""
-    FX = _batch_apply(f, X)
-    if Y is None:  # after f, which refuses points outside its domain
-        Y = np.log(X) if cone else X
-    return (np.log(FX) if cone else FX) - Y
+    ``log(exp(y))`` can differ from y by an ulp and change witnesses.  f
+    must keep X's shape, and every residual must be finite, which on the
+    cone also refuses map values that are zero or negative."""
+    with np.errstate(all="ignore"):
+        FX = np.asarray(f(X), dtype=float)
+        if FX.shape != X.shape:
+            raise DomainError("the map must preserve the batch shape")
+        if Y is None:  # after f, which refuses points outside its domain
+            Y = np.log(X) if cone else X
+        R = (np.log(FX) if cone else FX) - Y
+    if not np.all(np.isfinite(R)):
+        raise DomainError("map values must be positive and finite" if cone
+                          else "map values must be finite")
+    return R
 
 
 def _draws(config: DetectionConfig, n: int, cone: bool):

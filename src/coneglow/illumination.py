@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog, nnls
 
-from .errors import DomainError
+from .spaces import as_points
 
 LP_TOL = 1e-9
 RANK_TOL = 1e-10
@@ -76,16 +76,6 @@ def separates(V: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return ~(V @ phi < -1e-12 * scale)
 
 
-def _as_vectors(vectors) -> np.ndarray:
-    try:
-        V = np.asarray(vectors, dtype=float)
-    except ValueError as exc:
-        raise DomainError(f"vectors must be real and share one length ({exc})") from exc
-    if V.ndim != 2 or V.size == 0 or not np.all(np.isfinite(V)):
-        raise DomainError("expected a nonempty list of finite vectors of one length")
-    return V
-
-
 def gordan_separator(vectors) -> np.ndarray | None:
     """A unit phi with ``<v_i, phi> >= 0`` for every row, or None.
 
@@ -100,7 +90,7 @@ def gordan_separator(vectors) -> np.ndarray | None:
     that fails but the rows do not span the space, 0 is still not
     interior, and phi is a unit null-space vector if that one passes.
     """
-    V = _as_vectors(vectors)
+    V = as_points(vectors)
     m, n = V.shape
     s = V.sum(axis=0)
     try:
@@ -128,7 +118,7 @@ def interior_hull_certificate(vectors) -> HullCertificate:
     the program is infeasible (0 outside the affine hull), nan when HiGHS
     cannot settle it.
     """
-    V = _as_vectors(vectors)
+    V = as_points(vectors)
     m, n = V.shape
 
     # Columns mu_1..mu_m, then eps, whose coefficients are the row sums.

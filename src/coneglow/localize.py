@@ -5,7 +5,8 @@ the witness points localize it: the set lies inside a ball around their
 circumcenter whose radius is a norm-dependent multiple of the
 circumradius, 3 for the sup norm and 2n-1 for the variation norm.  The
 variation ball transports through the log isometry to a Hilbert-metric
-ball around eigenvector witnesses.
+ball around eigenvector witnesses.  A half-space polytope takes its
+normals from ``detector._residuals``, the function ``verify`` checks with.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import _batch_apply
+from .detector import _residuals
 from .errors import DomainError
 from .illumination import interior_hull_certificate
-from .spaces import NormId, as_vector, exp_coords, hilbert_metric, norm
+from .spaces import NormId, as_points, as_vector, exp_coords, hilbert_metric, norm, require_cone
 
 HILBERT_METRIC = "hilbert"
 # Slack of the containment tests, for rounding in the distances and rows.
@@ -70,18 +71,6 @@ def _factor(norm_id: NormId, n: int) -> int:
     return 3 if norm_id is NormId.SUP else 2 * n - 1
 
 
-def _as_points(points) -> np.ndarray:
-    try:
-        P = np.asarray(points, dtype=float)
-    except ValueError as exc:
-        raise DomainError(f"points must be real and share one length ({exc})") from exc
-    if P.size == 0:
-        raise DomainError("at least one point is required")
-    if P.ndim != 2 or not np.all(np.isfinite(P)):
-        raise DomainError("expected a list of finite points of one length")
-    return P
-
-
 def circumcenter(points, norm_id: NormId) -> tuple[np.ndarray, float]:
     """A circumcenter and the circumradius of a finite point set.
 
@@ -91,7 +80,7 @@ def circumcenter(points, norm_id: NormId) -> tuple[np.ndarray, float]:
     center, so the pair is self-consistent; it matches the true
     circumradius to rounding.
     """
-    P = _as_points(points)
+    P = as_points(points)
     if norm_id is NormId.SUP:
         center = 0.5 * (np.max(P, axis=0) + np.min(P, axis=0))
         radius = np.max(np.abs(center - P))
@@ -156,11 +145,9 @@ def localize_eigenvectors(witnesses, n: int) -> BoundingBall:
     """
     if n == 1:
         return BoundingBall(center=np.ones(1), radius=0.0, metric=HILBERT_METRIC)
-    X = _as_points(witnesses)
+    X = require_cone(as_points(witnesses))
     if X.shape[1] != n:
         raise DomainError("witness dimension mismatch")
-    if np.any(X <= 0.0):
-        raise DomainError("cone points must have strictly positive entries")
     ball = localize_fixed_points(np.log(X / X[:, -1:]), NormId.VARIATION)
     return BoundingBall(center=exp_coords(ball.center), radius=ball.radius,
                         metric=HILBERT_METRIC)
@@ -197,8 +184,9 @@ def halfspace_polytope(f, probes) -> tuple[HalfspacePolytope, bool]:
     which one ``interior_hull_certificate`` decides: then the polytope is
     bounded.  After ``verify`` on a smooth report it is always true.
     """
-    P = _as_points(probes)
-    normals = P - _batch_apply(f, P)
+    P = as_points(probes)
+    # w - f(w), as 0 - r rather than -r so that an exact zero stays +0.0
+    normals = 0.0 - _residuals(f, P, False)
     usable = (np.linalg.norm(normals, axis=1)
               > 1e-12 * (1.0 + np.linalg.norm(P, axis=1)))
     if not usable.all():

@@ -8,6 +8,8 @@ an exactly-zero last coordinate rather than in the quotient R^n / R·e.
 The coordinatewise log is an isometry from the normalized cone slice
 ``Sigma0 = {x > 0 : x_n = 1}`` with Hilbert's metric onto (V0, var);
 ``log_coords`` / ``exp_coords`` realize the two directions.
+Input checks live here: ``as_vector`` for one point, ``as_points`` for
+an ``(m, n)`` array of them, ``require_cone`` for open-cone entries.
 """
 
 from __future__ import annotations
@@ -35,12 +37,29 @@ def as_vector(v) -> np.ndarray:
     return arr
 
 
-def as_cone_point(x) -> np.ndarray:
-    """Coerce to a strictly positive finite vector (open-cone point)."""
-    arr = as_vector(x)
+def as_points(points) -> np.ndarray:
+    """Coerce to a nonempty ``(m, n)`` float array of finite entries."""
+    try:
+        P = np.asarray(points, dtype=float)
+    except ValueError as exc:  # ragged rows or a non-numeric entry
+        raise DomainError(f"vectors must be real and share one length ({exc})") from exc
+    if P.ndim != 2 or P.size == 0 or not np.all(np.isfinite(P)):
+        raise DomainError("expected a nonempty list of finite vectors of one length")
+    return P
+
+
+def require_cone(arr: np.ndarray) -> np.ndarray:
+    """Return ``arr`` if every entry is finite and strictly positive."""
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("cone points must be finite")
     if np.any(arr <= 0.0):
         raise DomainError("cone points must have strictly positive entries")
     return arr
+
+
+def as_cone_point(x) -> np.ndarray:
+    """Coerce to a strictly positive finite vector (open-cone point)."""
+    return require_cone(as_vector(x))
 
 
 def _require_last_zero(v: np.ndarray) -> None:
@@ -90,12 +109,7 @@ def to_slice(x) -> np.ndarray:
     """
     arr = as_cone_point(x)
     with np.errstate(over="ignore"):
-        out = arr / arr[-1]
-    if not np.all(np.isfinite(out)):
-        raise DomainError("cone points must be finite")
-    if np.any(out <= 0.0):
-        raise DomainError("cone points must have strictly positive entries")
-    return out
+        return require_cone(arr / arr[-1])
 
 
 def log_coords(x) -> np.ndarray:

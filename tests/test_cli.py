@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -332,6 +333,34 @@ def test_affine_euclid_polytope(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["bounded"] is True
     assert len(doc["rows"]) >= 3
+
+
+def test_euclid_beyond_the_mask_cap_detects_and_localizes(tmp_path):
+    # the 24 cap guards the 2**n masks of the sup and eigenvector kinds;
+    # a smooth report has none, so a 25-d contraction localizes
+    n = 25
+    spec = json.dumps({"kind": "affine", "matrix": (0.5 * np.eye(n)).tolist(),
+                       "offset": [1.0] * n, "norm": "euclid"})
+    report, poly = tmp_path / "report.json", tmp_path / "poly.json"
+    assert main(["detect", "--spec", spec, "--out", str(report)]) == 0
+    assert main(["localize", "--spec", spec, "--report", str(report),
+                 "--out", str(poly)]) == 0
+    assert json.loads(poly.read_text())["bounded"] is True
+
+
+@pytest.mark.parametrize("spec, flags, message", [
+    ('{"kind": "matrix", "matrix": [[0, 1], [1e-300, 0]]}', [],
+     "map values must be positive and finite"),
+    (str(SPECS / "ones_matrix.json"), ["--gap-tol", "1e308"],
+     "gap tolerance must be in [0, 1)"),
+], ids=["underflow", "gap-tol"])
+def test_refused_without_a_numpy_warning(tmp_path, capsys, spec, flags, message):
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["detect", "--spec", spec, *flags, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_trials_csv_deterministic(ones_spec, tmp_path):

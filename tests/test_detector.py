@@ -1,3 +1,5 @@
+import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,6 +68,12 @@ class TestConfig:
     def test_rejects_non_integer_budget_and_seed(self, field, value):
         with pytest.raises(DomainError):
             DetectionConfig(**{field: value})
+
+    @pytest.mark.parametrize("gap_tol", [1.0, 1e308, np.inf, np.nan, -1e-9])
+    def test_gap_tolerance_that_can_never_certify(self, gap_tol):
+        # a sorted gap never exceeds the spread, nor min |r_j| the max
+        with pytest.raises(DomainError, match=r"^gap tolerance must be in \[0, 1\)$"):
+            DetectionConfig(gap_tol=gap_tol)
 
 
 def ratio_subsets(spec, x):
@@ -271,6 +279,14 @@ class TestDetectEigenvector:
         with pytest.raises(DomainError):
             detect_eigenvector(MatrixMap([[1, 1], [1, 1]]),
                                DetectionConfig(box_radius=800.0))
+
+    def test_underflowing_map_value_is_one_domain_error(self):
+        # f(x)_2 = 1e-300 * x_1 is 0 for most samples: log would give -inf
+        # with a numpy warning, and the row would drop out unseen
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^map values must be positive and finite$"):
+                detect_eigenvector(MatrixMap([[0, 1], [1e-300, 0]]), DetectionConfig(seed=0))
 
     def test_dimension_one_is_vacuous(self):
         # one-dimensional homogeneous maps fix every ray: zero subsets to
@@ -604,6 +620,35 @@ class TestVerify:
         report = detect_fixed_point_sup(_contraction, 2, DetectionConfig(seed=0))
         with pytest.raises(DomainError, match="batch shape"):
             report.verify(lambda W: W[:, :1])
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+    def test_cone_map_value_must_be_positive_and_finite(self, value):
+        report = detect_eigenvector(TriangleMap(1 / 6), DetectionConfig(seed=0))
+
+        def spoiled(X):
+            out = eval_map(TriangleMap(1 / 6), X)
+            out[-1, 0] = value
+            return out
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^map values must be positive and finite$"):
+                report.verify(spoiled)
+
+    def test_smooth_report_beyond_the_mask_cap_round_trips(self):
+        f = lambda X: 0.5 * X + 1.0  # noqa: E731
+        report = detect_fixed_point_smooth(f, 25, DetectionConfig(seed=0))
+        assert report.confirmed
+        clone = DetectionReport.from_json_dict(json.loads(report.to_json_bytes()))
+        assert clone.to_json_bytes() == report.to_json_bytes()
+        assert clone.verify(f) is clone.probe_points
+
+    @pytest.mark.parametrize("kind", ["fixed_point_sup", "eigenvector"])
+    def test_mask_report_beyond_the_cap_is_refused(self, kind):
+        doc = detect_fixed_point_sup(_contraction, 2, DetectionConfig(seed=0)).to_json_dict()
+        doc.update(kind=kind, dimension=25)
+        with pytest.raises(BudgetError, match="capped at n <= 24"):
+            DetectionReport.from_json_dict(doc)
 
 
 class TestAdversarial:

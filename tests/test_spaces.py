@@ -12,6 +12,8 @@ from coneglow import (
     hilbert_metric,
     log_coords,
     norm,
+    circumcenter,
+    interior_hull_certificate,
     to_slice,
 )
 from oracles import extreme_points
@@ -125,6 +127,21 @@ def test_to_slice_refuses_entries_beyond_float_range(x, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
             to_slice(x)
     assert np.array_equal(to_slice([1e300, 1e150]), [1e150, 1.0])
+
+
+@pytest.mark.parametrize("check", [
+    lambda P: circumcenter(P, NormId.SUP), interior_hull_certificate,
+], ids=["circumcenter", "interior_hull_certificate"])
+@pytest.mark.parametrize("points, message", [
+    ([[1.0, 2.0], [3.0]], "^vectors must be real and share one length"),
+    ([], "^expected a nonempty list of finite vectors of one length$"),
+    ([[]], "^expected a nonempty list of finite vectors of one length$"),
+    ([1.0, 2.0], "^expected a nonempty list of finite vectors of one length$"),
+    ([[1.0, math.nan]], "^expected a nonempty list of finite vectors of one length$"),
+], ids=["ragged", "empty", "empty-row", "one-dimensional", "nan"])
+def test_point_arrays_have_one_checker(check, points, message):
+    with pytest.raises(DomainError, match=message):
+        check(points)
 
 
 def test_isometry_between_slice_and_v0():
