@@ -162,6 +162,7 @@ class MeanSumMap(MapSpec):
         return len(self.terms)
 
     def _eval_batch(self, X):
+        # keep the copies X[:, g.cols]: column-major, they vectorize max/min
         L = np.log(X)
         V = np.empty((X.shape[0], self._placement.shape[0]))
         for g in self._groups:

@@ -45,6 +45,9 @@ _SEED_MOD = 2 ** 64
 _MAX_LOG_BOX = 700.0
 _BATCH_PLAN = (32, 64, 128, 256, 512, 1024, 2048)
 _BATCH_MAX = 4096
+# Coordinates per batch: an (m, n) float array stays within 128 KiB, the
+# size from which glibc serves each fresh temporary by mmap.
+_BATCH_COORDS = 2 ** 14
 # Per report kind: the masks a confirmed report covers in dimension n, the
 # mask code that re-derives them (None: the hull of the probe residuals),
 # and whether its residuals are taken in the cone's log coordinates.
@@ -71,6 +74,9 @@ class DetectionConfig:
             raise DomainError("box radius and gap tolerance must be numbers, not bools")
         if not (math.isfinite(self.box_radius) and self.box_radius > 0.0):
             raise DomainError("box radius must be positive and finite")
+        if self.box_radius > np.finfo(float).max / 2:  # uniform() needs 2R
+            raise DomainError(f"box radius {float(self.box_radius)!r} is too large: "
+                              "the box width 2R overflows")
         if not (_is_int(self.max_samples) and _is_int(self.seed)):
             raise DomainError("sample budget and seed must be integers")
         if self.max_samples < 1:
@@ -258,7 +264,8 @@ def _residuals(f, X, cone: bool, Y=None) -> np.ndarray:
     coordinates (``log X`` on the cone).  Detectors pass their drawn Y, as
     ``log(exp(y))`` can differ from y by an ulp and change witnesses.  f
     must keep X's shape, and every residual must be finite, which on the
-    cone also refuses map values that are zero or negative."""
+    cone also refuses map values that are zero or negative.  Off the cone,
+    finite map values whose residual overflows get their own message."""
     with np.errstate(all="ignore"):
         FX = np.asarray(f(X), dtype=float)
         if FX.shape != X.shape:
@@ -267,8 +274,11 @@ def _residuals(f, X, cone: bool, Y=None) -> np.ndarray:
             Y = np.log(X) if cone else X
         R = (np.log(FX) if cone else FX) - Y
     if not np.all(np.isfinite(R)):
-        raise DomainError("map values must be positive and finite" if cone
-                          else "map values must be finite")
+        if cone:
+            raise DomainError("map values must be positive and finite")
+        if not np.all(np.isfinite(FX)):
+            raise DomainError("map values must be finite")
+        raise DomainError("residuals f(x) - x must be finite; they overflow")
     return R
 
 
@@ -277,15 +287,18 @@ def _draws(config: DetectionConfig, n: int, cone: bool):
 
     Y is uniform in the box; on the cone its last column is 0, so the
     slice point ``X = exp(Y)`` ends in exactly 1.  Batches grow through
-    ``_BATCH_PLAN``, then stay at ``_BATCH_MAX`` rows.  PCG64 is consumed
-    in sample order, so batch sizes never change which samples are drawn.
+    ``_BATCH_PLAN``, then stay at ``_BATCH_MAX`` rows, and never hold more
+    than ``_BATCH_COORDS`` = 2**14 coordinates: each (m, n) float array
+    of a batch stays within 128 KiB (2048 rows at n = 8; n <= 4 keeps the
+    plan).  PCG64 is consumed in sample order, so batch sizes never
+    change which samples are drawn.
     """
     rng = np.random.default_rng(config.seed)
     R = config.box_radius
     sizes = itertools.chain(_BATCH_PLAN, itertools.repeat(_BATCH_MAX))
     offset = 0
     while offset < config.max_samples:
-        size = min(next(sizes), config.max_samples - offset)
+        size = min(next(sizes), _BATCH_COORDS // n, config.max_samples - offset)
         Y = rng.uniform(-R, R, size=(size, n - 1 if cone else n))
         if cone:
             Y = np.hstack([Y, np.zeros((size, 1))])

@@ -18,6 +18,14 @@ near-degenerate instance reports "not covered" rather than certifying
 falsely.  For the Euclidean ball, ``interior_hull_certificate`` decides
 whether 0 is interior to the residuals' convex hull, and
 ``gordan_separator`` proves that it is not, by one NNLS solve or a null vector.
+
+Row reductions over the short last axis (max and min of |r| per row in
+``sup_masks`` and ``separates``) run on a column-major copy: NumPy
+reduces a C-ordered (m, n) array along its last axis one row at a time,
+but a Fortran-ordered one element-wise across whole columns, about ten
+times faster at n = 3.  ``variation_masks`` keeps its input's layout,
+as its ``argsort`` and ``cumsum`` along rows are slower on a
+column-major copy.
 """
 
 from __future__ import annotations
@@ -58,8 +66,9 @@ def sup_masks(residuals: np.ndarray, gap_tol: float):
     """``(masks, valid)`` of shape (rows, 1): bit j set where residual
     coordinate j is negative, valid where every |r_j| > gap_tol * max(1, |r|_inf).
     """
-    slack = gap_tol * np.maximum(1.0, np.max(np.abs(residuals), axis=1))
-    strict = np.min(np.abs(residuals), axis=1) > slack
+    mag = np.asfortranarray(np.abs(residuals))
+    slack = gap_tol * np.maximum(1.0, np.max(mag, axis=1))
+    strict = np.min(mag, axis=1) > slack
     powers = np.int64(1) << np.arange(residuals.shape[1], dtype=np.int64)
     return ((residuals < 0.0) @ powers)[:, None], strict[:, None]
 
@@ -72,7 +81,7 @@ class HullCertificate:
 
 def separates(V: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Per row of ``V``, whether ``<v_i, phi> >= -1e-12 * max(1, |v_i|_inf)``."""
-    scale = np.maximum(1.0, np.max(np.abs(V), axis=1))
+    scale = np.maximum(1.0, np.max(np.asfortranarray(np.abs(V)), axis=1))
     return ~(V @ phi < -1e-12 * scale)
 
 

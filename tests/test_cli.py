@@ -353,7 +353,10 @@ def test_euclid_beyond_the_mask_cap_detects_and_localizes(tmp_path):
      "map values must be positive and finite"),
     (str(SPECS / "ones_matrix.json"), ["--gap-tol", "1e308"],
      "gap tolerance must be in [0, 1)"),
-], ids=["underflow", "gap-tol"])
+    ('{"kind": "affine", "matrix": [[-1, 0], [0, -1]], "offset": [0, 0], "norm": "sup"}',
+     ["--box-radius", "1e308"],
+     "box radius 1e+308 is too large: the box width 2R overflows"),
+], ids=["underflow", "gap-tol", "box-radius"])
 def test_refused_without_a_numpy_warning(tmp_path, capsys, spec, flags, message):
     out = tmp_path / "report.json"
     with warnings.catch_warnings():

@@ -69,6 +69,13 @@ class TestConfig:
         with pytest.raises(DomainError):
             DetectionConfig(**{field: value})
 
+    @pytest.mark.parametrize("radius", [1e308, 9e307, np.finfo(float).max])
+    def test_box_radius_whose_width_overflows(self, radius):
+        # uniform sampling over [-R, R] needs 2R as a float
+        with pytest.raises(DomainError, match=r"^box radius .* too large: the box width 2R overflows$"):
+            DetectionConfig(box_radius=radius)
+        assert DetectionConfig(box_radius=np.finfo(float).max / 2).box_radius > 8e307
+
     @pytest.mark.parametrize("gap_tol", [1.0, 1e308, np.inf, np.nan, -1e-9])
     def test_gap_tolerance_that_can_never_certify(self, gap_tol):
         # a sorted gap never exceeds the spread, nor min |r_j| the max
@@ -254,6 +261,36 @@ class TestDetectEigenvector:
         assert small == default
         assert b'"status": "confirmed"' in default[-1]
         assert b'"status": "undetermined"' in default[-4]
+
+    @pytest.mark.parametrize("cone", [False, True])
+    def test_batches_stay_within_the_coordinate_cap(self, cone):
+        for n in range(1, 25):
+            config = DetectionConfig(max_samples=3 * 4096 + 5)
+            sizes = [X.size for _, X, _ in detector._draws(config, n, cone)]
+            assert max(sizes) <= 2 ** 14
+            assert sum(sizes) == n * config.max_samples
+            if n <= 4:  # the plan's rows, uncapped
+                assert max(sizes) == n * 4096
+
+    def test_coordinate_cap_does_not_change_long_runs(self, monkeypatch):
+        # past 4096 samples, where the cap cuts n = 8 and n = 6 batches
+        rng = np.random.default_rng(8)
+        meansum = MeanSumMap(tuple(
+            (MeanTerm(r1, rng.dirichlet(np.full(8, 20.0)), 1.0),
+             MeanTerm(r2, rng.dirichlet(np.full(8, 20.0)), 0.9))
+            for r1, r2 in zip([0, 1, 2, np.inf] * 2, [-np.inf, -1, 0, 1] * 2)))
+        shift = np.array([0.5, -1.0, 2.0, -3.0, 4.0, -5.0])
+
+        def runs():
+            cfg = DetectionConfig(seed=5, max_samples=12000)
+            yield detect_eigenvector(meansum, cfg)
+            yield detect_fixed_point_sup(lambda X: X + shift, 6, cfg)
+
+        capped = [r.to_json_bytes() for r in runs()]
+        monkeypatch.setattr(detector, "_BATCH_COORDS", 2 ** 40)  # the old plan
+        assert [r.to_json_bytes() for r in runs()] == capped
+        used = [json.loads(doc)["samples_used"] for doc in capped]
+        assert min(used) > 4096
 
     def test_report_roundtrip(self):
         report = detect_eigenvector(MatrixMap([[1, 1], [1, 1]]),

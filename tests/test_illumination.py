@@ -167,6 +167,50 @@ class TestMaskOracle:
                 _oracle_cover(r[None, :], NormId.VARIATION, n)
 
 
+def _layouts(R):
+    # the same rows C-ordered, F-ordered and as a strided view
+    wide = np.zeros((2 * R.shape[0], 3 * R.shape[1]))
+    wide[::2, 1::3] = R
+    return {"C": np.ascontiguousarray(R), "F": np.asfortranarray(R),
+            "strided": wide[::2, 1::3]}
+
+
+class TestLayout:
+    """Row reductions may copy to column-major; results must not depend on
+    the input's memory layout."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_mask_codes(self, n):
+        rng = np.random.default_rng(300 + n)
+        scale = 10.0 ** rng.integers(-12, 3, (200, 1))
+        R = np.vstack([scale * rng.normal(size=(200, n)),
+                       rng.integers(-2, 3, (50, n)).astype(float)])
+        layouts = _layouts(R)
+        assert layouts["F"].flags.f_contiguous and not layouts["strided"].flags.c_contiguous
+        for masks_of in (sup_masks, variation_masks):
+            want_masks, want_valid = masks_of(layouts["C"], GAP_TOL)
+            assert want_valid.any() and not want_valid.all()
+            for name, A in layouts.items():
+                masks, valid = masks_of(A, GAP_TOL)
+                assert np.array_equal(masks, want_masks), (masks_of.__name__, name)
+                assert np.array_equal(valid, want_valid), (masks_of.__name__, name)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_separates(self, n):
+        rng = np.random.default_rng(400 + n)
+        phi = rng.normal(size=n)
+        R = rng.normal(size=(300, n)) * np.logspace(-3, 3, 300)[:, None]
+        R -= np.outer(R @ phi, phi) / (phi @ phi)  # onto <v, phi> = 0
+        # then off it, inside and beyond the slack 1e-12 * max(1, |v|_inf)
+        slack = 1e-12 * np.maximum(1.0, np.abs(R).max(axis=1))
+        R += np.outer(np.where(np.arange(300) % 2, -0.5, -2.0) * slack, phi) / (phi @ phi)
+        layouts = _layouts(R)
+        want = separates(layouts["C"], phi)
+        assert want.any() and not want.all()
+        for name, A in layouts.items():
+            assert np.array_equal(separates(A, phi), want), name
+
+
 def _assert_separates(vectors):
     # gordan_separator finds a nonzero phi with V phi >= 0, to the slack the
     # smooth detector uses, wherever 0 is not interior to the hull

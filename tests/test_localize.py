@@ -289,6 +289,14 @@ class TestHalfspacePolytope:
         with pytest.raises(DomainError, match="batch shape"):
             halfspace_polytope(lambda W: W[0], probes)
 
+    def test_overflowing_residual_names_the_residual(self):
+        # f(W) = -W is finite, but f(W) - W = -2W overflows
+        probes = [[1e308, 1.0], [-1e308, 2.0]]
+        with pytest.raises(DomainError, match=r"^residuals f\(x\) - x must be finite; they overflow$"):
+            halfspace_polytope(lambda W: -W, probes)
+        with pytest.raises(DomainError, match="^map values must be finite$"):
+            halfspace_polytope(lambda W: np.full_like(W, np.inf), probes)
+
 
 def test_l1_localization_unsupported():
     # l1 is not a norm of the library, so no l1 ball can be asked for
