@@ -2,7 +2,7 @@
 unit-ball illumination, with positive-eigenvector detection and
 localization on the cone."""
 
-from .errors import BudgetError, ConstructionError, DomainError
+from .errors import DomainError
 from .spaces import (
     NormId,
     exp_coords,
@@ -55,7 +55,7 @@ from .localize import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetError", "ConstructionError", "DomainError",
+    "DomainError",
     "NormId", "norm", "hilbert_metric", "to_slice", "log_coords", "exp_coords",
     "HullCertificate", "variation_masks", "sup_masks", "interior_hull_certificate",
     "gordan_separator",

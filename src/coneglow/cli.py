@@ -14,6 +14,9 @@ Map-spec files are JSON.  Cone maps use the tagged-tree schema of
 ``{"kind": "affine", "matrix": .., "offset": .., "norm": "sup"|"euclid"}``
 detected in its declared norm.  Every output embeds the full config
 (seed, box radius, gap tolerance, budget) needed to re-run identically.
+
+Refused input raises the library's ``DomainError``; it, an ``OverflowError``
+from map arithmetic and an ``OSError`` each end in one ``error:`` line, exit 1.
 """
 
 from __future__ import annotations
@@ -30,12 +33,8 @@ import sys
 import numpy as np
 
 from . import conemaps, detector, localize
-from .errors import BudgetError, ConstructionError, DomainError
+from .errors import DomainError
 from .spaces import NormId
-
-
-class CliError(Exception):
-    """Fatal CLI error; its message goes to stderr and the exit code is 1."""
 
 
 def _label(path: str) -> str:
@@ -51,13 +50,13 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}") from exc
+        raise DomainError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"{label}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise DomainError(f"{label}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
-        raise CliError(f"{label}: not UTF-8 text ({exc.reason})") from exc
+        raise DomainError(f"{label}: not UTF-8 text ({exc.reason})") from exc
     except RecursionError as exc:
-        raise CliError(f"{label}: JSON nested too deeply") from exc
+        raise DomainError(f"{label}: JSON nested too deeply") from exc
 
 
 def _load_map_file(path: str):
@@ -71,37 +70,34 @@ def _load_map_file(path: str):
             b = np.asarray(doc["offset"], dtype=float)
             norm_tag = doc["norm"]
         except KeyError as exc:
-            raise CliError(f"{label}: affine spec is missing field {exc}") from exc
+            raise DomainError(f"{label}: affine spec is missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
-            raise CliError(f"{label}: affine spec has a non-numeric entry ({exc})") from exc
+            raise DomainError(f"{label}: affine spec has a non-numeric entry ({exc})") from exc
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise CliError(f"{label}: affine matrix must be square")
+            raise DomainError(f"{label}: affine matrix must be square")
         if b.shape != (A.shape[0],):
-            raise CliError(f"{label}: affine offset length must match the matrix")
+            raise DomainError(f"{label}: affine offset length must match the matrix")
         for name, entries in (("matrix", A), ("offset", b)):
             if not np.all(np.isfinite(entries)):
-                raise CliError(f"{label}: affine {name} entries must be finite")
+                raise DomainError(f"{label}: affine {name} entries must be finite")
         if norm_tag not in ("sup", "euclid"):
-            raise CliError(f"{label}: affine norm must be 'sup' or 'euclid'")
+            raise DomainError(f"{label}: affine norm must be 'sup' or 'euclid'")
         kind = "fixed_point_sup" if norm_tag == "sup" else "fixed_point_smooth"
         return kind, (lambda X: X @ A.T + b), len(b), (A, b)
     try:
         spec = conemaps.map_spec_from_dict(doc)
     except (TypeError, ValueError) as exc:  # DomainError, or a non-numeric entry
-        raise CliError(f"{label}: {exc}") from exc
+        raise DomainError(f"{label}: {exc}") from exc
     return "eigenvector", (lambda X: conemaps.eval_map(spec, X)), spec.dim, spec
 
 
 def _config_from_args(args) -> detector.DetectionConfig:
-    try:
-        return detector.DetectionConfig(
-            box_radius=args.box_radius,
-            max_samples=args.max_samples,
-            seed=args.seed,
-            gap_tol=args.gap_tol,
-        )
-    except DomainError as exc:
-        raise CliError(str(exc)) from exc
+    return detector.DetectionConfig(
+        box_radius=args.box_radius,
+        max_samples=args.max_samples,
+        seed=args.seed,
+        gap_tol=args.gap_tol,
+    )
 
 
 def _write_bytes(path: str | None, payload: bytes) -> None:
@@ -136,12 +132,12 @@ def cmd_localize(args) -> int:
     doc = _load_json(args.report)
     try:
         report = detector.DetectionReport.from_json_dict(doc)
-    except (KeyError, TypeError, ValueError, BudgetError) as exc:  # DomainError included
-        raise CliError(f"{_label(args.report)}: malformed report ({exc})") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # DomainError included
+        raise DomainError(f"{_label(args.report)}: malformed report ({exc})") from exc
     if report.dimension != n:
-        raise CliError("report/spec dimension mismatch")
+        raise DomainError("report/spec dimension mismatch")
     if report.kind != kind:
-        raise CliError(f"this spec needs a {kind} report, not {report.kind}")
+        raise DomainError(f"this spec needs a {kind} report, not {report.kind}")
     points = report.verify(f)
 
     if kind == "eigenvector":
@@ -166,23 +162,23 @@ def cmd_localize(args) -> int:
             region, bounded = localize.halfspace_polytope(f, points)
             out = dict(region.to_json_dict(), bounded=bounded)
     if known is not None and not region.contains(known):
-        raise CliError(f"containment violated: the {name} {known.tolist()} "
-                       f"lies outside the localized set")
+        raise DomainError(f"containment violated: the {name} {known.tolist()} "
+                          f"lies outside the localized set")
     _write_bytes(args.out, (json.dumps(out, indent=2) + "\n").encode())
     return 0
 
 
 def cmd_trials(args) -> int:
     if args.trials < 1:
-        raise CliError("--trials must be at least 1")
+        raise DomainError("--trials must be at least 1")
     if args.expect:
         try:
             ref_min, ref_max, ref_mean, ref_median = map(float, args.expect.split(","))
         except ValueError as exc:
-            raise CliError("--expect wants 'min,max,mean,median'") from exc
+            raise DomainError("--expect wants 'min,max,mean,median'") from exc
     kind, _, _, spec = _load_map_file(args.spec)
     if kind != "eigenvector":
-        raise CliError("trials require a cone map spec")
+        raise DomainError("trials require a cone map spec")
     base = _config_from_args(args)
     results = []
     for t in range(args.trials):
@@ -259,8 +255,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, DomainError, BudgetError, ConstructionError,
-            OverflowError, OSError) as exc:
+    except (DomainError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,12 +25,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import BudgetError, ConstructionError, DomainError
+from .errors import DomainError
 from .conemaps import MapSpec, eval_map
 from .illumination import (
     gordan_separator, interior_hull_certificate, separates, sup_masks,
@@ -72,11 +73,13 @@ class DetectionConfig:
     def __post_init__(self):
         if isinstance(self.box_radius, bool) or isinstance(self.gap_tol, bool):
             raise DomainError("box radius and gap tolerance must be numbers, not bools")
-        if not (math.isfinite(self.box_radius) and self.box_radius > 0.0):
+        radius = self.box_radius  # an int past the float range overflows float()
+        if not ((isinstance(radius, int) or math.isfinite(radius)) and radius > 0.0):
             raise DomainError("box radius must be positive and finite")
-        if self.box_radius > np.finfo(float).max / 2:  # uniform() needs 2R
-            raise DomainError(f"box radius {float(self.box_radius)!r} is too large: "
-                              "the box width 2R overflows")
+        if radius > sys.float_info.max / 2:  # uniform() needs 2R
+            shown = (repr(float(radius)) if radius <= sys.float_info.max
+                     else f"of {radius.bit_length()} bits")
+            raise DomainError(f"box radius {shown} is too large: the box width 2R overflows")
         if not (_is_int(self.max_samples) and _is_int(self.seed)):
             raise DomainError("sample budget and seed must be integers")
         if self.max_samples < 1:
@@ -248,7 +251,7 @@ def _check_dimension(kind: str, n) -> None:
     if not (_is_int(n) and n >= 1):
         raise DomainError("dimension must be at least 1")
     if _KINDS[kind][1] is not None and n > ENUMERATION_DIM_CAP:
-        raise BudgetError(f"detection is capped at n <= {ENUMERATION_DIM_CAP}")
+        raise DomainError(f"detection is capped at n <= {ENUMERATION_DIM_CAP}")
 
 
 def _check_arguments(kind: str, n, config: DetectionConfig, vectorized) -> None:
@@ -440,12 +443,12 @@ class AdversarialMapSpec:
         object.__setattr__(self, "c", float(self.c))
         object.__setattr__(self, "base_points", W)
         if np.max(np.abs(W @ phi - self.c)) > 1e-9 * max(1.0, abs(self.c)):
-            raise ConstructionError("base points must satisfy <phi, w> = c")
+            raise DomainError("base points must satisfy <phi, w> = c")
         if abs(float(phi @ z) - 1.0) > 1e-9:
-            raise ConstructionError("normalization <phi, z> = 1 violated")
+            raise DomainError("normalization <phi, z> = 1 violated")
         tightness = float(np.linalg.norm(phi) * np.linalg.norm(z))
         if abs(tightness - 1.0) > 1e-9:
-            raise ConstructionError("Euclidean tightness |phi||z| = 1 violated")
+            raise DomainError("Euclidean tightness |phi||z| = 1 violated")
 
     def __call__(self, x):
         X = np.asarray(x, dtype=float)
@@ -473,11 +476,11 @@ def build_adversarial_euclid(directions, c: float) -> AdversarialMapSpec:
     W = -V
     phi, *_ = np.linalg.lstsq(W, np.full(m, c), rcond=None)
     if np.max(np.abs(W @ phi - c)) > 1e-9 * max(1.0, c):
-        raise ConstructionError(
+        raise DomainError(
             "base points admit no functional at level c; perturb them"
         )
     norm_sq = float(phi @ phi)
     if norm_sq <= 0.0:
-        raise ConstructionError("degenerate functional; perturb the directions")
+        raise DomainError("degenerate functional; perturb the directions")
     z = phi / norm_sq
     return AdversarialMapSpec(phi=phi, z=z, c=c, base_points=W)

@@ -32,7 +32,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from coneglow import (
-    BudgetError, DomainError, EigenResult, MapSpec, NormId, eval_map,
+    DomainError, EigenResult, MapSpec, NormId, eval_map,
     hilbert_metric, map_spec_from_dict, norm, to_slice,
 )
 from coneglow.conemaps import _as_batch
@@ -93,7 +93,7 @@ def extreme_points(norm_id: NormId, n: int) -> np.ndarray:
     if norm_id is NormId.EUCLID:
         raise DomainError("the Euclidean ball has no finite extreme-point set")
     if n > ENUMERATION_DIM_CAP:
-        raise BudgetError(
+        raise DomainError(
             f"extreme-point enumeration is capped at n <= {ENUMERATION_DIM_CAP}"
         )
     if norm_id is NormId.SUP:

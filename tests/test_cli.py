@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coneglow import conemaps
+from coneglow import DomainError, cli, conemaps
 from coneglow.cli import main
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
@@ -249,6 +249,7 @@ def _set_field(*path, value):
     (SUP_2D, _set_field("config", "max_samples", value=2.5)),
     (SUP_2D, _set_field("config", "seed", value=1.5)),
     (SUP_2D, _set_field("config", "box_radius", value=True)),
+    (SUP_2D, _set_field("config", "box_radius", value=10 ** 400)),
     (SUP_2D, _set_field("seed", value=12345)),
     (SUP_2D, _set_field("subsets_covered", value=1)),
     (SUP_2D, _set_field("samples_used", value=-5)),
@@ -260,8 +261,8 @@ def _set_field(*path, value):
     (EUCLID_2D, lambda doc: doc["witnesses"].append({"subset": [0], "point": [0.0, 0.0]})),
 ], ids=["probe-length", "dimension-float", "dimension-bool", "dimension-cap",
         "kind", "total", "subset-repeat", "point-length", "budget-float",
-        "seed-float", "box-radius-bool", "seed-mismatch", "covered-mismatch",
-        "samples-negative", "samples-over-budget", "samples-float",
+        "seed-float", "box-radius-bool", "box-radius-huge", "seed-mismatch",
+        "covered-mismatch", "samples-negative", "samples-over-budget", "samples-float",
         "probe-on-sup", "probe-missing", "probe-count", "witness-on-smooth"])
 def test_localize_rejects_malformed_report(tmp_path, capsys, spec, edit):
     report = tmp_path / "report.json"
@@ -604,3 +605,31 @@ def test_repeated_main_matches_fresh_processes(tmp_path, capsys):
             assert capsys.readouterr().out.encode() == want
         for file in ("report.json", "ball.json"):
             assert (d / file).read_bytes() == (fresh / file).read_bytes()
+
+
+def _raise(error):
+    def load_map_file(path):
+        raise error
+    return load_map_file
+
+
+@pytest.mark.parametrize("error", [
+    DomainError("refused input"), OverflowError("map evaluation overflowed"),
+    OSError("disk full"),
+], ids=["domain", "overflow", "os"])
+def test_main_prints_one_error_line(monkeypatch, capsys, error):
+    monkeypatch.setattr(cli, "_load_map_file", _raise(error))
+    assert main(["detect", "--spec", "spec.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {error}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("error", [
+    RuntimeError("a bug"), ValueError("a bug"), KeyError("a bug"),
+], ids=["runtime", "value", "key"])
+def test_main_lets_a_bug_propagate(monkeypatch, capsys, error):
+    # only refusals and failed arithmetic or I/O become an error line
+    monkeypatch.setattr(cli, "_load_map_file", _raise(error))
+    with pytest.raises(type(error), match="a bug"):
+        main(["detect", "--spec", "spec.json"])
+    assert capsys.readouterr().err == ""

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from coneglow import (
-    BudgetError,
     DomainError,
     NormId,
     exp_coords,
@@ -182,5 +181,5 @@ def test_extreme_point_counts_and_norms(norm_id, count, n):
 def test_extreme_points_guards():
     with pytest.raises(DomainError):
         extreme_points(NormId.EUCLID, 2)
-    with pytest.raises(BudgetError):
+    with pytest.raises(DomainError):
         extreme_points(NormId.SUP, 25)
