@@ -57,6 +57,8 @@ def _load_json(path: str):
         raise DomainError(f"{label}: not UTF-8 text ({exc.reason})") from exc
     except RecursionError as exc:
         raise DomainError(f"{label}: JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise DomainError(f"{label}: {str(exc).split(';')[0]}") from exc
 
 
 def _load_map_file(path: str):

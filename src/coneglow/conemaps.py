@@ -193,9 +193,10 @@ class MeanSumMap(MapSpec):
         return V @ self._placement
 
 
-def _harmonic_pair(s, t):
-    # theta(s, t) = (1/s + 1/t)**-1, written to survive entries near e**700
-    return 1.0 / (1.0 / s + 1.0 / t)
+# the pairs (s, t) of the couplings theta(x1, x2), theta(x3, x4),
+# theta(x1, x4) and theta(x2, x3)
+_S = np.array([0, 2, 0, 1])
+_T = np.array([1, 3, 3, 2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +209,9 @@ class SchoenMap(MapSpec):
 
         f_i(x) = a_i x_i + b_i theta(pair_i) + c_i theta(x1, x4)
                  + d_i theta(x2, x3)
+
+    A batch gets all four couplings in one gathered reciprocal pass,
+    theta(s, t) = (1/s + 1/t)**-1, a form that survives entries near e**700.
     """
 
     coefficients: np.ndarray
@@ -229,14 +233,10 @@ class SchoenMap(MapSpec):
         return 4
 
     def _eval_batch(self, X):
-        t12 = _harmonic_pair(X[:, 0], X[:, 1])
-        t34 = _harmonic_pair(X[:, 2], X[:, 3])
-        t14 = _harmonic_pair(X[:, 0], X[:, 3])
-        t23 = _harmonic_pair(X[:, 1], X[:, 2])
-        pair = np.stack([t12, t12, t34, t34], axis=1)
+        th = 1.0 / (1.0 / X[:, _S] + 1.0 / X[:, _T])
         C = self.coefficients
-        return (X * C[:, 0] + pair * C[:, 1]
-                + t14[:, None] * C[:, 2] + t23[:, None] * C[:, 3])
+        return (X * C[:, 0] + th[:, (0, 0, 1, 1)] * C[:, 1]
+                + th[:, 2:3] * C[:, 2] + th[:, 3:4] * C[:, 3])
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,6 +381,12 @@ def power_iteration(spec: MapSpec, x0, tol: float = 1e-12,
                     max_iter: int = 10 ** 5) -> EigenResult:
     """Iterate the normalized map until the Hilbert-metric step is < tol.
 
+    Each step takes one log, since this step's log(next) is the next
+    step's log(x), and one finiteness test of the log ratios: a finite
+    ratio means the image is finite and the next iterate a finite cone
+    point.  Only when that test fails do the exact checks run, in order,
+    to raise the error that names the fault.
+
     Exhausting the budget is reported honestly via ``converged=False``,
     not raised: an unbounded or empty eigenspace makes the iteration
     wander forever.
@@ -394,17 +400,20 @@ def power_iteration(spec: MapSpec, x0, tol: float = 1e-12,
     step = math.inf
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lx = np.log(x)
         while iterations < max_iter:
             fx = spec._eval_batch(x)
-            if not np.all(np.isfinite(fx)):
-                raise OverflowError(_OVERFLOW)
             nxt = fx / fx[:, -1:]
-            if not np.all(np.isfinite(nxt)):
-                raise DomainError("vector entries must be finite")
-            require_cone(nxt)
-            ratios = np.log(nxt) - np.log(x)
-            step = float(np.max(ratios) - np.min(ratios))
-            x = nxt
+            lnxt = np.log(nxt)
+            ratios = lnxt - lx
+            if not np.isfinite(ratios).all():
+                if not np.all(np.isfinite(fx)):
+                    raise OverflowError(_OVERFLOW)
+                if not np.all(np.isfinite(nxt)):
+                    raise DomainError("vector entries must be finite")
+                require_cone(nxt)
+            step = float(ratios.max() - ratios.min())
+            x, lx = nxt, lnxt
             iterations += 1
             if step < tol:
                 break

@@ -17,6 +17,8 @@ with it.
 * ``normalized_map`` is the self-map of the slice Sigma0, and
   ``power_iteration_reference`` iterates it with every iterate checked,
   the loop ``coneglow.conemaps.power_iteration`` runs on the batch kernel.
+* ``schoen_reference`` evaluates the Schoen map one harmonic pair at a
+  time, the form ``coneglow.SchoenMap`` gathers into one pass.
 * ``schoen_composition`` loads the bundled Schoen composition spec.
 """
 
@@ -269,6 +271,22 @@ def power_iteration_reference(spec: MapSpec, x0, tol: float = 1e-12,
         converged=step < tol,
         cw_range=(float(np.min(ratios)), float(np.max(ratios))),
     )
+
+
+def _harmonic_pair(s, t):
+    # theta(s, t) = (1/s + 1/t)**-1, written to survive entries near e**700
+    return 1.0 / (1.0 / s + 1.0 / t)
+
+
+def schoen_reference(C, X) -> np.ndarray:
+    """The Schoen map with coefficient rows ``C`` on the ``(m, 4)`` batch ``X``."""
+    t12 = _harmonic_pair(X[:, 0], X[:, 1])
+    t34 = _harmonic_pair(X[:, 2], X[:, 3])
+    t14 = _harmonic_pair(X[:, 0], X[:, 3])
+    t23 = _harmonic_pair(X[:, 1], X[:, 2])
+    pair = np.stack([t12, t12, t34, t34], axis=1)
+    return (X * C[:, 0] + pair * C[:, 1]
+            + t14[:, None] * C[:, 2] + t23[:, None] * C[:, 3])
 
 
 def schoen_composition() -> MapSpec:

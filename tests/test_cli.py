@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import warnings
@@ -128,6 +129,22 @@ def test_localize_one_dimensional_eigenvector(tmp_path, capsys):
     assert json.loads(ball.read_text()) == {"metric": "hilbert", "center": [1.0],
                                             "radius": 0.0}
     assert "eigenvalue: 3.0" in capsys.readouterr().out
+
+
+def test_localize_schoen_composition_output(tmp_path, capsys):
+    # the printed eigenpair and the ball's bytes on the bundled Schoen spec
+    spec = str(SPECS / "schoen_composition.json")
+    report, ball = tmp_path / "report.json", tmp_path / "ball.json"
+    assert main(["detect", "--spec", spec, "--seed", "7", "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert main(["localize", "--spec", spec, "--report", str(report),
+                 "--out", str(ball)]) == 0
+    assert capsys.readouterr().out == (
+        "eigenvector: [0.4803033070513574, 0.19802326779894064, "
+        "1.354384198203245, 1.0]\n"
+        "eigenvalue: 40.13685672707706\n")
+    assert hashlib.sha256(ball.read_bytes()).hexdigest() == (
+        "5b5f25358ec92e934311fa4fb7c0f59e86ef6b5cf006ad81380c6115b72073d3")
 
 
 def test_localize_undetermined_exit_one(triangle_c0_spec, tmp_path, capsys):
@@ -464,13 +481,17 @@ def test_inline_spec_error_names_inline(tmp_path, capsys):
 
 NESTED = ('{"kind": "scale", "alpha": 1.0, "child": ' * 1000
           + '{"kind": "matrix", "matrix": [[1.0]]}' + "}" * 1000)
+# json.loads refuses an integer of more than 4300 digits with a ValueError
+HUGE_INT = '{"kind": "matrix", "matrix": [[' + "1" * 5000 + "]]}"
 
 
 @pytest.mark.parametrize("text, inline, message", [
     (b"\xff", False, "not UTF-8 text"),
     (NESTED.encode(), False, "JSON nested too deeply"),
     (NESTED, True, "JSON nested too deeply"),
-], ids=["not-utf8", "nested-file", "nested-inline"])
+    (HUGE_INT.encode(), False, "Exceeds the limit"),
+    (HUGE_INT, True, "Exceeds the limit"),
+], ids=["not-utf8", "nested-file", "nested-inline", "huge-int-file", "huge-int-inline"])
 @pytest.mark.parametrize("command", ["detect", "localize"])
 def test_unreadable_json_exit_one(tmp_path, capsys, command, text, inline, message):
     if inline:

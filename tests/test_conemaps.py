@@ -24,7 +24,7 @@ from coneglow import (
 )
 from oracles import (
     SPECS, is_order_preserving_homogeneous_probe, linear_oracle, normalized_map,
-    power_iteration_reference, schoen_composition,
+    power_iteration_reference, schoen_composition, schoen_reference,
 )
 
 
@@ -125,6 +125,20 @@ class TestEval:
         out = eval_map(spec, x)
         assert np.all(np.isfinite(out))
         assert np.all(out > 0)
+
+    @pytest.mark.parametrize("m", [1, 32, 4096])
+    def test_schoen_matches_per_pair_reference(self, m):
+        # the gathered kernel gives the per-pair form bit for bit
+        rng = np.random.default_rng(45)
+        factors = [child.coefficients for child in schoen_composition().children]
+        for _ in range(6):
+            C = rng.uniform(0.5, 13.0, (4, 4))
+            C[:, 1:] *= rng.random((4, 3)) < 0.6  # some couplings are zero
+            C[np.arange(4), 1 + rng.integers(3, size=4)] += 1.0
+            factors.append(C)
+        for C in factors:
+            X = np.exp(rng.uniform(-690.0, 690.0, (m, 4)))
+            assert np.array_equal(SchoenMap(C)._eval_batch(X), schoen_reference(C, X))
 
     def test_mean_sum_survives_huge_entry_ranges(self):
         import math as _math
