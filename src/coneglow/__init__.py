@@ -13,7 +13,6 @@ from .spaces import (
 )
 from .illumination import (
     HullCertificate,
-    gordan_separator,
     interior_hull_certificate,
     sup_masks,
     variation_masks,
@@ -58,7 +57,6 @@ __all__ = [
     "DomainError",
     "NormId", "norm", "hilbert_metric", "to_slice", "log_coords", "exp_coords",
     "HullCertificate", "variation_masks", "sup_masks", "interior_hull_certificate",
-    "gordan_separator",
     "MapSpec", "MatrixMap", "MeanSumMap", "MeanTerm", "SchoenMap",
     "TriangleMap", "ComposeMap", "SumMap", "ScaleMap", "EigenResult",
     "eval_map", "power_iteration", "map_spec_from_dict",

@@ -33,10 +33,7 @@ import numpy as np
 
 from .errors import DomainError
 from .conemaps import MapSpec, eval_map
-from .illumination import (
-    gordan_separator, interior_hull_certificate, separates, sup_masks,
-    variation_masks,
-)
+from .illumination import interior_hull_certificate, separates, sup_masks, variation_masks
 from .spaces import as_vector
 
 # Detection enumerates 2**n masks; refuse beyond this.
@@ -146,7 +143,8 @@ class DetectionReport:
         mask order, must each realize their own mask under the detectors'
         mask code at half the report's gap (the JSON round trip can move a
         ratio by one ulp), and together cover all ``total_subsets``; the probe
-        residuals of a smooth report must pass ``interior_hull_certificate``.
+        residuals of a smooth report must pass ``interior_hull_certificate``,
+        the one NNLS solve that confirmed the run.
         Raises DomainError otherwise, and when the report is not confirmed.
         """
         if not self.confirmed:
@@ -375,9 +373,9 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
     After every n+1 new samples the accumulated residuals are tested for
     0 in the interior of their convex hull.  A cached separating
     functional skips the tests while every residual stays on its
-    nonnegative side.  At the first n+1 block that breaks it,
-    ``gordan_separator`` looks for a new one, and only where none exists
-    does the hull LP run: in a confirming run, typically once.
+    nonnegative side.  At the first n+1 block that breaks it, one
+    ``interior_hull_certificate`` solve either confirms or returns the
+    next separator.
     """
     _check_arguments("fixed_point_smooth", n, config, vectorized)
     stride = n + 1
@@ -407,10 +405,11 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
                     break
                 b = checked + (int(np.argmax(broken)) // stride + 1) * stride
             checked = b
-            phi = gordan_separator(residuals[:b])
-            if phi is None and interior_hull_certificate(residuals[:b]).inside:
+            cert = interior_hull_certificate(residuals[:b])
+            if cert.inside:
                 status, used = DetectionStatus.CONFIRMED, b
                 break
+            phi = cert.separator
         if status is DetectionStatus.CONFIRMED:
             break
     return DetectionReport(

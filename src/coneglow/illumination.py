@@ -16,8 +16,9 @@ points it illuminates:
 Strict inequalities carry slack ``gap_tol * max(1, scale)``, so a
 near-degenerate instance reports "not covered" rather than certifying
 falsely.  For the Euclidean ball, ``interior_hull_certificate`` decides
-whether 0 is interior to the residuals' convex hull, and
-``gordan_separator`` proves that it is not, by one NNLS solve or a null vector.
+with one NNLS solve whether 0 is interior to the residuals' convex hull,
+and returns the other side of the alternative, a separating direction,
+when it is not.
 
 Row reductions over the short last axis (max and min of |r| per row in
 ``sup_masks`` and ``separates``) run on a column-major copy: NumPy
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+from scipy.optimize import nnls
 
 from .spaces import as_points
 
@@ -73,10 +74,21 @@ def sup_masks(residuals: np.ndarray, gap_tol: float):
     return ((residuals < 0.0) @ powers)[:, None], strict[:, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # by identity: == on the array separator is ambiguous
 class HullCertificate:
+    """Both sides of the alternative for the rows v_i.
+
+    ``inside``: 0 is interior to conv{v_i}.  ``epsilon``: ``1 / sum
+    lambda_i`` for the dependence ``sum lambda_i v_i = 0``, ``lambda_i >=
+    1``, the solve found, a lower bound on the least weight of a convex
+    combination giving 0 (1/4 on the symmetric triangle); -inf without
+    one, nan when NNLS hit its iteration limit.  ``separator``: None when
+    inside, else a unit phi passing ``separates``, or None if none was found.
+    """
+
     inside: bool
     epsilon: float
+    separator: np.ndarray | None
 
 
 def separates(V: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -85,60 +97,44 @@ def separates(V: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return ~(V @ phi < -1e-12 * scale)
 
 
-def gordan_separator(vectors) -> np.ndarray | None:
-    """A unit phi with ``<v_i, phi> >= 0`` for every row, or None.
+def interior_hull_certificate(vectors) -> HullCertificate:
+    """Whether 0 lies in the interior of conv{v_1..v_m}, by one NNLS solve.
 
-    Gordan's alternative: either some strictly positive combination of
-    the rows is 0, or such a phi exists.  One nonnegative least-squares
-    solve (Lawson-Hanson) decides which: ``w = sum (1 + mu_i) v_i`` with
-    ``mu >= 0`` of least norm satisfies ``V w >= 0`` by the KKT
-    conditions, and ``w = 0`` exactly when the rows have a strictly
-    positive dependence.  phi is ``w / |w|``, returned only if it passes
-    ``separates``; unit length matters, because the slack there is
-    absolute in phi and a near-zero ``w`` would pass it unscaled.  Where
-    that fails but the rows do not span the space, 0 is still not
-    interior, and phi is a unit null-space vector if that one passes.
+    Stiemke's alternative: either a strictly positive combination of the
+    rows is 0, or some phi has ``<v_i, phi> >= 0``, not all 0.  NNLS
+    (Lawson-Hanson) finds ``w = sum (1 + mu_i) v_i`` with ``mu >= 0`` of
+    least norm; by the KKT conditions ``V w >= 0``, and ``w = 0`` exactly
+    when a strictly positive dependence exists.  That with full rank puts
+    0 in the interior.  Otherwise the separator is ``w / |w|`` (unit length,
+    as the slack of ``separates`` is absolute in phi), else a unit null
+    vector of rows that do not span the space, whichever passes ``separates``.
+
+    The solve sees the rows scaled exactly by a power of two below 1, so
+    row sums cannot overflow; the rank check and ``separates`` see them as given.
     """
     V = as_points(vectors)
     m, n = V.shape
-    s = V.sum(axis=0)
+    U = np.ldexp(V, -np.frexp(np.max(np.abs(V)))[1])
+    s = U.sum(axis=0)
     try:
-        w = V.T @ nnls(V.T, -s)[0] + s
-    except RuntimeError:  # iteration limit: no separator from NNLS
-        w = np.zeros(n)
+        mu = nnls(U.T, -s)[0]
+    except RuntimeError:  # iteration limit: neither side is settled
+        w, eps = np.zeros(n), np.nan
+    else:
+        w = U.T @ mu + s
+        weight = (1.0 + mu) @ np.max(np.abs(U), axis=1)
+        eps = float(1.0 / (m + mu.sum())) if np.max(np.abs(w)) <= 1e-9 * weight else -np.inf
+
+    def deficient():
+        return np.linalg.matrix_rank(V, tol=RANK_TOL) < n
+
+    if eps > LP_TOL and not deficient():
+        return HullCertificate(True, eps, None)
     size = np.linalg.norm(w)
     if size > 0.0 and separates(V, phi := w / size).all():
-        return phi
-    if np.linalg.matrix_rank(V, tol=RANK_TOL) < n:
+        return HullCertificate(False, eps, phi)
+    if deficient():
         null = np.linalg.svd(V, full_matrices=m < n)[2][-1]  # a unit vector
         if separates(V, null).all():
-            return null
-    return None
-
-
-def interior_hull_certificate(vectors) -> HullCertificate:
-    """LP certificate that 0 lies in the interior of conv{v_1..v_m}.
-
-    Maximizes ``eps`` subject to ``lambda_i >= eps``, ``sum lambda_i v_i = 0``
-    and ``sum lambda_i = 1``; the optimum is positive exactly when 0 is in
-    the relative interior, and a full-rank check upgrades relative
-    interior to interior.  With ``lambda_i = eps + mu_i``, ``mu_i >= 0``
-    as bounds, HiGHS solves n+1 equality rows.  ``epsilon`` is -inf when
-    the program is infeasible (0 outside the affine hull), nan when HiGHS
-    cannot settle it.
-    """
-    V = as_points(vectors)
-    m, n = V.shape
-
-    # Columns mu_1..mu_m, then eps, whose coefficients are the row sums.
-    A = np.vstack([V.T, np.ones(m)])
-    res = linprog(np.append(np.zeros(m), -1.0),
-                  A_eq=np.column_stack([A, A.sum(axis=1)]),
-                  b_eq=np.append(np.zeros(n), 1.0),
-                  bounds=[(0.0, None)] * m + [(None, None)], method="highs")
-    full_rank = np.linalg.matrix_rank(V, tol=RANK_TOL) == n
-    # Never unbounded (eps <= 1/m).  Residuals exactly on a plane off 0
-    # give inconsistent rows HiGHS may leave unsettled, not infeasible.
-    eps = (float(res.x[m]) if res.status == 0 else
-           -np.inf if res.status == 2 else np.nan)
-    return HullCertificate(bool(eps > LP_TOL and full_rank), eps)
+            return HullCertificate(False, eps, null)
+    return HullCertificate(False, eps, None)

@@ -20,6 +20,9 @@ with it.
 * ``schoen_reference`` evaluates the Schoen map one harmonic pair at a
   time, the form ``coneglow.SchoenMap`` gathers into one pass.
 * ``schoen_composition`` loads the bundled Schoen composition spec.
+* ``hull_lp_certificate`` decides 0 in the interior of a convex hull by
+  a HiGHS linear program, the solver ``interior_hull_certificate``'s one
+  NNLS solve replaces.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -41,7 +45,8 @@ from coneglow.conemaps import _as_batch
 from coneglow.detector import (
     _KINDS, ENUMERATION_DIM_CAP, DetectionReport, DetectionStatus,
 )
-from coneglow.spaces import as_cone_point, as_vector
+from coneglow.illumination import LP_TOL, RANK_TOL
+from coneglow.spaces import as_cone_point, as_points, as_vector
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
 
@@ -293,3 +298,31 @@ def schoen_composition() -> MapSpec:
     """The bundled composition of two Schoen maps, ``specs/schoen_composition.json``."""
     with open(SPECS / "schoen_composition.json", encoding="utf-8") as fh:
         return map_spec_from_dict(json.load(fh))
+
+
+def hull_lp_certificate(vectors) -> tuple[bool, float]:
+    """``(inside, epsilon)``: LP certificate that 0 lies in the interior of conv{v_1..v_m}.
+
+    Maximizes ``eps`` subject to ``lambda_i >= eps``, ``sum lambda_i v_i = 0``
+    and ``sum lambda_i = 1``; the optimum is positive exactly when 0 is in
+    the relative interior, and a full-rank check upgrades relative
+    interior to interior.  With ``lambda_i = eps + mu_i``, ``mu_i >= 0``
+    as bounds, HiGHS solves n+1 equality rows.  ``epsilon`` is -inf when
+    the program is infeasible (0 outside the affine hull), nan when HiGHS
+    cannot settle it.
+    """
+    V = as_points(vectors)
+    m, n = V.shape
+
+    # Columns mu_1..mu_m, then eps, whose coefficients are the row sums.
+    A = np.vstack([V.T, np.ones(m)])
+    res = linprog(np.append(np.zeros(m), -1.0),
+                  A_eq=np.column_stack([A, A.sum(axis=1)]),
+                  b_eq=np.append(np.zeros(n), 1.0),
+                  bounds=[(0.0, None)] * m + [(None, None)], method="highs")
+    full_rank = np.linalg.matrix_rank(V, tol=RANK_TOL) == n
+    # Never unbounded (eps <= 1/m).  Residuals exactly on a plane off 0
+    # give inconsistent rows HiGHS may leave unsettled, not infeasible.
+    eps = (float(res.x[m]) if res.status == 0 else
+           -np.inf if res.status == 2 else np.nan)
+    return bool(eps > LP_TOL and full_rank), eps

@@ -38,14 +38,21 @@ def test_detect_confirmed_exit_zero(ones_spec, tmp_path):
     assert doc["config"]["box_radius"] == 100.0
 
 
-def test_detect_undetermined_exit_two(triangle_c0_spec, tmp_path):
-    out = tmp_path / "report.json"
-    code = main(["detect", "--spec", triangle_c0_spec, "--max-samples", "1000",
-                 "--out", str(out)])
-    assert code == 2
-    doc = json.loads(out.read_text())
-    assert doc["status"] == "undetermined"
-    assert doc["samples_used"] == 1000
+def test_detect_undetermined_exit_two(triangle_c0_spec, tmp_path, capsys):
+    # residuals 1e308 wide: their sum overflows unless the hull solve scales them
+    huge = ('{"kind": "affine", "matrix": [[1, 0], [0, 1]], "offset": [1e308, 0], '
+            '"norm": "euclid"}')
+    for spec in (triangle_c0_spec, huge):
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["detect", "--spec", spec, "--max-samples", "1000",
+                         "--out", str(out)])
+        assert code == 2
+        doc = json.loads(out.read_text())
+        assert doc["status"] == "undetermined"
+        assert doc["samples_used"] == 1000
+        assert capsys.readouterr().err == ""
 
 
 def test_detect_malformed_json_exit_one(tmp_path, capsys):

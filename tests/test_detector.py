@@ -464,23 +464,19 @@ class TestDetectFixedPointSmooth:
         if small_batches:
             use_small_batches(monkeypatch)
         solve = detector.interior_hull_certificate
-        separate = detector.gordan_separator
-        calls, separator_calls = [], []
+        calls = []
         monkeypatch.setattr(detector, "interior_hull_certificate",
                             lambda V: calls.append(len(V)) or solve(V))
-        monkeypatch.setattr(detector, "gordan_separator",
-                            lambda V: separator_calls.append(len(V)) or separate(V))
         report = detect_fixed_point_smooth(
             corner_contraction, 2, DetectionConfig(seed=1, max_samples=600))
         assert report.confirmed and report.samples_used == 270
-        # a new separator is sought only at the boundaries whose block broke
-        # the cached one (the other 87 boundaries up to 270 were skipped),
-        # and the LP runs only where none exists: the confirming boundary
-        assert separator_calls == [3, 201, 270]
-        assert calls == [270]
+        # the hull is solved only at the boundaries whose block broke the
+        # cached separator (the other 87 boundaries up to 270 were
+        # skipped), and the last of these solves confirms
+        assert calls == [3, 201, 270]
 
     def test_infinite_residual_is_a_domain_error(self):
-        # the inf never reaches the separator's NNLS solve: the detector
+        # the inf never reaches the hull certificate's NNLS solve: the detector
         # raises one error naming the map's values, not numpy's
         def blows_up(X):
             out = 0.9 * X
@@ -490,32 +486,32 @@ class TestDetectFixedPointSmooth:
         with pytest.raises(DomainError, match="^map values must be finite$"):
             detect_fixed_point_smooth(blows_up, 2, DetectionConfig(seed=0))
 
-    def test_separator_iteration_limit_leaves_the_lp_to_decide(self, monkeypatch):
+    def test_iteration_limit_leaves_the_run_undetermined(self, monkeypatch):
+        # an unsettled solve neither confirms nor separates, so every
+        # boundary is solved again, and no path confirms without a solve
         from coneglow import illumination
 
         def stuck(A, b):
             raise RuntimeError("Maximum number of iterations reached.")
 
-        config = DetectionConfig(seed=1, max_samples=600)
-        want = detect_fixed_point_smooth(corner_contraction, 2, config).to_json_bytes()
         monkeypatch.setattr(illumination, "nnls", stuck)
-        assert illumination.gordan_separator([(1.0, 0.0), (2.0, 1.0)]) is None
-        report = detect_fixed_point_smooth(corner_contraction, 2, config)
-        assert report.samples_used == 270
-        assert report.to_json_bytes() == want
+        cert = illumination.interior_hull_certificate([(1.0, 0.0), (2.0, 1.0)])
+        assert (cert.inside, cert.separator) == (False, None)
+        assert np.isnan(cert.epsilon)
+        report = detect_fixed_point_smooth(corner_contraction, 2,
+                                           DetectionConfig(seed=1, max_samples=600))
+        assert (report.confirmed, report.samples_used) == (False, 600)
 
     def test_rank_deficient_residuals_need_no_lp(self, monkeypatch):
         # a rotation about the z-axis leaves residuals without a z-component:
-        # the first NNLS solve finds no separator, gordan_separator answers
+        # the first NNLS solve finds no separator, the certificate answers
         # with the null vector e_3 instead, and it holds for every later block
         from coneglow import illumination
 
         calls = []
-        for name in ("linprog", "nnls"):
-            def counted(*args, _name=name, _solve=getattr(illumination, name), **kwargs):
-                calls.append(_name)
-                return _solve(*args, **kwargs)
-            monkeypatch.setattr(illumination, name, counted)
+        solve = illumination.nnls
+        monkeypatch.setattr(illumination, "nnls",
+                            lambda *args: calls.append("nnls") or solve(*args))
         Z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         report = detect_fixed_point_smooth(lambda X: X @ Z.T, 3,
                                            DetectionConfig(seed=0, max_samples=3000))

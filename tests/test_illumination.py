@@ -6,14 +6,13 @@ import pytest
 from coneglow import (
     DomainError,
     NormId,
-    gordan_separator,
     interior_hull_certificate,
     norm,
     sup_masks,
     variation_masks,
 )
 from coneglow.illumination import separates
-from oracles import extreme_points, illuminates_point
+from oracles import extreme_points, hull_lp_certificate, illuminates_point
 
 GAP_TOL = 1e-9
 
@@ -212,10 +211,10 @@ class TestLayout:
 
 
 def _assert_separates(vectors):
-    # gordan_separator finds a nonzero phi with V phi >= 0, to the slack the
+    # the certificate finds a nonzero phi with V phi >= 0, to the slack the
     # smooth detector uses, wherever 0 is not interior to the hull
     V = np.asarray(vectors, dtype=float)
-    phi = gordan_separator(V)
+    phi = interior_hull_certificate(V).separator
     assert phi is not None and np.any(phi != 0.0)
     scale = np.maximum(1.0, np.max(np.abs(V), axis=1))
     assert np.all(V @ phi >= -1e-12 * scale)
@@ -223,10 +222,13 @@ def _assert_separates(vectors):
 
 class TestInteriorHullCertificate:
     def test_symmetric_instance(self):
-        cert = interior_hull_certificate([(1, 0), (-1, 1), (-1, -1)])
-        assert cert.inside
-        assert cert.epsilon == pytest.approx(0.25, abs=1e-12)
-        assert gordan_separator([(1, 0), (-1, 1), (-1, -1)]) is None
+        # stretched to 1e308, the rows' sum overflows unless the solve
+        # scales them first
+        for vecs in ([(1, 0), (-1, 1), (-1, -1)], [(1e308, 0), (-1e308, 1), (-1e308, -1)]):
+            cert = interior_hull_certificate(vecs)
+            assert cert.inside
+            assert cert.epsilon == pytest.approx(0.25, abs=1e-12)
+            assert cert.separator is None
 
     def test_separated_instance(self):
         vecs = [(1, 0), (2, 0), (3, 1)]
@@ -234,6 +236,8 @@ class TestInteriorHullCertificate:
         assert not cert.inside
         assert cert.epsilon < 0
         _assert_separates(vecs)
+        # certificates compare by identity, not by an ambiguous array ==
+        assert cert == cert and cert != interior_hull_certificate(vecs)
 
     def test_rank_deficient_instance(self):
         vecs = [(1, 0), (-1, 0)]
@@ -241,13 +245,14 @@ class TestInteriorHullCertificate:
         assert not cert.inside
         assert cert.epsilon > 0  # in the relative interior, but not interior
         # the rows have a positive dependence, so no NNLS separator exists;
-        # gordan_separator answers with a null-space vector
-        assert np.array_equal(np.abs(gordan_separator(vecs)), [0.0, 1.0])
+        # the certificate answers with a null-space vector
+        assert np.array_equal(np.abs(cert.separator), [0.0, 1.0])
 
     @pytest.mark.parametrize("vecs", [
         [(1.0, 0.0)],
         [(1, 0, 0), (0, 1, 0)],
         [(1, 1), (2, 1), (3, 1), (-4, 1)],  # a line missing 0
+        [(1e308, 0.0)] * 3,  # a sum past the float range
     ])
     def test_off_affine_hull_instance(self, vecs):
         cert = interior_hull_certificate(vecs)
@@ -275,15 +280,18 @@ class TestInteriorHullCertificate:
         with pytest.raises(DomainError):
             interior_hull_certificate([])
 
-    def test_no_separator_solve(self, monkeypatch):
+    def test_one_nnls_solve_per_call(self, monkeypatch):
         from coneglow import illumination
 
-        def no_nnls(A, b):
-            raise AssertionError("the hull certificate called nnls")
-
-        monkeypatch.setattr(illumination, "nnls", no_nnls)
+        calls = []
+        solve = illumination.nnls
+        monkeypatch.setattr(illumination, "nnls",
+                            lambda A, b: calls.append(A.shape) or solve(A, b))
         for vecs in ([(1, 0), (2, 0), (3, 1)], [(1, 0), (-1, 0)], [(1, 0), (-1, 1), (-1, -1)]):
+            calls.clear()
             interior_hull_certificate(vecs)
+            assert calls == [(2, len(vecs))]
+        assert not hasattr(illumination, "linprog")
 
     def test_grid_oracle_agreement_2d(self):
         angles = np.arange(3600) * (2 * np.pi / 3600)
@@ -300,10 +308,32 @@ class TestInteriorHullCertificate:
                 continue
             checked += 1
             cert = interior_hull_certificate(list(vecs))
-            assert cert.inside == (margin > 0)
+            assert cert.inside == (margin > 0) == hull_lp_certificate(vecs)[0]
             if not cert.inside:
                 _assert_separates(vecs)
         assert checked > 250
+
+    def test_agrees_with_the_lp(self):
+        # one NNLS dependence gives the LP's verdict, and its epsilon never
+        # exceeds the LP's optimum: plain, symmetric and rank-deficient sets,
+        # rows scaled by 10^-3..10^3
+        rng = np.random.default_rng(21)
+        inside = 0
+        for trial in range(2000):
+            n = int(rng.integers(1, 7))
+            m = int(rng.integers(1, 3 * n + 4))
+            V = rng.normal(size=(m, n)) + rng.normal(size=n) * rng.uniform(0.0, 1.5)
+            if trial % 3 == 1:
+                V = np.vstack([V, -V])
+            elif trial % 3 == 2 and n > 1:
+                V = V @ rng.normal(size=(n, n - 1)) @ rng.normal(size=(n - 1, n))
+            V *= 10.0 ** rng.uniform(-3.0, 3.0, size=(len(V), 1))
+            cert = interior_hull_certificate(V)
+            lp_inside, lp_epsilon = hull_lp_certificate(V)
+            assert cert.inside == lp_inside
+            assert not cert.epsilon > lp_epsilon * (1.0 + 1e-9)
+            inside += cert.inside
+        assert 300 < inside < 1700
 
     def test_illumination_implies_interior(self):
         # covering witnesses with healthy margins must certify 0 in the hull;
@@ -342,7 +372,7 @@ class TestGordanSeparator:
             V = rng.normal(size=(m, n)) + 5.0 * u
             V = V[V @ u > 0.1]  # u separates what is kept
             assert len(V)
-            _assert_unit_separator(V, gordan_separator(V))
+            _assert_unit_separator(V, interior_hull_certificate(V).separator)
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("distance", [2.0, 40.0, 1000.0])
@@ -354,13 +384,13 @@ class TestGordanSeparator:
         spread = rng.uniform(-100.0, 100.0, size=(50 * n, n))
         spread -= np.outer(spread @ u, u)
         V = -distance * u + spread
-        _assert_unit_separator(V, gordan_separator(V))
+        _assert_unit_separator(V, interior_hull_certificate(V).separator)
 
     def test_none_when_zero_is_interior(self):
-        assert gordan_separator([(1, 0), (-1, 1), (-1, -1)]) is None
+        assert interior_hull_certificate([(1, 0), (-1, 1), (-1, -1)]).separator is None
         for n in range(1, 7):
             eye = np.eye(n)
-            assert gordan_separator(np.vstack([eye, -eye])) is None
+            assert interior_hull_certificate(np.vstack([eye, -eye])).separator is None
 
     def test_never_contradicts_the_lp(self):
         rng = np.random.default_rng(17)
@@ -369,8 +399,8 @@ class TestGordanSeparator:
             n = int(rng.integers(1, 6))
             m = int(rng.integers(1, 3 * n + 4))
             V = rng.normal(size=(m, n)) + rng.normal(size=n) * rng.uniform(0.0, 1.5)
-            phi = gordan_separator(V)
-            if interior_hull_certificate(V).inside:
+            phi = interior_hull_certificate(V).separator
+            if hull_lp_certificate(V)[0]:
                 inside += 1
                 assert phi is None
             elif phi is not None:
@@ -380,4 +410,4 @@ class TestGordanSeparator:
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DomainError, match="finite vectors"):
-            gordan_separator([(1.0, np.inf), (0.0, 1.0)])
+            interior_hull_certificate([(1.0, np.inf), (0.0, 1.0)])
