@@ -248,6 +248,10 @@ class TriangleMap(MapSpec):
     Its normalized fixed-point set is a union of three segments meeting
     at the barycenter, collapsing to the barycenter at c = 1/3 and
     becoming unbounded at c = 0.
+
+    A batch is evaluated column-major: branch i keeps x_i and sets the
+    other two coordinates to mu = max(second largest x_j, c * sum x),
+    and comparisons of whole columns pick the first maximal index.
     """
 
     c: float
@@ -262,20 +266,18 @@ class TriangleMap(MapSpec):
         return 3
 
     def _eval_batch(self, X):
-        cs = self.c * np.sum(X, axis=1)
-        mu = np.stack(
-            [
-                np.maximum(np.maximum(X[:, 1], X[:, 2]), cs),
-                np.maximum(np.maximum(X[:, 0], X[:, 2]), cs),
-                np.maximum(np.maximum(X[:, 0], X[:, 1]), cs),
-            ],
-            axis=1,
-        )
-        branch = np.argmax(X, axis=1)
-        rows = np.arange(X.shape[0])
-        out = mu[rows, branch][:, None].repeat(3, axis=1)
-        out[rows, branch] = X[rows, branch]
-        return out
+        x0, x1, x2 = np.asfortranarray(X).T
+        first = (x0 >= x1) & (x0 >= x2)
+        second = ~first & (x1 >= x2)
+        # mu: the larger of the median entry and c * ((x0 + x1) + x2), the
+        # sum in the order np.sum(X, axis=1) adds a row
+        mu = np.maximum(np.maximum(np.minimum(x0, x1), np.minimum(np.maximum(x0, x1), x2)),
+                        self.c * (x0 + x1 + x2))
+        out = np.empty((3, len(x0)))
+        out[0] = np.where(first, x0, mu)
+        out[1] = np.where(second, x1, mu)
+        out[2] = np.where(first | second, mu, x2)
+        return out.T
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,13 +20,13 @@ with one NNLS solve whether 0 is interior to the residuals' convex hull,
 and returns the other side of the alternative, a separating direction,
 when it is not.
 
-Row reductions over the short last axis (max and min of |r| per row in
-``sup_masks`` and ``separates``) run on a column-major copy: NumPy
-reduces a C-ordered (m, n) array along its last axis one row at a time,
-but a Fortran-ordered one element-wise across whole columns, about ten
-times faster at n = 3.  ``variation_masks`` keeps its input's layout,
-as its ``argsort`` and ``cumsum`` along rows are slower on a
-column-major copy.
+Work along the short row axis runs on column- or rank-major arrays:
+NumPy steps along the last axis of a C-ordered (m, n) array one short
+row at a time, but combines whole contiguous columns element-wise, about
+ten times faster at n = 3.  So ``sup_masks`` and ``separates`` reduce a
+column-major copy, and ``variation_masks`` sorts each row once, then
+works on (n, m) arrays whose row k holds every sample's k-th smallest
+ratio.
 """
 
 from __future__ import annotations
@@ -46,32 +46,45 @@ def variation_masks(rho: np.ndarray, gap_tol: float):
     """Subset bitmasks realized by each row of log-ratios ``log f(x) - log x``.
 
     Mask J is realized when the row illuminates the variation ball's
-    extreme point ``1_J``.  A subset satisfies the strict ratio inequality exactly when it holds
-    the k smallest ratios with a gap above the k-th sorted value, so all
-    candidates fall out of one sort.  Returns ``(masks, valid)`` of shape
+    extreme point ``1_J``.  A subset satisfies the strict ratio inequality
+    exactly when it holds the k smallest ratios with a gap above the k-th
+    sorted value, so all candidates fall out of one stable sort, which
+    fixes the order of ties.  Returns ``(masks, valid)`` of shape
     (rows, n-1): column k-1 is the mask of the k smallest ratios, valid
     where the gap beats ``gap_tol * max(1, spread)``.
+
+    After the sort the work is rank-major: row k of ``order`` holds every
+    sample's k-th smallest index, the sorted ratios come from one flat
+    gather, and the masks accumulate row by row; the results are
+    transposed views.
     """
-    order = np.argsort(rho, axis=1, kind="stable")
-    srt = np.take_along_axis(rho, order, axis=1)
-    gaps = np.diff(srt, axis=1)
-    spread = srt[:, -1] - srt[:, 0]
-    threshold = gap_tol * np.maximum(1.0, spread)
-    valid = gaps > threshold[:, None]
-    bits = np.int64(1) << order.astype(np.int64)
-    masks = np.cumsum(bits, axis=1)[:, :-1]
-    return masks, valid
+    rho = np.ascontiguousarray(rho)
+    m, n = rho.shape
+    order = np.ascontiguousarray(np.argsort(rho, axis=1, kind="stable").T)
+    srt = np.take(rho, order + np.arange(0, m * n, n))
+    gaps = srt[1:] - srt[:-1]
+    threshold = gap_tol * np.maximum(1.0, srt[-1] - srt[0])
+    valid = gaps > threshold
+    masks = np.int64(1) << order[:-1]
+    for k in range(1, n - 1):
+        masks[k] += masks[k - 1]
+    return masks.T, valid.T
 
 
 def sup_masks(residuals: np.ndarray, gap_tol: float):
     """``(masks, valid)`` of shape (rows, 1): bit j set where residual
     coordinate j is negative, valid where every |r_j| > gap_tol * max(1, |r|_inf).
     """
-    mag = np.asfortranarray(np.abs(residuals))
+    cols = np.asfortranarray(residuals)
+    mag = np.abs(cols)
     slack = gap_tol * np.maximum(1.0, np.max(mag, axis=1))
     strict = np.min(mag, axis=1) > slack
-    powers = np.int64(1) << np.arange(residuals.shape[1], dtype=np.int64)
-    return ((residuals < 0.0) @ powers)[:, None], strict[:, None]
+    neg = (cols < 0.0).T.astype(np.int64)
+    codes = neg[-1]
+    for bit in neg[-2::-1]:  # Horner's rule, coordinate n-1 first
+        codes <<= 1
+        codes += bit
+    return codes[:, None], strict[:, None]
 
 
 @dataclass(frozen=True, eq=False)  # by identity: == on the array separator is ambiguous

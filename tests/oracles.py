@@ -19,6 +19,12 @@ with it.
   the loop ``coneglow.conemaps.power_iteration`` runs on the batch kernel.
 * ``schoen_reference`` evaluates the Schoen map one harmonic pair at a
   time, the form ``coneglow.SchoenMap`` gathers into one pass.
+* ``triangle_reference`` evaluates the triangle map row by row through
+  ``argmax``, the form ``coneglow.TriangleMap`` replaces with column
+  comparisons.
+* ``variation_masks_reference`` cuts the variation masks along each row
+  of a row-major sort, the form ``coneglow.variation_masks`` runs rank
+  by rank.
 * ``schoen_composition`` loads the bundled Schoen composition spec.
 * ``hull_lp_certificate`` decides 0 in the interior of a convex hull by
   a HiGHS linear program, the solver ``interior_hull_certificate``'s one
@@ -292,6 +298,38 @@ def schoen_reference(C, X) -> np.ndarray:
     pair = np.stack([t12, t12, t34, t34], axis=1)
     return (X * C[:, 0] + pair * C[:, 1]
             + t14[:, None] * C[:, 2] + t23[:, None] * C[:, 3])
+
+
+def triangle_reference(c, X) -> np.ndarray:
+    """The triangle map with parameter ``c`` on the ``(m, 3)`` batch ``X``."""
+    cs = c * np.sum(X, axis=1)
+    mu = np.stack(
+        [
+            np.maximum(np.maximum(X[:, 1], X[:, 2]), cs),
+            np.maximum(np.maximum(X[:, 0], X[:, 2]), cs),
+            np.maximum(np.maximum(X[:, 0], X[:, 1]), cs),
+        ],
+        axis=1,
+    )
+    branch = np.argmax(X, axis=1)
+    rows = np.arange(X.shape[0])
+    out = mu[rows, branch][:, None].repeat(3, axis=1)
+    out[rows, branch] = X[rows, branch]
+    return out
+
+
+def variation_masks_reference(rho, gap_tol):
+    """``(masks, valid)`` of the k smallest log-ratios of each row, as
+    ``coneglow.variation_masks`` returns them."""
+    order = np.argsort(rho, axis=1, kind="stable")
+    srt = np.take_along_axis(rho, order, axis=1)
+    gaps = np.diff(srt, axis=1)
+    spread = srt[:, -1] - srt[:, 0]
+    threshold = gap_tol * np.maximum(1.0, spread)
+    valid = gaps > threshold[:, None]
+    bits = np.int64(1) << order.astype(np.int64)
+    masks = np.cumsum(bits, axis=1)[:, :-1]
+    return masks, valid
 
 
 def schoen_composition() -> MapSpec:

@@ -24,7 +24,7 @@ from coneglow import (
 )
 from oracles import (
     SPECS, is_order_preserving_homogeneous_probe, linear_oracle, normalized_map,
-    power_iteration_reference, schoen_composition, schoen_reference,
+    power_iteration_reference, schoen_composition, schoen_reference, triangle_reference,
 )
 
 
@@ -139,6 +139,18 @@ class TestEval:
         for C in factors:
             X = np.exp(rng.uniform(-690.0, 690.0, (m, 4)))
             assert np.array_equal(SchoenMap(C)._eval_batch(X), schoen_reference(C, X))
+
+    @pytest.mark.parametrize("c", [0.0, 1 / 6, 1 / 3, 0.1])
+    @pytest.mark.parametrize("m", [1, 32, 4096])
+    def test_triangle_matches_argmax_reference(self, c, m):
+        # bit for bit at ties for the maximum, and with c * sum x rounded as
+        # np.sum rounds it
+        rng = np.random.default_rng(46)
+        wide = np.exp(rng.uniform(-690.0, 690.0, (m, 3)))
+        close = 1.0 + rng.uniform(0.0, 1e-3, (m, 3))  # c * sum x decides mu
+        ties = rng.integers(1, 4, (m, 3)).astype(float)  # two- and three-way
+        for X in (wide, close, ties, ties * np.exp(rng.uniform(-690.0, 690.0, (m, 1)))):
+            assert np.array_equal(TriangleMap(c)._eval_batch(X), triangle_reference(c, X))
 
     def test_mean_sum_survives_huge_entry_ranges(self):
         import math as _math

@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from coneglow import (
+    ComposeMap,
     DomainError,
+    MatrixMap,
     NormId,
+    TriangleMap,
     interior_hull_certificate,
     norm,
     sup_masks,
     variation_masks,
 )
 from coneglow.illumination import separates
-from oracles import extreme_points, hull_lp_certificate, illuminates_point
+from oracles import (
+    extreme_points, hull_lp_certificate, illuminates_point, schoen_composition,
+    variation_masks_reference,
+)
+from test_conemaps import mixed_meansum
 
 GAP_TOL = 1e-9
 
@@ -174,9 +181,36 @@ def _layouts(R):
             "strided": wide[::2, 1::3]}
 
 
+def _ratio_rows(rng, m, n):
+    # log-ratios spread over fourteen decades, half the rows replaced by
+    # small integers full of ties, and a tenth of the entries by +-0.0
+    R = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-12, 3, (m, 1))
+    ties = rng.random(m) < 0.5
+    R[ties] = rng.integers(-2, 3, (int(ties.sum()), n))
+    zeros = rng.random((m, n)) < 0.1
+    R[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+    return R
+
+
+class TestVariationMasksReference:
+    """The rank-major mask code against the row-major one it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 24])
+    @pytest.mark.parametrize("m", [1, 2, 33, 4096])
+    def test_bit_identical(self, m, n):
+        R = _ratio_rows(np.random.default_rng(500 + n), m, n)
+        for name, A in _layouts(R).items():
+            for gap_tol in (0.0, GAP_TOL):
+                got = variation_masks(A, gap_tol)
+                want = variation_masks_reference(A, gap_tol)
+                for g, w in zip(got, want):
+                    assert (g.shape, g.dtype) == (w.shape, w.dtype), name
+                    assert np.array_equal(g, w), (name, gap_tol)
+
+
 class TestLayout:
-    """Row reductions may copy to column-major; results must not depend on
-    the input's memory layout."""
+    """Work along rows may run on column- or rank-major arrays; results
+    must not depend on the input's memory layout."""
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_mask_codes(self, n):
@@ -208,6 +242,23 @@ class TestLayout:
         assert want.any() and not want.all()
         for name, A in layouts.items():
             assert np.array_equal(separates(A, phi), want), name
+
+    @pytest.mark.parametrize("make", [
+        lambda: MatrixMap(np.random.default_rng(13).uniform(0.05, 2.0, (4, 4))),
+        mixed_meansum,
+        schoen_composition,
+        lambda: TriangleMap(1 / 6),
+        lambda: ComposeMap((TriangleMap(0.1), MatrixMap(np.ones((3, 3)) + np.eye(3)))),
+    ], ids=["matrix", "meansum", "schoen", "triangle", "compose"])
+    def test_eval_batch(self, make):
+        spec = make()
+        rng = np.random.default_rng(450 + spec.dim)
+        X = np.exp(rng.uniform(-40.0, 40.0, (300, spec.dim)))
+        X[::7, 1] = X[::7, 0]  # ties for the triangle's maximal coordinate
+        layouts = _layouts(X)
+        want = spec._eval_batch(layouts["C"])
+        for name, A in layouts.items():
+            assert np.array_equal(spec._eval_batch(A), want), name
 
 
 def _assert_separates(vectors):
