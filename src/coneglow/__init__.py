@@ -33,7 +33,6 @@ from .conemaps import (
     power_iteration,
 )
 from .detector import (
-    AdversarialMapSpec,
     DetectionConfig,
     DetectionReport,
     DetectionStatus,
@@ -62,8 +61,7 @@ __all__ = [
     "eval_map", "power_iteration", "map_spec_from_dict",
     "DetectionConfig", "DetectionReport", "DetectionStatus",
     "detect_eigenvector", "detect_fixed_point_sup",
-    "detect_fixed_point_smooth", "AdversarialMapSpec",
-    "build_adversarial_euclid",
+    "detect_fixed_point_smooth", "build_adversarial_euclid",
     "BoundingBall", "HalfspacePolytope", "circumcenter",
     "localize_fixed_points", "localize_eigenvectors", "halfspace_polytope",
 ]

@@ -26,6 +26,8 @@ from .spaces import require_cone, to_slice
 
 SIGMA_TOL = 1e-12
 JSON_SIGMA_TOL = 1e-9
+# power_iteration stops once a Hilbert-metric step falls below this.
+POWER_TOL = 1e-12
 # Below this |r| a power mean equals the geometric mean far within
 # rounding, while r * log(x) would sink into subnormal numbers.
 _GEOMETRIC_R = 1e-200
@@ -379,9 +381,8 @@ class EigenResult:
     cw_range: tuple[float, float]
 
 
-def power_iteration(spec: MapSpec, x0, tol: float = 1e-12,
-                    max_iter: int = 10 ** 5) -> EigenResult:
-    """Iterate the normalized map until the Hilbert-metric step is < tol.
+def power_iteration(spec: MapSpec, x0, max_iter: int = 10 ** 5) -> EigenResult:
+    """Iterate the normalized map until a Hilbert-metric step is < ``POWER_TOL``.
 
     Each step takes one log, since this step's log(next) is the next
     step's log(x), and one finiteness test of the log ratios: a finite
@@ -393,8 +394,6 @@ def power_iteration(spec: MapSpec, x0, tol: float = 1e-12,
     not raised: an unbounded or empty eigenspace makes the iteration
     wander forever.
     """
-    if not tol > 0.0:
-        raise DomainError("tolerance must be positive")
     x = to_slice(x0)
     if x.size != spec.dim:
         raise DomainError("start point dimension mismatch")
@@ -417,7 +416,7 @@ def power_iteration(spec: MapSpec, x0, tol: float = 1e-12,
             step = float(ratios.max() - ratios.min())
             x, lx = nxt, lnxt
             iterations += 1
-            if step < tol:
+            if step < POWER_TOL:
                 break
     x = x[0]
     fx = eval_map(spec, x)
@@ -426,7 +425,7 @@ def power_iteration(spec: MapSpec, x0, tol: float = 1e-12,
         vector=x,
         eigenvalue=float(fx[-1]),
         iterations=iterations,
-        converged=step < tol,
+        converged=step < POWER_TOL,
         cw_range=(float(np.min(ratios)), float(np.max(ratios))),
     )
 

@@ -26,18 +26,18 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError
 from .conemaps import MapSpec, eval_map
-from .illumination import interior_hull_certificate, separates, sup_masks, variation_masks
-from .spaces import as_vector
+from .illumination import (
+    ENUMERATION_DIM_CAP, interior_hull_certificate, separates, sup_masks, variation_masks,
+)
+from .spaces import as_points
 
-# Detection enumerates 2**n masks; refuse beyond this.
-ENUMERATION_DIM_CAP = 24
 _SEED_MOD = 2 ** 64
 # Box radii beyond this overflow exp() during cone sampling.
 _MAX_LOG_BOX = 700.0
@@ -88,12 +88,7 @@ class DetectionConfig:
             raise DomainError("gap tolerance must be in [0, 1)")
 
     def to_json_dict(self) -> dict:
-        return {
-            "box_radius": self.box_radius,
-            "max_samples": self.max_samples,
-            "seed": self.seed,
-            "gap_tol": self.gap_tol,
-        }
+        return asdict(self)
 
 
 class DetectionStatus(Enum):
@@ -419,13 +414,11 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
 
 
 @dataclass(frozen=True, eq=False)
-class AdversarialMapSpec:
-    """A Euclidean-nonexpansive map with empty fixed-point set.
+class _AdversarialMap:
+    """``f(x) = (<phi, x> - c) z``: Euclidean-nonexpansive, with no fixed point.
 
-    ``f(x) = <phi, x> z - c z`` sends every base point to 0, so the
-    supplied directions appear as residuals there, yet iterates from the
-    origin march off along ``-z`` forever.  Useful as a negative-control
-    fixture: no sound detector may ever confirm it.
+    f sends each base point to 0, so the directions appear as residuals there,
+    yet iterates from 0 run off along ``-z``: no sound detector may confirm it.
     """
 
     phi: np.ndarray
@@ -433,53 +426,35 @@ class AdversarialMapSpec:
     c: float
     base_points: np.ndarray
 
-    def __post_init__(self):
-        phi = as_vector(self.phi)
-        z = as_vector(self.z)
-        W = np.atleast_2d(np.asarray(self.base_points, dtype=float))
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "base_points", W)
-        if np.max(np.abs(W @ phi - self.c)) > 1e-9 * max(1.0, abs(self.c)):
-            raise DomainError("base points must satisfy <phi, w> = c")
-        if abs(float(phi @ z) - 1.0) > 1e-9:
-            raise DomainError("normalization <phi, z> = 1 violated")
-        tightness = float(np.linalg.norm(phi) * np.linalg.norm(z))
-        if abs(tightness - 1.0) > 1e-9:
-            raise DomainError("Euclidean tightness |phi||z| = 1 violated")
-
-    def __call__(self, x):
-        X = np.asarray(x, dtype=float)
-        if X.ndim == 1:
-            return (float(X @ self.phi) - self.c) * self.z
-        return (X @ self.phi - self.c)[:, None] * self.z[None, :]
+    def __call__(self, x):  # a point, or each row of an (m, n) batch
+        return np.multiply.outer(np.asarray(x, dtype=float) @ self.phi - self.c, self.z)
 
 
-def build_adversarial_euclid(directions, c: float) -> AdversarialMapSpec:
-    """Build the no-fixed-point map realizing the given residual directions.
+def build_adversarial_euclid(directions, c: float) -> _AdversarialMap:
+    """The negative-control map whose residuals at its base points are ``directions``.
 
-    Takes m < n+1 directions ``v_i`` and a level ``c > 0``; the base
-    points are ``w_i = -v_i`` and ``phi`` is the minimum-norm solution of
-    ``<phi, w_i> = c``, rescaled into ``z = phi / |phi|^2`` so the map is
-    exactly Euclidean-nonexpansive with ``f(w_i) = 0``.
+    Takes m < n+1 directions ``v_i`` (one 1-d direction, or an ``(m, n)`` array)
+    and a level ``c > 0``.  The base points are ``w_i = -v_i``, ``phi`` is the
+    least-norm solution of ``<phi, w_i> = c``, and ``z = phi / |phi|^2``.
     """
-    V = np.atleast_2d(np.asarray(directions, dtype=float))
-    if V.ndim != 2 or V.shape[0] == 0:
-        raise DomainError("at least one direction is required")
+    try:  # a single 1-d direction is one row
+        V = np.atleast_2d(directions)
+    except ValueError as exc:  # ragged rows
+        raise DomainError(f"directions must share one length ({exc})") from exc
+    V = as_points(V)
     m, n = V.shape
     if m >= n + 1:
         raise DomainError("the construction needs m < n+1 directions")
     if not (c > 0.0 and math.isfinite(c)):
         raise DomainError("the level c must be positive and finite")
     W = -V
-    phi, *_ = np.linalg.lstsq(W, np.full(m, c), rcond=None)
-    if np.max(np.abs(W @ phi - c)) > 1e-9 * max(1.0, c):
-        raise DomainError(
-            "base points admit no functional at level c; perturb them"
-        )
-    norm_sq = float(phi @ phi)
-    if norm_sq <= 0.0:
-        raise DomainError("degenerate functional; perturb the directions")
-    z = phi / norm_sq
-    return AdversarialMapSpec(phi=phi, z=z, c=c, base_points=W)
+    with np.errstate(all="ignore"):
+        phi, *_ = np.linalg.lstsq(W, np.full(m, c), rcond=None)
+        gap = np.max(np.abs(W @ phi - c))
+        norm_sq = float(phi @ phi)
+    if not gap <= 1e-9 * max(1.0, c):
+        raise DomainError("base points admit no functional at level c; perturb them")
+    # below the normal range |phi|^2 loses the bits z = phi / |phi|^2 needs
+    if not sys.float_info.min <= norm_sq < math.inf:
+        raise DomainError("the functional's norm leaves the float range; rescale the directions")
+    return _AdversarialMap(phi=phi, z=phi / norm_sq, c=float(c), base_points=W)

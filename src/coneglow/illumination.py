@@ -13,6 +13,8 @@ points it illuminates:
 * ``sup_masks``: the sign vector with +1 exactly on J is illuminated by
   ``r`` iff ``r < 0`` on J and ``r > 0`` off it.
 
+Both return masks as int64 bit sets and refuse n above ``ENUMERATION_DIM_CAP``.
+
 Strict inequalities carry slack ``gap_tol * max(1, scale)``, so a
 near-degenerate instance reports "not covered" rather than certifying
 falsely.  For the Euclidean ball, ``interior_hull_certificate`` decides
@@ -36,10 +38,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import nnls
 
+from .errors import DomainError
 from .spaces import as_points
 
 LP_TOL = 1e-9
+# Detection enumerates 2**n masks; refuse beyond this.
+ENUMERATION_DIM_CAP = 24
 RANK_TOL = 1e-10
+
+
+def _check_cap(n: int) -> None:
+    if n > ENUMERATION_DIM_CAP:
+        raise DomainError(f"mask codes are capped at n <= {ENUMERATION_DIM_CAP}")
 
 
 def variation_masks(rho: np.ndarray, gap_tol: float):
@@ -60,6 +70,7 @@ def variation_masks(rho: np.ndarray, gap_tol: float):
     """
     rho = np.ascontiguousarray(rho)
     m, n = rho.shape
+    _check_cap(n)
     order = np.ascontiguousarray(np.argsort(rho, axis=1, kind="stable").T)
     srt = np.take(rho, order + np.arange(0, m * n, n))
     gaps = srt[1:] - srt[:-1]
@@ -76,6 +87,7 @@ def sup_masks(residuals: np.ndarray, gap_tol: float):
     coordinate j is negative, valid where every |r_j| > gap_tol * max(1, |r|_inf).
     """
     cols = np.asfortranarray(residuals)
+    _check_cap(cols.shape[1])
     mag = np.abs(cols)
     slack = gap_tol * np.maximum(1.0, np.max(mag, axis=1))
     strict = np.min(mag, axis=1) > slack

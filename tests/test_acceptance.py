@@ -76,7 +76,7 @@ class TestCriterion1:
     def test_power_iteration_converges_fast(self):
         spec = schoen_composition()
         start = time.perf_counter()
-        res = power_iteration(spec, np.ones(4), tol=1e-12)
+        res = power_iteration(spec, np.ones(4))
         elapsed = time.perf_counter() - start
         fx = eval_map(spec, res.vector)
         residual = float(np.max(np.abs(fx - res.eigenvalue * res.vector)))
@@ -91,7 +91,7 @@ class TestCriterion1:
                "(0.48030331, 0.19802327, 1.35438420, 1)",
     )
     def test_reference_eigenvector_value(self):
-        res = power_iteration(schoen_composition(), np.ones(4), tol=1e-12)
+        res = power_iteration(schoen_composition(), np.ones(4))
         err = float(np.max(np.abs(res.vector - REFERENCE_EIGENVECTOR)))
         ok = err <= 1e-6
         _line(1, "composition eigenvector equals the reference value at 1e-6",
@@ -155,7 +155,7 @@ class TestCriterion3:
 class TestCriterion4:
     def test_eigenvector_containment(self, schoen_trials, triangle_runs):
         spec = schoen_composition()
-        eig = power_iteration(spec, np.ones(4), tol=1e-12).vector
+        eig = power_iteration(spec, np.ones(4)).vector
         checked = 0
         ok = True
         for report in schoen_trials[0]:

@@ -763,3 +763,65 @@ class TestAdversarial:
         # with w1 = -w2 the system <phi, w> = c > 0 has no solution
         with pytest.raises(DomainError):
             build_adversarial_euclid([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], c=1.0)
+
+    def test_identities(self):
+        # what the builder establishes, and the map now trusts:
+        # <phi, w_i> = c, <phi, z> = 1 and |phi||z| = 1
+        rng = np.random.default_rng(25)
+        for n in range(1, 7):
+            for m in range(1, n + 1):
+                for _ in range(10):
+                    V = rng.normal(size=(m, n)) * 10.0 ** rng.uniform(-3, 3)
+                    c = float(rng.uniform(0.1, 5.0))
+                    _assert_fixture(build_adversarial_euclid(V, c), c)
+
+    def test_pinned_instance(self):
+        # phi, z and f as recorded before the map became a private record
+        adv = build_adversarial_euclid([[1.0, 2.0, -0.5], [0.25, -1.0, 3.0]], c=0.75)
+        np.testing.assert_allclose(
+            adv.phi, [-0.2739371534195934, -0.321626617375231, -0.33438077634011093],
+            rtol=1e-12)
+        np.testing.assert_allclose(
+            adv.z, [-0.9436485195797518, -1.1079274116523399, -1.151862464183381],
+            rtol=1e-12)
+        assert adv.c == 0.75
+        assert np.array_equal(adv.base_points, [[-1.0, -2.0, 0.5], [-0.25, 1.0, -3.0]])
+        P = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, -1.0]])
+        fP = [[0.5170007785645814, 0.6070049626871601, 0.6310758491385475],
+              [1.167699632962412, 1.3709833747331959, 1.4253499568346848]]
+        assert adv(P).shape == (2, 3)
+        np.testing.assert_allclose(adv(P), fP, rtol=1e-12)
+        assert adv(P[1]).shape == (3,)
+        np.testing.assert_allclose(adv(P[1]), fP[1], rtol=1e-12)
+
+    def test_single_direction(self):
+        one = build_adversarial_euclid([3.0, 4.0], c=1.0)
+        assert one.base_points.shape == (1, 2)
+        assert np.array_equal(one.phi, build_adversarial_euclid([[3.0, 4.0]], c=1.0).phi)
+        _assert_fixture(one, 1.0)
+
+    @pytest.mark.parametrize("directions", [
+        [[np.inf, 0.0]], [[np.nan, 1.0]], [[1.0, 2.0], [3.0]], [["a", "b"]], [], [[]],
+        *(np.random.default_rng(26).normal(size=(2, 3)) * scale
+          for scale in (1e300, 1e160, 1e150, 1e-150, 1e-160, 1e-300)),
+    ], ids=["inf", "nan", "ragged", "non-numeric", "empty", "empty-row",
+            "1e300", "1e160", "1e150", "1e-150", "1e-160", "1e-300"])
+    def test_bad_directions(self, directions, capfd):
+        # one DomainError or a valid map, and nothing on stderr: no LAPACK
+        # complaint about non-finite input, no NumPy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                adv = build_adversarial_euclid(directions, c=1.0)
+            except DomainError:
+                pass
+            else:
+                _assert_fixture(adv, 1.0)
+        assert capfd.readouterr().err == ""
+
+
+def _assert_fixture(adv, c):
+    gap = np.max(np.abs(adv.base_points @ adv.phi - c))
+    assert gap <= 1e-9 * max(1.0, c)
+    assert abs(adv.phi @ adv.z - 1.0) <= 1e-9
+    assert abs(np.linalg.norm(adv.phi) * np.linalg.norm(adv.z) - 1.0) <= 1e-9

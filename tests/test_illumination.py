@@ -192,6 +192,24 @@ def _ratio_rows(rng, m, n):
     return R
 
 
+class TestMaskCap:
+    """Mask codes are int64 bit sets; beyond n = 24 they are refused."""
+
+    @pytest.mark.parametrize("masks_of", [sup_masks, variation_masks])
+    @pytest.mark.parametrize("n", [25, 64, 65, 70])
+    def test_beyond_the_cap_is_refused(self, masks_of, n):
+        R = np.ones((3, n))
+        R[:, -1] = -1.0  # only the last coordinate negative, and smallest
+        with pytest.raises(DomainError, match="^mask codes are capped at n <= 24$"):
+            masks_of(R, GAP_TOL)
+
+    def test_at_the_cap(self):
+        R = np.ones((3, 24))
+        R[:, -1] = -1.0
+        assert sup_masks(R, GAP_TOL)[0].tolist() == [[1 << 23]] * 3
+        assert variation_masks(R, GAP_TOL)[0][:, 0].tolist() == [1 << 23] * 3
+
+
 class TestVariationMasksReference:
     """The rank-major mask code against the row-major one it replaced."""
 
