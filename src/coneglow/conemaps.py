@@ -3,8 +3,9 @@
 Map descriptions are immutable trees built from weighted power means,
 Schoen's four-species interaction map, the three-branch triangle map, a
 nonnegative matrix, and closure operations (compose, sum, positive
-scale).  Every node evaluates on batches: ``_eval_batch`` maps an
-``(m, n)`` array of cone points to an ``(m, n)`` array.
+scale).  Every node's kernel ``_eval_batch`` takes a cone point ``(n,)``
+or an ``(m, n)`` batch of them and returns an array of the same shape.
+A point needs no ``(1, n)`` wrap and gives the bits of the one-row batch.
 
 The weighted mean with exponent ``r`` is ``(sum_i sigma_i x_i**r)**(1/r)``
 for finite nonzero r, the weighted geometric mean at r = 0, and the
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .spaces import require_cone, to_slice
+from .spaces import as_real, require_cone, to_slice
 
 SIGMA_TOL = 1e-12
 JSON_SIGMA_TOL = 1e-9
@@ -31,16 +32,6 @@ POWER_TOL = 1e-12
 # Below this |r| a power mean equals the geometric mean far within
 # rounding, while r * log(x) would sink into subnormal numbers.
 _GEOMETRIC_R = 1e-200
-
-
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] == 0:
-        raise DomainError("expected a vector or a batch of vectors")
-    return require_cone(arr), single
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,6 +66,7 @@ class MapSpec:
     dim: int
 
     def _eval_batch(self, X: np.ndarray) -> np.ndarray:
+        """Map a cone point ``(n,)`` or an ``(m, n)`` batch, keeping the shape."""
         raise NotImplementedError
 
 
@@ -164,23 +156,23 @@ class MeanSumMap(MapSpec):
         return len(self.terms)
 
     def _eval_batch(self, X):
-        # keep the copies X[:, g.cols]: column-major, they vectorize max/min
+        # keep the copies X[..., g.cols]: column-major, they vectorize max/min
         L = np.log(X)
-        V = np.empty((X.shape[0], self._placement.shape[0]))
+        V = np.empty(X.shape[:-1] + self._placement.shape[:1])
         for g in self._groups:
-            out = V[:, g.start:g.stop]
+            out = V[..., g.start:g.stop]
             if g.r == math.inf:
-                out[:] = X[:, g.cols].max(axis=1, keepdims=True)
+                out[...] = X[..., g.cols].max(axis=-1, keepdims=True)
             elif g.r == -math.inf:
-                out[:] = X[:, g.cols].min(axis=1, keepdims=True)
+                out[...] = X[..., g.cols].min(axis=-1, keepdims=True)
             elif g.r == 0.0:
-                np.exp(L[:, g.cols] @ g.weights, out=out)
+                np.exp(L[..., g.cols] @ g.weights, out=out)
             else:
                 # shift by the support's extreme log: every exponent is
                 # <= 0 and the extreme column adds its whole weight, so
                 # s = sum w exp(z) is accurate relative to itself
-                z = L[:, g.cols]
-                ext = (z.max if g.r > 0.0 else z.min)(axis=1, keepdims=True)
+                z = L[..., g.cols]
+                ext = (z.max if g.r > 0.0 else z.min)(axis=-1, keepdims=True)
                 z -= ext
                 z *= g.r
                 log_s = np.log(np.exp(z) @ g.weights)
@@ -196,9 +188,10 @@ class MeanSumMap(MapSpec):
 
 
 # the pairs (s, t) of the couplings theta(x1, x2), theta(x3, x4),
-# theta(x1, x4) and theta(x2, x3)
+# theta(x1, x4) and theta(x2, x3), and the pair coupling of each coordinate
 _S = np.array([0, 2, 0, 1])
 _T = np.array([1, 3, 3, 2])
+_PAIR = np.array([0, 0, 1, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,8 +205,11 @@ class SchoenMap(MapSpec):
         f_i(x) = a_i x_i + b_i theta(pair_i) + c_i theta(x1, x4)
                  + d_i theta(x2, x3)
 
-    A batch gets all four couplings in one gathered reciprocal pass,
-    theta(s, t) = (1/s + 1/t)**-1, a form that survives entries near e**700.
+    The kernel works coordinate-major, one row per coordinate, so every
+    pass runs along the batch (a point is its own single row).  All four
+    couplings come from one reciprocal pass over the coordinates,
+    theta(s, t) = (1/s + 1/t)**-1, a form that survives entries near
+    e**700, and the four terms are added in the order written above.
     """
 
     coefficients: np.ndarray
@@ -229,16 +225,25 @@ class SchoenMap(MapSpec):
         if np.any(np.all(C[:, 1:] == 0.0, axis=1)):
             raise DomainError("each row needs a positive coupling coefficient")
         object.__setattr__(self, "coefficients", C)
+        # term j's coefficients, one per coordinate: a row for a point, a
+        # column for a batch, whose coordinates are rows
+        terms = np.ascontiguousarray(C.T)
+        object.__setattr__(self, "_terms", (tuple(terms), tuple(terms[:, :, None])))
 
     @property
     def dim(self) -> int:
         return 4
 
     def _eval_batch(self, X):
-        th = 1.0 / (1.0 / X[:, _S] + 1.0 / X[:, _T])
-        C = self.coefficients
-        return (X * C[:, 0] + th[:, (0, 0, 1, 1)] * C[:, 1]
-                + th[:, 2:3] * C[:, 2] + th[:, 3:4] * C[:, 3])
+        XT = np.asfortranarray(X).T
+        a, b, c, d = self._terms[XT.ndim - 1]
+        R = 1.0 / XT
+        th = 1.0 / (R[_S] + R[_T])
+        out = XT * a
+        out += th[_PAIR] * b
+        out += th[2] * c
+        out += th[3] * d
+        return out.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,9 +256,10 @@ class TriangleMap(MapSpec):
     at the barycenter, collapsing to the barycenter at c = 1/3 and
     becoming unbounded at c = 0.
 
-    A batch is evaluated column-major: branch i keeps x_i and sets the
-    other two coordinates to mu = max(second largest x_j, c * sum x),
-    and comparisons of whole columns pick the first maximal index.
+    The kernel works coordinate by coordinate: branch i keeps x_i and sets
+    the other two coordinates to mu = max(second largest x_j, c * sum x),
+    and comparisons of whole columns (of scalars, for a point) pick the
+    first maximal index.
     """
 
     c: float
@@ -275,7 +281,7 @@ class TriangleMap(MapSpec):
         # sum in the order np.sum(X, axis=1) adds a row
         mu = np.maximum(np.maximum(np.minimum(x0, x1), np.minimum(np.maximum(x0, x1), x2)),
                         self.c * (x0 + x1 + x2))
-        out = np.empty((3, len(x0)))
+        out = np.empty((3,) + np.shape(x0))
         out[0] = np.where(first, x0, mu)
         out[1] = np.where(second, x1, mu)
         out[2] = np.where(first | second, mu, x2)
@@ -355,14 +361,17 @@ _OVERFLOW = ("map evaluation overflowed the floating range; reduce the "
 
 def eval_map(spec: MapSpec, x) -> np.ndarray:
     """Evaluate ``spec`` at a cone point or an ``(m, n)`` batch of them."""
-    X, single = _as_batch(x)
-    if X.shape[1] != spec.dim:
-        raise DomainError(f"map expects dimension {spec.dim}, got {X.shape[1]}")
+    X = as_real(x)
+    if X.ndim not in (1, 2) or X.shape[-1] == 0:
+        raise DomainError("expected a vector or a batch of vectors")
+    require_cone(X)
+    if X.shape[-1] != spec.dim:
+        raise DomainError(f"map expects dimension {spec.dim}, got {X.shape[-1]}")
     with np.errstate(over="ignore", invalid="ignore"):
         Y = spec._eval_batch(X)
     if not np.all(np.isfinite(Y)):
         raise OverflowError(_OVERFLOW)
-    return Y[0] if single else Y
+    return Y
 
 
 @dataclass(frozen=True)
@@ -384,11 +393,13 @@ class EigenResult:
 def power_iteration(spec: MapSpec, x0, max_iter: int = 10 ** 5) -> EigenResult:
     """Iterate the normalized map until a Hilbert-metric step is < ``POWER_TOL``.
 
-    Each step takes one log, since this step's log(next) is the next
-    step's log(x), and one finiteness test of the log ratios: a finite
-    ratio means the image is finite and the next iterate a finite cone
-    point.  Only when that test fails do the exact checks run, in order,
-    to raise the error that names the fault.
+    The iterate is a point, which the kernels take as it is.  Each step
+    takes one log, since this step's log(next) is the next step's log(x),
+    and one finiteness test of the step: any non-finite log ratio makes
+    max - min non-finite, and finite ratios mean the image is finite and
+    the next iterate a finite cone point.  Only when that test fails do
+    the exact checks run, in order, to raise the error that names the
+    fault.
 
     Exhausting the budget is reported honestly via ``converged=False``,
     not raised: an unbounded or empty eigenspace makes the iteration
@@ -397,28 +408,27 @@ def power_iteration(spec: MapSpec, x0, max_iter: int = 10 ** 5) -> EigenResult:
     x = to_slice(x0)
     if x.size != spec.dim:
         raise DomainError("start point dimension mismatch")
-    x = x[None, :]
     step = math.inf
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lx = np.log(x)
         while iterations < max_iter:
             fx = spec._eval_batch(x)
-            nxt = fx / fx[:, -1:]
+            nxt = fx / fx[-1]
             lnxt = np.log(nxt)
             ratios = lnxt - lx
-            if not np.isfinite(ratios).all():
+            ratios.sort()  # max - min; a NaN sorts last
+            step = float(ratios[-1] - ratios[0])
+            if not math.isfinite(step):
                 if not np.all(np.isfinite(fx)):
                     raise OverflowError(_OVERFLOW)
                 if not np.all(np.isfinite(nxt)):
                     raise DomainError("vector entries must be finite")
                 require_cone(nxt)
-            step = float(ratios.max() - ratios.min())
             x, lx = nxt, lnxt
             iterations += 1
             if step < POWER_TOL:
                 break
-    x = x[0]
     fx = eval_map(spec, x)
     ratios = fx / x
     return EigenResult(

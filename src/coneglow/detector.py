@@ -36,7 +36,7 @@ from .conemaps import MapSpec, eval_map
 from .illumination import (
     ENUMERATION_DIM_CAP, interior_hull_certificate, separates, sup_masks, variation_masks,
 )
-from .spaces import as_points
+from .spaces import as_points, as_real
 
 _SEED_MOD = 2 ** 64
 # Box radii beyond this overflow exp() during cone sampling.
@@ -60,6 +60,12 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_positive(value) -> bool:
+    """``value > 0`` and not inf or NaN; an int past the float range, which
+    overflows ``math.isfinite``, is compared as an int."""
+    return (isinstance(value, int) or math.isfinite(value)) and value > 0.0
+
+
 @dataclass(frozen=True)
 class DetectionConfig:
     box_radius: float = 100.0
@@ -70,8 +76,8 @@ class DetectionConfig:
     def __post_init__(self):
         if isinstance(self.box_radius, bool) or isinstance(self.gap_tol, bool):
             raise DomainError("box radius and gap tolerance must be numbers, not bools")
-        radius = self.box_radius  # an int past the float range overflows float()
-        if not ((isinstance(radius, int) or math.isfinite(radius)) and radius > 0.0):
+        radius = self.box_radius
+        if not _is_positive(radius):
             raise DomainError("box radius must be positive and finite")
         if radius > sys.float_info.max / 2:  # uniform() needs 2R
             shown = (repr(float(radius)) if radius <= sys.float_info.max
@@ -437,16 +443,13 @@ def build_adversarial_euclid(directions, c: float) -> _AdversarialMap:
     and a level ``c > 0``.  The base points are ``w_i = -v_i``, ``phi`` is the
     least-norm solution of ``<phi, w_i> = c``, and ``z = phi / |phi|^2``.
     """
-    try:  # a single 1-d direction is one row
-        V = np.atleast_2d(directions)
-    except ValueError as exc:  # ragged rows
-        raise DomainError(f"directions must share one length ({exc})") from exc
-    V = as_points(V)
+    V = as_points(np.atleast_2d(as_real(directions)))  # one 1-d direction is one row
     m, n = V.shape
     if m >= n + 1:
         raise DomainError("the construction needs m < n+1 directions")
-    if not (c > 0.0 and math.isfinite(c)):
+    if not (_is_positive(c) and c <= sys.float_info.max):
         raise DomainError("the level c must be positive and finite")
+    c = float(c)
     W = -V
     with np.errstate(all="ignore"):
         phi, *_ = np.linalg.lstsq(W, np.full(m, c), rcond=None)
@@ -457,4 +460,4 @@ def build_adversarial_euclid(directions, c: float) -> _AdversarialMap:
     # below the normal range |phi|^2 loses the bits z = phi / |phi|^2 needs
     if not sys.float_info.min <= norm_sq < math.inf:
         raise DomainError("the functional's norm leaves the float range; rescale the directions")
-    return _AdversarialMap(phi=phi, z=phi / norm_sq, c=float(c), base_points=W)
+    return _AdversarialMap(phi=phi, z=phi / norm_sq, c=c, base_points=W)

@@ -8,8 +8,9 @@ an exactly-zero last coordinate rather than in the quotient R^n / R·e.
 The coordinatewise log is an isometry from the normalized cone slice
 ``Sigma0 = {x > 0 : x_n = 1}`` with Hilbert's metric onto (V0, var);
 ``log_coords`` / ``exp_coords`` realize the two directions.
-Input checks live here: ``as_vector`` for one point, ``as_points`` for
-an ``(m, n)`` array of them, ``require_cone`` for open-cone entries.
+Input checks live here: ``as_real`` for any real array, ``as_vector``
+for one point, ``as_points`` for an ``(m, n)`` array of them,
+``require_cone`` for open-cone entries.
 """
 
 from __future__ import annotations
@@ -27,9 +28,21 @@ class NormId(enum.Enum):
     VARIATION = "variation"
 
 
+def as_real(v) -> np.ndarray:
+    """Coerce to a float array of any shape; ragged rows, complex entries
+    and non-numeric entries are refused."""
+    try:  # no dtype yet: a cast to float drops imaginary parts
+        arr = np.asarray(v)
+        if arr.dtype.kind == "c":
+            raise TypeError("complex entries")
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"vectors must be real and share one length ({exc})") from exc
+
+
 def as_vector(v) -> np.ndarray:
     """Coerce to a finite 1-d float array, rejecting NaN/inf entries."""
-    arr = np.asarray(v, dtype=float)
+    arr = as_real(v)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("expected a nonempty 1-d real vector")
     if not np.all(np.isfinite(arr)):
@@ -39,10 +52,7 @@ def as_vector(v) -> np.ndarray:
 
 def as_points(points) -> np.ndarray:
     """Coerce to a nonempty ``(m, n)`` float array of finite entries."""
-    try:
-        P = np.asarray(points, dtype=float)
-    except ValueError as exc:  # ragged rows or a non-numeric entry
-        raise DomainError(f"vectors must be real and share one length ({exc})") from exc
+    P = as_real(points)
     if P.ndim != 2 or P.size == 0 or not np.all(np.isfinite(P)):
         raise DomainError("expected a nonempty list of finite vectors of one length")
     return P

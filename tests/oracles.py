@@ -15,8 +15,9 @@ with it.
 * ``cover_reference`` records the first witness of each mask row by row,
   the loop ``coneglow.detector._cover`` replaces with array steps.
 * ``normalized_map`` is the self-map of the slice Sigma0, and
-  ``power_iteration_reference`` iterates it with every iterate checked,
-  the loop ``coneglow.conemaps.power_iteration`` runs on the batch kernel.
+  ``power_iteration_reference`` iterates it on one-row batches with every
+  iterate checked, the loop ``coneglow.conemaps.power_iteration`` runs on
+  the point kernel.
 * ``schoen_reference`` evaluates the Schoen map one harmonic pair at a
   time, the form ``coneglow.SchoenMap`` gathers into one pass.
 * ``triangle_reference`` evaluates the triangle map row by row through
@@ -47,7 +48,6 @@ from coneglow import (
     DomainError, EigenResult, MapSpec, NormId, eval_map,
     hilbert_metric, map_spec_from_dict, norm, to_slice,
 )
-from coneglow.conemaps import _as_batch
 from coneglow.detector import (
     _KINDS, ENUMERATION_DIM_CAP, DetectionReport, DetectionStatus,
 )
@@ -247,7 +247,9 @@ def cover_reference(kind: str, n: int, config, batches) -> DetectionReport:
 
 def normalized_map(spec: MapSpec, x) -> np.ndarray:
     """The self-map of Sigma0: evaluate and rescale to last entry 1."""
-    X, single = _as_batch(x)
+    X = np.asarray(x, dtype=float)
+    single = X.ndim == 1
+    X = np.atleast_2d(X)  # evaluated as a batch, the form power_iteration skips
     if np.any(X[:, -1] != 1.0):
         raise DomainError("normalized map expects points on Sigma0")
     Y = eval_map(spec, X)

@@ -154,6 +154,39 @@ def test_localize_schoen_composition_output(tmp_path, capsys):
         "5b5f25358ec92e934311fa4fb7c0f59e86ef6b5cf006ad81380c6115b72073d3")
 
 
+# the meansum spec of the CI smoke test: r = inf, 0, -inf and 2 on partial supports
+MEANSUM = json.dumps({"kind": "meansum", "coordinates": [
+    [{"r": "inf", "sigma": [0.5, 0.5, 0.0], "coeff": 1.0},
+     {"r": 0, "sigma": [0.2, 0.3, 0.5], "coeff": 0.5}],
+    [{"r": "-inf", "sigma": [0.0, 0.5, 0.5], "coeff": 1.0},
+     {"r": 2, "sigma": [0.5, 0.5, 0.0], "coeff": 1.0}],
+    [{"r": 0, "sigma": [0.5, 0.0, 0.5], "coeff": 2.0}]]})
+_N3_BALL = "d5d4a2b1bb023371a0776f225c15abc5238bbea79301f8407aa1129f9398b51f"
+
+
+@pytest.mark.parametrize("spec, stdout, ball_sha", [
+    (str(SPECS / "ones_matrix.json"), "eigenvector: [1.0, 1.0]\neigenvalue: 2.0\n",
+     "7b92363f978716ecf5a100fcb8b9184d3f929c435c2ec97750fdeea611f23937"),
+    (str(SPECS / "triangle_c13.json"),
+     "eigenvector: [1.0, 1.0, 1.0]\neigenvalue: 1.0\n", _N3_BALL),
+    (str(SPECS / "triangle_c16.json"),
+     "eigenvector: [1.0, 1.0, 1.0]\neigenvalue: 1.0\n", _N3_BALL),
+    (MEANSUM, "eigenvector: [0.8471646047337915, 1.0663838055919945, 1.0]\n"
+     "eigenvalue: 1.8408309044926332\n", _N3_BALL),
+], ids=["ones_matrix", "triangle_c13", "triangle_c16", "meansum"])
+def test_localize_eigenpair_output(tmp_path, capsys, spec, stdout, ball_sha):
+    # as test_localize_schoen_composition_output: the converged maps keep
+    # their printed digits and ball bytes (the three n = 3 reports at seed 7
+    # give one ball)
+    report, ball = tmp_path / "report.json", tmp_path / "ball.json"
+    assert main(["detect", "--spec", spec, "--seed", "7", "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert main(["localize", "--spec", spec, "--report", str(report),
+                 "--out", str(ball)]) == 0
+    assert capsys.readouterr().out == stdout
+    assert hashlib.sha256(ball.read_bytes()).hexdigest() == ball_sha
+
+
 def test_localize_undetermined_exit_one(triangle_c0_spec, tmp_path, capsys):
     report = tmp_path / "report.json"
     assert main(["detect", "--spec", triangle_c0_spec, "--max-samples", "500",

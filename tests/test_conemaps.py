@@ -166,6 +166,57 @@ class TestEval:
         assert np.all(out > 0)
 
 
+def _point_cases():
+    """``(spec, points)`` per map kind, with the edge cases of each kernel."""
+    rng = np.random.default_rng(47)
+    n = 5
+
+    def term(r):  # a random support, often partial
+        sigma = np.zeros(n)
+        support = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        sigma[support] = rng.dirichlet(np.ones(support.size))
+        return MeanTerm(r, sigma / sigma.sum(), float(rng.uniform(0.5, 2.0)))
+
+    exponents = (0.0, 1.0, -1.0, 2.0, math.inf, -math.inf)
+    meansum = MeanSumMap(tuple(tuple(term(r) for r in exponents) for _ in range(n)))
+    matrix = MatrixMap(rng.uniform(0.0, 2.0, (n, n)) * (rng.random((n, n)) < 0.6) + np.eye(n))
+    wide = np.exp(rng.uniform(-5.0, 5.0, (40, n)))
+    schoen = schoen_composition()
+    C = rng.uniform(0.5, 13.0, (4, 4))
+    C[:, 1:] *= rng.random((4, 3)) < 0.6  # some couplings are zero
+    C[np.arange(4), 1 + rng.integers(3, size=4)] += 1.0
+    near_700 = np.exp(np.vstack([rng.uniform(-700.0, 700.0, (40, 4)),
+                                 np.array([[700.0, -700.0, 700.0, -700.0],
+                                           [-700.0, 700.0, 700.0, -700.0]])]))
+    ties = np.vstack([rng.integers(1, 4, (30, 3)).astype(float), np.ones((1, 3))])
+    return {
+        "matrix": [(matrix, wide)],
+        "meansum": [(meansum, wide), (meansum, np.exp(rng.uniform(-300.0, 300.0, (40, n))))],
+        "schoen": [(SchoenMap(C), near_700)]
+        + [(child, near_700) for child in schoen.children],
+        "triangle": [(TriangleMap(c), X) for c in (0.0, 1 / 6, 0.25, 1 / 3)
+                     for X in (ties, ties * np.exp(rng.uniform(-690.0, 690.0, (31, 1))))],
+        "compose": [(schoen, wide[:, :4]), (ComposeMap((meansum, matrix)), wide)],
+        "sum": [(SumMap((meansum, matrix)), wide)],
+        "scale": [(ScaleMap(2.5, schoen.children[0]), wide[:, :4])],
+    }
+
+
+class TestPointKernels:
+    """A kernel takes a point as it is and gives the one-row batch's bits."""
+
+    @pytest.mark.parametrize("kind", list(_point_cases()))
+    def test_point_matches_one_row_batch(self, kind):
+        for spec, X in _point_cases()[kind]:
+            for x in X:
+                point = spec._eval_batch(x)
+                assert point.shape == x.shape
+                assert np.array_equal(point, spec._eval_batch(x[None, :])[0])
+                got = eval_map(spec, x)
+                assert got.shape == x.shape
+                assert np.array_equal(got, eval_map(spec, x[None, :])[0])
+
+
 def _reference_mean_sum(rows, X):
     """Each ``(r, sigma, coeff)`` term on its own, as a shifted log-sum-exp."""
     out = np.zeros_like(X)
@@ -407,7 +458,7 @@ def _assert_same_as_reference(spec, x0, **kwargs):
 
 
 class TestPowerIterationMatchesReference:
-    """The batch-kernel loop gives the checked loop's results bit for bit."""
+    """The point-kernel loop gives the checked batch loop's results bit for bit."""
 
     @pytest.mark.parametrize("name", ["ones_matrix", "schoen_composition",
                                       "triangle_c0", "triangle_c13", "triangle_c16"])

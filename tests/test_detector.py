@@ -764,6 +764,15 @@ class TestAdversarial:
         with pytest.raises(DomainError):
             build_adversarial_euclid([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], c=1.0)
 
+    @pytest.mark.parametrize("c", [0, -1.0, np.inf, np.nan, 10 ** 400, -(10 ** 400)])
+    def test_bad_level(self, c):
+        # an int past the float range is refused, not an OverflowError
+        with pytest.raises(DomainError, match="the level c must be positive and finite"):
+            build_adversarial_euclid([[1.0, 0.0]], c)
+
+    def test_int_level_in_float_range(self):
+        assert build_adversarial_euclid([[1.0, 0.0]], 10 ** 30).c == 1e30
+
     def test_identities(self):
         # what the builder establishes, and the map now trusts:
         # <phi, w_i> = c, <phi, z> = 1 and |phi||z| = 1

@@ -6,13 +6,16 @@ import pytest
 
 from coneglow import (
     DomainError,
+    MatrixMap,
     NormId,
+    eval_map,
     exp_coords,
     hilbert_metric,
     log_coords,
     norm,
     circumcenter,
     interior_hull_certificate,
+    power_iteration,
     to_slice,
 )
 from oracles import extreme_points
@@ -141,6 +144,27 @@ def test_to_slice_refuses_entries_beyond_float_range(x, message):
 def test_point_arrays_have_one_checker(check, points, message):
     with pytest.raises(DomainError, match=message):
         check(points)
+
+
+@pytest.mark.parametrize("check", [
+    lambda v: norm(v, NormId.SUP), lambda v: hilbert_metric(v, v), to_slice,
+    lambda v: power_iteration(MatrixMap(np.ones((2, 2))), v),
+    lambda v: eval_map(MatrixMap(np.ones((2, 2))), v),
+    lambda v: circumcenter(v, NormId.SUP), interior_hull_certificate,
+], ids=["norm", "hilbert_metric", "to_slice", "power_iteration", "eval_map",
+        "circumcenter", "interior_hull_certificate"])
+@pytest.mark.parametrize("value", [
+    [[1, 2], [3]], np.array([1 + 2j, 1.0]), np.array([[1 + 0j, 1.0]]), [1 + 2j, 1.0],
+    [np.complex128(1 + 2j), 1.0], {}, {"a": 1.0}, [{}, 1.0], [10 ** 400, 1.0],
+], ids=["ragged", "complex-array", "complex-2d", "complex-list", "complex-scalar",
+        "dict", "dict-entries", "dict-entry", "huge-int"])
+def test_input_checks_refuse_what_is_not_a_real_array(check, value):
+    # one DomainError, never a ComplexWarning and the real parts, nor
+    # NumPy's ValueError or a TypeError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            check(value)
 
 
 def test_isometry_between_slice_and_v0():
