@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .spaces import as_real, require_cone, to_slice
+from .spaces import as_real, require_cone, require_numbers, to_slice
 
 SIGMA_TOL = 1e-12
 JSON_SIGMA_TOL = 1e-9
@@ -444,21 +444,31 @@ def power_iteration(spec: MapSpec, x0, max_iter: int = 10 ** 5) -> EigenResult:
 # JSON wire format
 
 
-def _mean_term_from_dict(obj: dict) -> MeanTerm:
-    r = obj["r"]
-    if isinstance(r, str):
-        text = r.strip().lower()
+def _number(obj: dict, name: str):
+    """Field ``name`` of a spec node, refused unless it is numeric."""
+    return require_numbers(obj[name], name)
+
+
+def _extended(obj: dict, name: str, what: str) -> float:
+    """Field ``name`` of a mean term: a number, or "inf", "+inf", "-inf"."""
+    value = obj[name]
+    if isinstance(value, str):
+        text = value.strip().lower()
         if text in ("inf", "+inf"):
-            r = math.inf
-        elif text == "-inf":
-            r = -math.inf
-        else:
-            raise DomainError(f"unrecognized mean exponent {r!r}")
-    sigma = np.asarray(obj["sigma"], dtype=float)
+            return math.inf
+        if text == "-inf":
+            return -math.inf
+        raise DomainError(f"unrecognized {what} {value!r}")
+    return float(_number(obj, name))
+
+
+def _mean_term_from_dict(obj: dict) -> MeanTerm:
+    r = _extended(obj, "r", "mean exponent")
+    sigma = np.asarray(_number(obj, "sigma"), dtype=float)
     total = float(np.sum(sigma))
     if abs(total - 1.0) > JSON_SIGMA_TOL:
         raise DomainError("sigma weights must sum to 1 within 1e-9")
-    return MeanTerm(r=float(r), sigma=sigma / total, coeff=float(obj["coeff"]))
+    return MeanTerm(r=r, sigma=sigma / total, coeff=_extended(obj, "coeff", "mean coefficient"))
 
 
 def map_spec_from_dict(obj) -> MapSpec:
@@ -467,11 +477,11 @@ def map_spec_from_dict(obj) -> MapSpec:
     kind = obj["kind"]
     try:
         if kind == "matrix":
-            return MatrixMap(np.asarray(obj["matrix"], dtype=float))
+            return MatrixMap(np.asarray(_number(obj, "matrix"), dtype=float))
         if kind == "schoen":
-            return SchoenMap(np.asarray(obj["coefficients"], dtype=float))
+            return SchoenMap(np.asarray(_number(obj, "coefficients"), dtype=float))
         if kind == "triangle":
-            return TriangleMap(float(obj["c"]))
+            return TriangleMap(float(_number(obj, "c")))
         if kind == "meansum":
             rows = tuple(
                 tuple(_mean_term_from_dict(t) for t in row)
@@ -483,7 +493,7 @@ def map_spec_from_dict(obj) -> MapSpec:
         if kind == "sum":
             return SumMap(tuple(map_spec_from_dict(c) for c in obj["children"]))
         if kind == "scale":
-            return ScaleMap(float(obj["alpha"]), map_spec_from_dict(obj["child"]))
+            return ScaleMap(float(_number(obj, "alpha")), map_spec_from_dict(obj["child"]))
     except KeyError as exc:
         raise DomainError(f"map spec node {kind!r} is missing field {exc}") from exc
     raise DomainError(f"unrecognized map kind {kind!r}")

@@ -36,12 +36,14 @@ from .conemaps import MapSpec, eval_map
 from .illumination import (
     ENUMERATION_DIM_CAP, interior_hull_certificate, separates, sup_masks, variation_masks,
 )
-from .spaces import as_points, as_real
+from .spaces import as_points, as_real, require_numbers
 
 _SEED_MOD = 2 ** 64
 # Box radii beyond this overflow exp() during cone sampling.
 _MAX_LOG_BOX = 700.0
-_BATCH_PLAN = (32, 64, 128, 256, 512, 1024, 2048)
+# Each batch pays a fixed cost in NumPy calls, so sizes ramp up 8x at a
+# time; the first batch covers a typical confirmation.
+_BATCH_PLAN = (32, 256, 2048)
 _BATCH_MAX = 4096
 # Coordinates per batch: an (m, n) float array stays within 128 KiB, the
 # size from which glibc serves each fresh temporary by mmap.
@@ -216,7 +218,7 @@ class DetectionReport:
             if not (all(_is_int(i) and 0 <= i < n for i in subset)
                     and len(set(subset)) == len(subset)):
                 raise DomainError(f"subset {subset} must list distinct indices in 0..{n - 1}")
-            point = np.asarray(entry["point"], dtype=float)
+            point = np.asarray(require_numbers(entry["point"], "witness point"), dtype=float)
             if point.shape != (n,):
                 raise DomainError(f"witness points must have shape ({n},)")
             witnesses[sum(1 << i for i in subset)] = point
@@ -230,7 +232,7 @@ class DetectionReport:
         if (probe is None) != (_KINDS[kind][1] is not None):
             raise DomainError("probe points come with smooth reports, and only with them")
         if probe is not None:
-            probe = np.asarray(probe, dtype=float)
+            probe = np.asarray(require_numbers(probe, "probe point"), dtype=float)
             if probe.shape != (used, n):
                 raise DomainError(f"probe points must have shape ({used}, {n}), "
                                   "one row per sample used")
@@ -288,12 +290,16 @@ def _draws(config: DetectionConfig, n: int, cone: bool):
     """Yield ``(offset, X, Y)``: sample points X and their coordinates Y.
 
     Y is uniform in the box; on the cone its last column is 0, so the
-    slice point ``X = exp(Y)`` ends in exactly 1.  Batches grow through
-    ``_BATCH_PLAN``, then stay at ``_BATCH_MAX`` rows, and never hold more
-    than ``_BATCH_COORDS`` = 2**14 coordinates: each (m, n) float array
-    of a batch stays within 128 KiB (2048 rows at n = 8; n <= 4 keeps the
-    plan).  PCG64 is consumed in sample order, so batch sizes never
-    change which samples are drawn.
+    slice point ``X = exp(Y)`` ends in exactly 1.  Batches ramp through
+    ``_BATCH_PLAN`` (32, 256, 2048 rows), then stay at ``_BATCH_MAX``
+    rows, and never hold more than ``_BATCH_COORDS`` = 2**14
+    coordinates: each (m, n) float array of a batch stays within 128 KiB
+    (2048 rows at n = 8; n <= 4 keeps the plan).  The unit draws are
+    scaled in place to ``-R + 2R * u``, bit for bit what
+    ``rng.uniform(-R, R)`` computes; on the cone one copy puts them
+    beside the zero column, faster than writing the scaled draws through
+    a strided view.  PCG64 is consumed in sample order, so batch sizes
+    never change which samples are drawn.
     """
     rng = np.random.default_rng(config.seed)
     R = config.box_radius
@@ -301,9 +307,13 @@ def _draws(config: DetectionConfig, n: int, cone: bool):
     offset = 0
     while offset < config.max_samples:
         size = min(next(sizes), _BATCH_COORDS // n, config.max_samples - offset)
-        Y = rng.uniform(-R, R, size=(size, n - 1 if cone else n))
+        Y = rng.random((size, n - 1 if cone else n))
+        Y *= 2.0 * R
+        Y -= R
         if cone:
-            Y = np.hstack([Y, np.zeros((size, 1))])
+            Y, drawn = np.empty((size, n)), Y
+            Y[:, :-1] = drawn
+            Y[:, -1] = 0.0
         yield offset, np.exp(Y) if cone else Y, Y
         offset += size
 
@@ -322,7 +332,11 @@ def _cover(kind: str, n: int, config: DetectionConfig, batches) -> DetectionRepo
     used = 0
     for offset, points, masks, valid in batches if total else ():
         fresh = valid & ~covered[masks]
-        new, first = np.unique(masks[fresh], return_index=True)
+        found = masks[fresh]
+        if not found.size:
+            used = offset + len(points)
+            continue
+        new, first = np.unique(found, return_index=True)
         rows = np.nonzero(fresh)[0][first]
         covered[new] = True
         witnesses.update(zip(new.tolist(), points[rows]))
@@ -377,45 +391,54 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
     nonnegative side.  At the first n+1 block that breaks it, one
     ``interior_hull_certificate`` solve either confirms or returns the
     next separator.
+
+    The batches stay in lists as drawn.  Each one is tested against the
+    cached separator as it comes, together with the rows of an unfinished
+    n+1 block before it.  The residual batches are joined into one only
+    when a solve needs every residual so far, and the point batches once,
+    for the report's probe points.
     """
     _check_arguments("fixed_point_smooth", n, config, vectorized)
     stride = n + 1
-    # Buffers double on demand, so an early confirmation stays small.
-    points = residuals = np.empty((0, n))
+    points: list[np.ndarray] = []
+    residuals: list[np.ndarray] = []
+    pending = np.empty((0, n))  # the residual rows from `checked` on
     phi: np.ndarray | None = None
     status = DetectionStatus.UNDETERMINED
     checked = used = 0  # checked: the last boundary whose verdict is known
 
     for offset, W, _ in _draws(config, n, False):
+        R = _residuals(f, W, False)
+        points.append(W)
+        residuals.append(R)
+        pending = np.concatenate((pending, R)) if len(pending) else R
+        start = checked
         used = offset + len(W)
-        if used > len(points):
-            cap = min(config.max_samples, max(used, 2 * len(points)))
-            extra = np.empty((cap - offset, n))
-            points = np.vstack([points[:offset], extra])
-            residuals = np.vstack([residuals[:offset], extra])
-        points[offset:used] = W
-        residuals[offset:used] = _residuals(f, W, False)
         last = used - used % stride
         while checked < last:
             if phi is None:
                 b = checked + stride
             else:
-                broken = ~separates(residuals[checked:last], phi)
+                broken = ~separates(pending[checked - start:last - start], phi)
                 if not broken.any():
                     checked = last
                     break
                 b = checked + (int(np.argmax(broken)) // stride + 1) * stride
             checked = b
-            cert = interior_hull_certificate(residuals[:b])
+            if len(residuals) > 1:
+                residuals[:] = [np.concatenate(residuals)]
+            cert = interior_hull_certificate(residuals[0][:b])
             if cert.inside:
                 status, used = DetectionStatus.CONFIRMED, b
                 break
             phi = cert.separator
         if status is DetectionStatus.CONFIRMED:
             break
+        pending = pending[checked - start:]
+    points[-1] = points[-1][:used - offset]
     return DetectionReport(
         kind="fixed_point_smooth", status=status, dimension=n,
-        samples_used=used, config=config, probe_points=points[:used].copy(),
+        samples_used=used, config=config, probe_points=np.concatenate(points),
     )
 
 

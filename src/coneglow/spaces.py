@@ -10,7 +10,9 @@ The coordinatewise log is an isometry from the normalized cone slice
 ``log_coords`` / ``exp_coords`` realize the two directions.
 Input checks live here: ``as_real`` for any real array, ``as_vector``
 for one point, ``as_points`` for an ``(m, n)`` array of them,
-``require_cone`` for open-cone entries.
+``require_cone`` for open-cone entries, and ``require_numbers`` for the
+numeric fields of parsed JSON, before a float cast could read a string,
+a bool or null as a number.
 """
 
 from __future__ import annotations
@@ -30,14 +32,40 @@ class NormId(enum.Enum):
 
 def as_real(v) -> np.ndarray:
     """Coerce to a float array of any shape; ragged rows, complex entries
-    and non-numeric entries are refused."""
-    try:  # no dtype yet: a cast to float drops imaginary parts
+    and non-numeric entries, numeric strings among them, are refused."""
+    try:  # no dtype yet: a cast to float drops imaginary parts and parses strings
         arr = np.asarray(v)
         if arr.dtype.kind == "c":
             raise TypeError("complex entries")
+        if arr.dtype.kind in "SU" or (arr.dtype.kind == "O" and any(
+                isinstance(x, (str, bytes)) for x in arr.flat)):
+            raise TypeError("string entries")
         return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"vectors must be real and share one length ({exc})") from exc
+
+
+_JSON_NUMBERS = frozenset((int, float))
+
+
+def require_numbers(value, what: str):
+    """Return ``value`` if it is a number or nested lists of numbers.
+
+    A JSON string, bool or null where a number belongs raises DomainError
+    naming ``what`` and the value; so does a NumPy array of another kind.
+    """
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, (list, tuple)):
+            if not _JSON_NUMBERS.issuperset(map(type, item)):  # else a row of numbers
+                pending.extend(item)
+        elif isinstance(item, np.ndarray) and item.dtype.kind in "iuf":
+            continue
+        elif isinstance(item, bool) or not isinstance(
+                item, (int, float, np.integer, np.floating)):
+            raise DomainError(f"{what}: expected a number, not {item!r}")
+    return value
 
 
 def as_vector(v) -> np.ndarray:

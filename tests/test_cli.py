@@ -284,6 +284,7 @@ def test_localize_rejects_edited_sup_witness(tmp_path, capsys):
 EUCLID_2D = json.dumps({"kind": "affine", "matrix": [[0.0, -0.9], [0.9, 0.0]],
                         "offset": [0.0, 0.0], "norm": "euclid"})
 SUP_2D = str(SPECS / "affine_sup_contraction.json")
+ONES = str(SPECS / "ones_matrix.json")
 
 
 def _set_field(*path, value):
@@ -316,11 +317,20 @@ def _set_field(*path, value):
     (EUCLID_2D, lambda doc: doc.pop("probe_points")),
     (EUCLID_2D, lambda doc: doc["probe_points"].pop()),
     (EUCLID_2D, lambda doc: doc["witnesses"].append({"subset": [0], "point": [0.0, 0.0]})),
+    (ONES, lambda doc: doc["witnesses"][0].update(
+        point=[str(x) for x in doc["witnesses"][0]["point"]])),
+    (SUP_2D, _set_field("witnesses", 0, "point", 1, value=True)),
+    (SUP_2D, _set_field("witnesses", 0, "point", 0, value=None)),
+    (SUP_2D, _set_field("witnesses", 0, "point", value=[10 ** 20, "1"])),
+    (EUCLID_2D, _set_field("probe_points", 0, 1, value="0.5")),
+    (EUCLID_2D, _set_field("probe_points", 1, 0, value=False)),
 ], ids=["probe-length", "dimension-float", "dimension-bool", "dimension-cap",
         "kind", "total", "subset-repeat", "point-length", "budget-float",
         "seed-float", "box-radius-bool", "box-radius-huge", "seed-mismatch",
         "covered-mismatch", "samples-negative", "samples-over-budget", "samples-float",
-        "probe-on-sup", "probe-missing", "probe-count", "witness-on-smooth"])
+        "probe-on-sup", "probe-missing", "probe-count", "witness-on-smooth",
+        "point-strings", "point-bool", "point-null", "point-string-beside-huge-int",
+        "probe-string", "probe-bool"])
 def test_localize_rejects_malformed_report(tmp_path, capsys, spec, edit):
     report = tmp_path / "report.json"
     assert main(["detect", "--spec", spec, "--out", str(report)]) == 0
@@ -504,6 +514,41 @@ def test_non_numeric_spec_entry_exit_one(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'a'" in err
     assert err.count("\n") == 1
+
+
+AFFINE = {"kind": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [0.0, 0.0],
+          "norm": "sup"}
+MEAN = {"r": 1, "sigma": [0.5, 0.5], "coeff": 1.0}
+
+
+def _meansum(**term):
+    return {"kind": "meansum", "coordinates": [[dict(MEAN, **term)], [MEAN]]}
+
+
+@pytest.mark.parametrize("spec, shown", [
+    ({"kind": "matrix", "matrix": [["1", "1"], ["1", "1"]]}, "matrix: expected a number, not '1'"),
+    ({"kind": "matrix", "matrix": [[1, 1], [1, True]]}, "matrix: expected a number, not True"),
+    (dict(AFFINE, offset=[1, True]), "affine offset: expected a number, not True"),
+    (dict(AFFINE, matrix=[[0.5, None], [0.0, 0.5]]), "affine matrix: expected a number, not None"),
+    (dict(AFFINE, offset=[10 ** 20, "1"]), "affine offset: expected a number, not '1'"),
+    ({"kind": "triangle", "c": "0.2"}, "c: expected a number, not '0.2'"),
+    ({"kind": "schoen", "coefficients": [[1, 1, 0, 0]] * 3 + [[1, 1, 0, False]]},
+     "coefficients: expected a number, not False"),
+    (_meansum(sigma=["0.5", 0.5]), "sigma: expected a number, not '0.5'"),
+    (_meansum(r=True), "r: expected a number, not True"),
+    (_meansum(coeff=None), "coeff: expected a number, not None"),
+    (_meansum(coeff="2"), "unrecognized mean coefficient '2'"),
+    ({"kind": "scale", "alpha": "2", "child": {"kind": "matrix", "matrix": [[1]]}},
+     "alpha: expected a number, not '2'"),
+], ids=["matrix-strings", "matrix-bool", "offset-bool", "affine-null",
+        "offset-string-beside-huge-int", "triangle-string", "schoen-bool",
+        "sigma-string", "exponent-bool", "coeff-null", "coeff-string", "alpha-string"])
+def test_spec_numbers_must_be_json_numbers(tmp_path, capsys, spec, shown):
+    # a float cast would read these as numbers; each is one error line
+    out = tmp_path / "report.json"
+    assert main(["detect", "--spec", json.dumps(spec), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: <inline>: {shown}\n"
 
 
 def test_inline_spec_error_names_inline(tmp_path, capsys):

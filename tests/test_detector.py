@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from coneglow import (
     detect_fixed_point_smooth,
     detect_fixed_point_sup,
     eval_map,
+    interior_hull_certificate,
     power_iteration,
     variation_masks,
 )
@@ -191,6 +193,15 @@ class TestCover:
         report = self._check("fixed_point_sup", 2, masks, np.ones((5, 1)), [2, 3])
         assert (report.confirmed, report.samples_used) == (False, 5)
 
+    @pytest.mark.parametrize("masks, sizes, used, covered", [
+        ([[0], [1], [1], [0], [0], [2], [3]], [2, 3, 2], 7, 4),
+        ([[0], [1], [1], [0], [1], [0]], [2, 2, 2], 6, 2),
+    ], ids=["then-confirmed", "undetermined"])
+    def test_batches_without_a_fresh_row(self, masks, sizes, used, covered):
+        # a batch that brings no new mask still counts its rows as used
+        report = self._check("fixed_point_sup", 2, masks, np.ones((len(masks), 1)), sizes)
+        assert (report.samples_used, report.subsets_covered) == (used, covered)
+
     @pytest.mark.parametrize("kind,n,lo,width", [
         ("eigenvector", 3, 1, 2), ("eigenvector", 5, 1, 4), ("fixed_point_sup", 3, 0, 1),
         ("fixed_point_sup", 6, 0, 1),
@@ -280,6 +291,32 @@ class TestDetectEigenvector:
             assert sum(sizes) == n * config.max_samples
             if n <= 4:  # the plan's rows, uncapped
                 assert max(sizes) == n * 4096
+
+    @pytest.mark.parametrize("small_batches", [False, True])
+    @pytest.mark.parametrize("cone, R", [
+        *((True, R) for R in (100.0, 0.3, 123.456, 1e-5, 700.0)),
+        (False, sys.float_info.max / 2),
+    ])
+    def test_draws_are_one_uniform_call(self, monkeypatch, small_batches, cone, R):
+        # the batches' in-place -R + 2R * u is bit for bit what one
+        # uniform(-R, R) call draws; on the cone beside a zero column
+        if small_batches:
+            use_small_batches(monkeypatch)
+        for n, budget in ((1, 300), (3, 2500)):
+            config = DetectionConfig(box_radius=R, max_samples=budget, seed=budget)
+            batches = list(detector._draws(config, n, cone))
+            assert len(batches) >= 3
+            assert [offset for offset, _, _ in batches] == np.cumsum(
+                [0] + [len(X) for _, X, _ in batches[:-1]]).tolist()
+            X, Y = (np.concatenate(part) for part in zip(*(b[1:] for b in batches)))
+            want = np.random.default_rng(budget).uniform(
+                -R, R, (budget, n - 1 if cone else n))
+            if cone:
+                want = np.column_stack([want, np.zeros(budget)])
+                assert np.array_equal(X, np.exp(Y))
+            else:
+                assert all(X is Y for _, X, Y in batches)
+            assert np.array_equal(Y.view(np.uint64), want.view(np.uint64))
 
     def test_coordinate_cap_does_not_change_long_runs(self, monkeypatch):
         # past 4096 samples, where the cap cuts n = 8 and n = 6 batches
@@ -396,6 +433,21 @@ class TestDetectorArguments:
             detect(lambda x: 0.5 * x, 2, DetectionConfig(seed=0), vectorized=False)
 
 
+def naive_smooth_report(f, n, config):
+    """The smooth detector's report, re-running the hull certificate at
+    every n+1 boundary on one uniform draw of the whole budget."""
+    W = np.random.default_rng(config.seed).uniform(
+        -config.box_radius, config.box_radius, size=(config.max_samples, n))
+    residuals = f(W) - W
+    status, used = DetectionStatus.UNDETERMINED, config.max_samples
+    for b in range(n + 1, config.max_samples + 1, n + 1):
+        if interior_hull_certificate(residuals[:b]).inside:
+            status, used = DetectionStatus.CONFIRMED, b
+            break
+    return DetectionReport(kind="fixed_point_smooth", status=status, dimension=n,
+                           samples_used=used, config=config, probe_points=W[:used])
+
+
 class TestDetectFixedPointSmooth:
     def test_contraction_confirms(self):
         report = detect_fixed_point_smooth(lambda X: 0.9 * X, 2,
@@ -434,18 +486,6 @@ class TestDetectFixedPointSmooth:
         # the cached-separator fast path must agree with re-running the hull
         # certificate at every n+1 boundary, for confirming and
         # non-confirming maps alike, under the default and a small batch plan
-        from coneglow import interior_hull_certificate
-
-        def naive(f, n, config):
-            rng = np.random.default_rng(config.seed)
-            W = rng.uniform(-config.box_radius, config.box_radius,
-                            size=(config.max_samples, n))
-            residuals = f(W) - W
-            for b in range(n + 1, config.max_samples + 1, n + 1):
-                if interior_hull_certificate(residuals[:b]).inside:
-                    return "confirmed", b
-            return "undetermined", config.max_samples
-
         b = np.array([0.4, -0.2])
         Q = np.array([[0.0, -1.0], [1.0, 0.0]])
         maps = [
@@ -460,14 +500,38 @@ class TestDetectFixedPointSmooth:
         for f in maps:
             for seed in range(4):
                 config = DetectionConfig(seed=seed, max_samples=120)
-                expected[f, seed] = naive(f, 2, config)
+                expected[f, seed] = naive_smooth_report(f, 2, config).to_json_bytes()
                 report = detect_fixed_point_smooth(f, 2, config)
-                assert (report.status.value, report.samples_used) == expected[f, seed]
+                assert report.to_json_bytes() == expected[f, seed]
         use_small_batches(monkeypatch)
         for (f, seed), want in expected.items():
             config = DetectionConfig(seed=seed, max_samples=120)
             report = detect_fixed_point_smooth(f, 2, config)
-            assert (report.status.value, report.samples_used) == want
+            assert report.to_json_bytes() == want
+
+    @pytest.mark.parametrize("small_batches", [False, True])
+    def test_break_in_a_block_that_straddles_batches(self, monkeypatch, small_batches):
+        # residuals (w_0, |w_1|) never surround 0; at seed 47 the cached
+        # separator breaks in the block of rows 21-23 and in that of rows
+        # 30-32, which straddle the small plan's second batch and the default
+        # plan's first: the rows before the edge are tested with the new batch
+        if small_batches:
+            use_small_batches(monkeypatch)
+        config = DetectionConfig(seed=47, max_samples=300)
+        solve = detector.interior_hull_certificate
+        calls = []
+        monkeypatch.setattr(detector, "interior_hull_certificate",
+                            lambda V: calls.append(len(V)) or solve(V))
+        f = lambda X: X + np.column_stack([X[:, 0], np.abs(X[:, 1])])
+        report = detect_fixed_point_smooth(f, 2, config)
+        edges = np.cumsum([len(X) for _, X, _ in detector._draws(config, 2, False)])
+        assert len(edges) >= 3
+        assert calls == [3, 24, 33, 39, 195]
+        assert any(b - 3 < edge < b for b in calls for edge in edges)
+        want = naive_smooth_report(f, 2, config)
+        assert (report.status, report.samples_used) == (DetectionStatus.UNDETERMINED, 300)
+        assert np.array_equal(report.probe_points, want.probe_points)
+        assert report.to_json_bytes() == want.to_json_bytes()
 
     @pytest.mark.parametrize("small_batches", [False, True])
     def test_separator_breaks_after_first_solve(self, monkeypatch,

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from coneglow import (
     power_iteration,
     to_slice,
 )
+from coneglow.spaces import require_numbers
 from oracles import extreme_points
 
 
@@ -156,8 +158,10 @@ def test_point_arrays_have_one_checker(check, points, message):
 @pytest.mark.parametrize("value", [
     [[1, 2], [3]], np.array([1 + 2j, 1.0]), np.array([[1 + 0j, 1.0]]), [1 + 2j, 1.0],
     [np.complex128(1 + 2j), 1.0], {}, {"a": 1.0}, [{}, 1.0], [10 ** 400, 1.0],
+    ["1", "2"], np.array([b"1", b"2"]), [10 ** 20, "1"],
 ], ids=["ragged", "complex-array", "complex-2d", "complex-list", "complex-scalar",
-        "dict", "dict-entries", "dict-entry", "huge-int"])
+        "dict", "dict-entries", "dict-entry", "huge-int", "strings", "bytes",
+        "string-beside-huge-int"])
 def test_input_checks_refuse_what_is_not_a_real_array(check, value):
     # one DomainError, never a ComplexWarning and the real parts, nor
     # NumPy's ValueError or a TypeError
@@ -165,6 +169,24 @@ def test_input_checks_refuse_what_is_not_a_real_array(check, value):
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             check(value)
+
+
+@pytest.mark.parametrize("value", [
+    1, -2.5, 10 ** 400, [], [[1, 2.0], [3, 4]], [np.float64(1.0), np.int64(2)],
+    np.array([[1.0, 2.0]]), [np.array([1, 2]), 3],
+])
+def test_require_numbers_passes_numbers_through(value):
+    assert require_numbers(value, "entry") is value
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("1", "'1'"), ([1, True], "True"), ([[1.0], [None]], "None"), ([1, {}], "{}"),
+    ([np.bool_(False)], "np.False_"), (np.array([True]), "array([ True])"),
+])
+def test_require_numbers_names_what_is_not_a_number(value, shown):
+    # the JSON strings, bools and nulls a float cast would read as numbers
+    with pytest.raises(DomainError, match=f"^entry: expected a number, not {re.escape(shown)}$"):
+        require_numbers(value, "entry")
 
 
 def test_isometry_between_slice_and_v0():
