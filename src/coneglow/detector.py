@@ -45,8 +45,10 @@ _MAX_LOG_BOX = 700.0
 # time; the first batch covers a typical confirmation.
 _BATCH_PLAN = (32, 256, 2048)
 _BATCH_MAX = 4096
-# Coordinates per batch: an (m, n) float array stays within 128 KiB, the
-# size from which glibc serves each fresh temporary by mmap.
+# Coordinates per batch: an (m, n) float array holds at most 128 KiB, and
+# exactly that at n = 4, 8 and 16.  With its chunk header that is just past
+# glibc's default mmap threshold, which glibc raises as soon as a mapped
+# block is freed, so batch arrays come from the heap.
 _BATCH_COORDS = 2 ** 14
 # Per report kind: the masks a confirmed report covers in dimension n, the
 # mask code that re-derives them (None: the hull of the probe residuals),
@@ -293,7 +295,7 @@ def _draws(config: DetectionConfig, n: int, cone: bool):
     slice point ``X = exp(Y)`` ends in exactly 1.  Batches ramp through
     ``_BATCH_PLAN`` (32, 256, 2048 rows), then stay at ``_BATCH_MAX``
     rows, and never hold more than ``_BATCH_COORDS`` = 2**14
-    coordinates: each (m, n) float array of a batch stays within 128 KiB
+    coordinates: each (m, n) float array of a batch holds at most 128 KiB
     (2048 rows at n = 8; n <= 4 keeps the plan).  The unit draws are
     scaled in place to ``-R + 2R * u``, bit for bit what
     ``rng.uniform(-R, R)`` computes; on the cone one copy puts them

@@ -13,7 +13,8 @@ points it illuminates:
 * ``sup_masks``: the sign vector with +1 exactly on J is illuminated by
   ``r`` iff ``r < 0`` on J and ``r > 0`` off it.
 
-Both return masks as int64 bit sets and refuse n above ``ENUMERATION_DIM_CAP``.
+Both return masks as int64 bit sets, and refuse n above
+``ENUMERATION_DIM_CAP`` and anything but a real (m, n) array.
 
 Strict inequalities carry slack ``gap_tol * max(1, scale)``, so a
 near-degenerate instance reports "not covered" rather than certifying
@@ -28,7 +29,11 @@ row at a time, but combines whole contiguous columns element-wise, about
 ten times faster at n = 3.  So ``sup_masks`` and ``separates`` reduce a
 column-major copy, and ``variation_masks`` sorts each row once, then
 works on (n, m) arrays whose row k holds every sample's k-th smallest
-ratio.
+ratio.  The row sort is stable up to n = 4.  From n = 5 on it is NumPy's
+default sort, which dispatches to a SIMD sort where the CPU has one
+(AVX-512, say) and does not lose time to branch mispredicts on fresh
+rows as the stable insertion sort does; rows with tied ratios are then
+sorted again stably.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import DomainError
-from .spaces import as_points
+from .spaces import as_points, as_real
 
 LP_TOL = 1e-9
 # Detection enumerates 2**n masks; refuse beyond this.
@@ -47,9 +52,14 @@ ENUMERATION_DIM_CAP = 24
 RANK_TOL = 1e-10
 
 
-def _check_cap(n: int) -> None:
-    if n > ENUMERATION_DIM_CAP:
+def _mask_rows(values) -> np.ndarray:
+    """``values`` as a real (m, n) array with 1 <= n <= ``ENUMERATION_DIM_CAP``."""
+    arr = as_real(values)
+    if arr.ndim != 2 or arr.shape[1] == 0:
+        raise DomainError(f"mask codes take an (m, n) array, n >= 1, not shape {arr.shape}")
+    if arr.shape[1] > ENUMERATION_DIM_CAP:
         raise DomainError(f"mask codes are capped at n <= {ENUMERATION_DIM_CAP}")
+    return arr
 
 
 def variation_masks(rho: np.ndarray, gap_tol: float):
@@ -58,22 +68,37 @@ def variation_masks(rho: np.ndarray, gap_tol: float):
     Mask J is realized when the row illuminates the variation ball's
     extreme point ``1_J``.  A subset satisfies the strict ratio inequality
     exactly when it holds the k smallest ratios with a gap above the k-th
-    sorted value, so all candidates fall out of one stable sort, which
-    fixes the order of ties.  Returns ``(masks, valid)`` of shape
-    (rows, n-1): column k-1 is the mask of the k smallest ratios, valid
-    where the gap beats ``gap_tol * max(1, spread)``.
+    sorted value, so all candidates fall out of one sort per row, with
+    ties in index order.  Returns ``(masks, valid)`` of shape (rows, n-1):
+    column k-1 is the mask of the k smallest ratios, valid where the gap
+    beats ``gap_tol * max(1, spread)``.
+
+    The sort follows n.  Up to n = 4 one stable sort is as fast as any.
+    From n = 5 on NumPy's default sort runs instead: on fresh rows the
+    stable sort loses most of its time to branch mispredicts, about 131
+    against 62 us per 2048 x 8 batch on an AVX-512 CPU.  It may order
+    equal ratios either way, so each row with a gap that is not > 0
+    (ties, +-0.0, NaN, inf - inf) is sorted again stably.  ``valid`` does
+    not depend on the order of equal ratios, so the results are those of
+    one stable sort on every input; a map whose ratios tie on most rows
+    pays both sorts on those rows.
 
     After the sort the work is rank-major: row k of ``order`` holds every
     sample's k-th smallest index, the sorted ratios come from one flat
     gather, and the masks accumulate row by row; the results are
     transposed views.
     """
-    rho = np.ascontiguousarray(rho)
+    rho = np.ascontiguousarray(_mask_rows(rho))
     m, n = rho.shape
-    _check_cap(n)
-    order = np.ascontiguousarray(np.argsort(rho, axis=1, kind="stable").T)
+    stable = n <= 4
+    order = np.argsort(rho, axis=1, kind="stable" if stable else None)
+    order = np.ascontiguousarray(order.T)
     srt = np.take(rho, order + np.arange(0, m * n, n))
     gaps = srt[1:] - srt[:-1]
+    if not stable:  # a row without a positive gap everywhere may hold ties
+        ties = ~np.all(gaps > 0.0, axis=0)
+        if ties.any():
+            order[:, ties] = np.argsort(rho[ties], axis=1, kind="stable").T
     threshold = gap_tol * np.maximum(1.0, srt[-1] - srt[0])
     valid = gaps > threshold
     masks = np.int64(1) << order[:-1]
@@ -86,8 +111,7 @@ def sup_masks(residuals: np.ndarray, gap_tol: float):
     """``(masks, valid)`` of shape (rows, 1): bit j set where residual
     coordinate j is negative, valid where every |r_j| > gap_tol * max(1, |r|_inf).
     """
-    cols = np.asfortranarray(residuals)
-    _check_cap(cols.shape[1])
+    cols = np.asfortranarray(_mask_rows(residuals))
     mag = np.abs(cols)
     slack = gap_tol * np.maximum(1.0, np.max(mag, axis=1))
     strict = np.min(mag, axis=1) > slack

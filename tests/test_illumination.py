@@ -192,8 +192,23 @@ def _ratio_rows(rng, m, n):
     return R
 
 
+def _tie_sort_rows(rng, m, n):
+    # From n = 5 on, variation_masks re-sorts stably the rows with a gap that
+    # is not > 0: every row of "ties" (constant, +-0.0 mixed) and of "nan"
+    # (NaN in two places among distinct values), and no row of "inf"
+    # (distinct values from -inf to +inf).
+    distinct = rng.permuted(np.tile(np.arange(n, dtype=float), (m, 1)), axis=1)
+    ties = np.repeat(rng.integers(-1, 2, (m, 1)).astype(float), n, axis=1)
+    ties[(ties == 0.0) & (rng.random((m, n)) < 0.5)] = -0.0
+    nan = distinct.copy()
+    nan[(distinct == 0.0) | (distinct == n // 2)] = np.nan
+    inf = np.where(distinct == 0.0, -np.inf, np.where(distinct == n - 1, np.inf, distinct))
+    return {"ties": ties, "nan": nan, "inf": inf}
+
+
 class TestMaskCap:
-    """Mask codes are int64 bit sets; beyond n = 24 they are refused."""
+    """Mask codes are int64 bit sets; beyond n = 24 they are refused, and so
+    is what is not a real (m, n) array."""
 
     @pytest.mark.parametrize("masks_of", [sup_masks, variation_masks])
     @pytest.mark.parametrize("n", [25, 64, 65, 70])
@@ -202,6 +217,21 @@ class TestMaskCap:
         R[:, -1] = -1.0  # only the last coordinate negative, and smallest
         with pytest.raises(DomainError, match="^mask codes are capped at n <= 24$"):
             masks_of(R, GAP_TOL)
+
+    @pytest.mark.parametrize("masks_of", [sup_masks, variation_masks])
+    @pytest.mark.parametrize("values", [
+        1.0, np.ones(3), np.ones((2, 2, 2)), np.ones((3, 0)), [[1.0, 2.0], [3.0]],
+        [["1", "2"]],
+    ], ids=["scalar", "1-d", "3-d", "no-columns", "ragged", "strings"])
+    def test_only_real_matrices(self, masks_of, values):
+        with pytest.raises(DomainError):
+            masks_of(values, GAP_TOL)
+
+    @pytest.mark.parametrize("masks_of", [sup_masks, variation_masks])
+    def test_nan_and_empty_rows_are_taken(self, masks_of):
+        masks, valid = masks_of(np.full((2, 3), np.nan), GAP_TOL)
+        assert masks.shape == valid.shape and not valid.any()
+        assert [a.shape[0] for a in masks_of(np.ones((0, 3)), GAP_TOL)] == [0, 0]
 
     def test_at_the_cap(self):
         R = np.ones((3, 24))
@@ -213,17 +243,21 @@ class TestMaskCap:
 class TestVariationMasksReference:
     """The rank-major mask code against the row-major one it replaced."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 24])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 12, 24])
     @pytest.mark.parametrize("m", [1, 2, 33, 4096])
     def test_bit_identical(self, m, n):
-        R = _ratio_rows(np.random.default_rng(500 + n), m, n)
-        for name, A in _layouts(R).items():
-            for gap_tol in (0.0, GAP_TOL):
-                got = variation_masks(A, gap_tol)
-                want = variation_masks_reference(A, gap_tol)
-                for g, w in zip(got, want):
-                    assert (g.shape, g.dtype) == (w.shape, w.dtype), name
-                    assert np.array_equal(g, w), (name, gap_tol)
+        rng = np.random.default_rng(500 + n)
+        inputs = {"mixed": _ratio_rows(rng, m, n), **_tie_sort_rows(rng, m, n)}
+        for label, R in inputs.items():
+            # 0 * inf in the threshold of a row holding +-inf is invalid
+            with np.errstate(invalid="ignore" if label == "inf" else "warn"):
+                for name, A in _layouts(R).items():
+                    for gap_tol in (0.0, GAP_TOL):
+                        got = variation_masks(A, gap_tol)
+                        want = variation_masks_reference(A, gap_tol)
+                        for g, w in zip(got, want):
+                            assert (g.shape, g.dtype) == (w.shape, w.dtype), (label, name)
+                            assert np.array_equal(g, w), (label, name, gap_tol)
 
 
 class TestLayout:
