@@ -48,7 +48,8 @@ _BATCH_MAX = 4096
 # Coordinates per batch: an (m, n) float array holds at most 128 KiB, and
 # exactly that at n = 4, 8 and 16.  With its chunk header that is just past
 # glibc's default mmap threshold, which glibc raises as soon as a mapped
-# block is freed, so batch arrays come from the heap.
+# block is freed, so batch arrays come from the heap.  A batch of one
+# smooth-detector block of n+1 rows passes the cap above n = 127.
 _BATCH_COORDS = 2 ** 14
 # Per report kind: the masks a confirmed report covers in dimension n, the
 # mask code that re-derives them (None: the hull of the probe residuals),
@@ -203,8 +204,9 @@ class DetectionReport:
     @staticmethod
     def from_json_dict(doc: dict) -> "DetectionReport":
         """Rebuild a report; a field whose type, range, shape or count does
-        not fit the report's kind, dimension and config, or a derived field
-        that disagrees with its source, raises DomainError."""
+        not fit the report's kind, dimension and config, a subset listed
+        twice, or a derived field that disagrees with its source, raises
+        DomainError."""
         kind, n = doc["kind"], doc["dimension"]
         if kind not in _KINDS:
             raise DomainError(f"unknown report kind {kind!r}")
@@ -224,6 +226,8 @@ class DetectionReport:
             if point.shape != (n,):
                 raise DomainError(f"witness points must have shape ({n},)")
             witnesses[sum(1 << i for i in subset)] = point
+        if len(witnesses) < len(doc["witnesses"]):
+            raise DomainError("each subset may have only one witness")
         for name, value in (("total_subsets", total), ("subsets_covered", len(witnesses)),
                             ("seed", config.seed)):
             if not (_is_int(doc[name]) and doc[name] == value):
@@ -288,15 +292,18 @@ def _residuals(f, X, cone: bool, Y=None) -> np.ndarray:
     return R
 
 
-def _draws(config: DetectionConfig, n: int, cone: bool):
+def _draws(config: DetectionConfig, n: int, cone: bool, block: int):
     """Yield ``(offset, X, Y)``: sample points X and their coordinates Y.
 
     Y is uniform in the box; on the cone its last column is 0, so the
     slice point ``X = exp(Y)`` ends in exactly 1.  Batches ramp through
     ``_BATCH_PLAN`` (32, 256, 2048 rows), then stay at ``_BATCH_MAX``
-    rows, and never hold more than ``_BATCH_COORDS`` = 2**14
-    coordinates: each (m, n) float array of a batch holds at most 128 KiB
-    (2048 rows at n = 8; n <= 4 keeps the plan).  The unit draws are
+    rows, within ``_BATCH_COORDS`` = 2**14 coordinates: each (m, n)
+    float array of a batch holds at most 128 KiB (2048 rows at n = 8;
+    n <= 4 keeps the plan).  Sizes round down to whole blocks of
+    ``block`` rows (n+1 for the smooth detector, 1 for the mask
+    detectors) but hold at least one, which passes the cap only if the
+    block does; only the budget's end cuts a block.  The unit draws are
     scaled in place to ``-R + 2R * u``, bit for bit what
     ``rng.uniform(-R, R)`` computes; on the cone one copy puts them
     beside the zero column, faster than writing the scaled draws through
@@ -308,7 +315,8 @@ def _draws(config: DetectionConfig, n: int, cone: bool):
     sizes = itertools.chain(_BATCH_PLAN, itertools.repeat(_BATCH_MAX))
     offset = 0
     while offset < config.max_samples:
-        size = min(next(sizes), _BATCH_COORDS // n, config.max_samples - offset)
+        size = min(next(sizes), _BATCH_COORDS // n)
+        size = min(max(size - size % block, block), config.max_samples - offset)
         Y = rng.random((size, n - 1 if cone else n))
         Y *= 2.0 * R
         Y -= R
@@ -357,7 +365,7 @@ def _detect_masks(kind: str, f, n, config: DetectionConfig, vectorized) -> Detec
     _check_arguments(kind, n, config, vectorized)
     _, masks_of, cone = _KINDS[kind]
     batches = ((offset, X, *masks_of(_residuals(f, X, cone, Y), config.gap_tol))
-               for offset, X, Y in _draws(config, n, cone))
+               for offset, X, Y in _draws(config, n, cone, 1))
     return _cover(kind, n, config, batches)
 
 
@@ -394,39 +402,31 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
     ``interior_hull_certificate`` solve either confirms or returns the
     next separator.
 
-    The batches stay in lists as drawn.  Each one is tested against the
-    cached separator as it comes, together with the rows of an unfinished
-    n+1 block before it.  The residual batches are joined into one only
-    when a solve needs every residual so far, and the point batches once,
-    for the report's probe points.
+    ``_draws`` cuts batches on n+1 boundaries, so each batch starts where
+    the last verdict ended.  The batches stay in lists as drawn: the
+    residuals are joined only when a solve needs them all, and the points
+    once, for the report's probe points.
     """
     _check_arguments("fixed_point_smooth", n, config, vectorized)
     stride = n + 1
     points: list[np.ndarray] = []
     residuals: list[np.ndarray] = []
-    pending = np.empty((0, n))  # the residual rows from `checked` on
     phi: np.ndarray | None = None
     status = DetectionStatus.UNDETERMINED
-    checked = used = 0  # checked: the last boundary whose verdict is known
-
-    for offset, W, _ in _draws(config, n, False):
+    for offset, W, _ in _draws(config, n, False, stride):
         R = _residuals(f, W, False)
         points.append(W)
         residuals.append(R)
-        pending = np.concatenate((pending, R)) if len(pending) else R
-        start = checked
         used = offset + len(W)
-        last = used - used % stride
-        while checked < last:
+        b, last = offset, used - used % stride
+        while b < last:
             if phi is None:
-                b = checked + stride
+                b += stride
             else:
-                broken = ~separates(pending[checked - start:last - start], phi)
+                broken = ~separates(R[b - offset:last - offset], phi)
                 if not broken.any():
-                    checked = last
                     break
-                b = checked + (int(np.argmax(broken)) // stride + 1) * stride
-            checked = b
+                b += (int(np.argmax(broken)) // stride + 1) * stride
             if len(residuals) > 1:
                 residuals[:] = [np.concatenate(residuals)]
             cert = interior_hull_certificate(residuals[0][:b])
@@ -436,7 +436,6 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
             phi = cert.separator
         if status is DetectionStatus.CONFIRMED:
             break
-        pending = pending[checked - start:]
     points[-1] = points[-1][:used - offset]
     return DetectionReport(
         kind="fixed_point_smooth", status=status, dimension=n,

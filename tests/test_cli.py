@@ -324,13 +324,16 @@ def _set_field(*path, value):
     (SUP_2D, _set_field("witnesses", 0, "point", value=[10 ** 20, "1"])),
     (EUCLID_2D, _set_field("probe_points", 0, 1, value="0.5")),
     (EUCLID_2D, _set_field("probe_points", 1, 0, value=False)),
+    (SUP_2D, lambda doc: doc["witnesses"].append(dict(doc["witnesses"][0]))),
+    (EUCLID_2D, lambda doc: doc.update(subsets_covered=1, witnesses=[
+        {"subset": [0], "point": [0.0, 0.0]}])),
 ], ids=["probe-length", "dimension-float", "dimension-bool", "dimension-cap",
         "kind", "total", "subset-repeat", "point-length", "budget-float",
         "seed-float", "box-radius-bool", "box-radius-huge", "seed-mismatch",
         "covered-mismatch", "samples-negative", "samples-over-budget", "samples-float",
         "probe-on-sup", "probe-missing", "probe-count", "witness-on-smooth",
         "point-strings", "point-bool", "point-null", "point-string-beside-huge-int",
-        "probe-string", "probe-bool"])
+        "probe-string", "probe-bool", "witness-repeat", "witness-count"])
 def test_localize_rejects_malformed_report(tmp_path, capsys, spec, edit):
     report = tmp_path / "report.json"
     assert main(["detect", "--spec", spec, "--out", str(report)]) == 0
@@ -605,6 +608,35 @@ def test_affine_non_finite_entry_exit_one(tmp_path, capsys, field, spec):
     assert main(["detect", "--spec", spec, "--out", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err == f"error: <inline>: affine {field} entries must be finite\n"
+
+
+def _affine(**fields):
+    doc = {"kind": "affine", "matrix": [[0.5, 0.0], [0.0, 0.5]], "offset": [0.0, 0.0],
+           "norm": "sup", **fields}
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+@pytest.mark.parametrize("spec, report_spec, message", [
+    (_affine(norm=None), None, "affine spec is missing field 'norm'"),
+    (_affine(matrix=[[0.5, 0.0], [0.5]]), None, "affine spec has a ragged entry"),
+    (_affine(matrix=[[0.5, 0.0]], offset=[0.0]), None, "affine matrix must be square"),
+    (_affine(offset=[0.0]), None, "affine offset length must match the matrix"),
+    (_affine(norm="l1"), None, "affine norm must be 'sup' or 'euclid'"),
+    (EUCLID_2D, SUP_2D, "this spec needs a fixed_point_smooth report, not fixed_point_sup"),
+], ids=["missing-field", "ragged", "not-square", "offset-length", "norm-tag", "report-kind"])
+def test_affine_spec_refusals(tmp_path, capsys, spec, report_spec, message):
+    out = tmp_path / "out.json"
+    if report_spec is None:
+        assert main(["detect", "--spec", spec, "--out", str(out)]) == 1
+    else:
+        report = tmp_path / "report.json"
+        assert main(["detect", "--spec", report_spec, "--out", str(report)]) == 0
+        capsys.readouterr()
+        assert main(["localize", "--spec", spec, "--report", str(report),
+                     "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert message in err and err.startswith("error: ") and err.count("\n") == 1
 
 
 # --out is overwritten in place: each case first fills it with more bytes

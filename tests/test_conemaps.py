@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -289,6 +290,12 @@ class TestGroupedMeanSum:
                 assert np.max(np.abs(np.log(got) - np.log(want))) <= 1e-12
 
 
+def _schoen_ones_but(i, j, value):
+    C = np.ones((4, 4))
+    C[i, j] = value
+    return C
+
+
 class TestConstructorValidation:
     def test_matrix_zero_row(self):
         with pytest.raises(DomainError):
@@ -334,6 +341,41 @@ class TestConstructorValidation:
     def test_scale_positive(self):
         with pytest.raises(DomainError):
             ScaleMap(0.0, MatrixMap(np.ones((2, 2))))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: MeanTerm(1.0, [], 1.0), "sigma must be a nonempty weight vector"),
+        (lambda: MeanTerm(1.0, [1.5, -0.5], 1.0), "sigma weights must be finite and nonnegative"),
+        (lambda: MeanTerm(1.0, [math.inf, 0.5], 1.0),
+         "sigma weights must be finite and nonnegative"),
+        (lambda: MeanTerm(math.nan, [0.5, 0.5], 1.0), "mean exponent must not be NaN"),
+        (lambda: MatrixMap([[1.0, 1.0]]), "matrix must be square and nonempty"),
+        (lambda: MeanSumMap(()), "at least one coordinate is required"),
+        (lambda: MeanSumMap(((),)), "each coordinate needs at least one term"),
+        (lambda: MeanSumMap(((1.0,),)), "coordinate terms must be MeanTerm"),
+        (lambda: MeanSumMap(((MeanTerm(1.0, [0.5, 0.5], 1.0),),)),
+         "sigma length must equal the dimension"),
+        (lambda: SchoenMap(np.ones((3, 4))), "coefficients must be a finite 4x4 array"),
+        (lambda: SchoenMap(_schoen_ones_but(2, 3, math.nan)),
+         "coefficients must be a finite 4x4 array"),
+        (lambda: SchoenMap(_schoen_ones_but(1, 2, -0.5)),
+         "coupling coefficients must be nonnegative"),
+        (lambda: ComposeMap(()), "compose needs at least one child"),
+        (lambda: SumMap(()), "sum needs at least one child"),
+        (lambda: SumMap((MatrixMap(np.ones((2, 2))), MatrixMap(np.ones((3, 3))))),
+         "summed maps must share one dimension"),
+        (lambda: eval_map(MatrixMap(np.ones((2, 2))), np.ones((1, 1, 2))),
+         "expected a vector or a batch of vectors"),
+        (lambda: map_spec_from_dict([{"kind": "matrix", "matrix": [[1.0]]}]),
+         "map spec nodes must be objects with a 'kind' tag"),
+        (lambda: map_spec_from_dict({"kind": "scale", "child": {"kind": "triangle", "c": 0}}),
+         "map spec node 'scale' is missing field 'alpha'"),
+    ], ids=["sigma-empty", "sigma-negative", "sigma-inf", "r-nan", "matrix-not-square",
+            "meansum-empty", "meansum-empty-row", "meansum-not-term", "meansum-sigma-length",
+            "schoen-shape", "schoen-nan", "schoen-negative-coupling", "compose-empty",
+            "sum-empty", "sum-dims", "eval-3d", "json-not-object", "json-missing-field"])
+    def test_refusals(self, build, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestNormalizedAndConjugate:

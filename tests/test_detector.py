@@ -41,7 +41,8 @@ def corner_contraction(X):
 
 
 def use_small_batches(monkeypatch):
-    # n+1 boundaries straddle batches of 5, 17, 251, 7, 7, ... rows
+    # batches of 5, 17, 251, 7, 7, ... rows, which the smooth detector
+    # rounds down to whole n+1 blocks
     monkeypatch.setattr(detector, "_BATCH_PLAN", (5, 17, 251))
     monkeypatch.setattr(detector, "_BATCH_MAX", 7)
 
@@ -286,11 +287,27 @@ class TestDetectEigenvector:
     def test_batches_stay_within_the_coordinate_cap(self, cone):
         for n in range(1, 25):
             config = DetectionConfig(max_samples=3 * 4096 + 5)
-            sizes = [X.size for _, X, _ in detector._draws(config, n, cone)]
+            sizes = [X.size for _, X, _ in detector._draws(config, n, cone, 1)]
             assert max(sizes) <= 2 ** 14
             assert sum(sizes) == n * config.max_samples
             if n <= 4:  # the plan's rows, uncapped
                 assert max(sizes) == n * 4096
+
+    @pytest.mark.parametrize("small_batches", [False, True])
+    def test_batches_hold_whole_blocks(self, monkeypatch, small_batches):
+        # every batch but the budget's last holds whole n+1 blocks, and at
+        # least one block, also past the coordinate cap (n > 127)
+        if small_batches:
+            use_small_batches(monkeypatch)
+        for n in (1, 2, 4, 7, 30, 127, 128, 130, 200):
+            block = n + 1
+            config = DetectionConfig(max_samples=5 * block + 2)
+            rows = [len(X) for _, X, _ in detector._draws(config, n, False, block)]
+            assert sum(rows) == config.max_samples
+            assert all(m > 0 and m % block == 0 for m in rows[:-1])
+            assert all(m * n <= max(2 ** 14, block * n) for m in rows)
+            if n > 127:
+                assert rows == [block] * 5 + [2]
 
     @pytest.mark.parametrize("small_batches", [False, True])
     @pytest.mark.parametrize("cone, R", [
@@ -304,7 +321,7 @@ class TestDetectEigenvector:
             use_small_batches(monkeypatch)
         for n, budget in ((1, 300), (3, 2500)):
             config = DetectionConfig(box_radius=R, max_samples=budget, seed=budget)
-            batches = list(detector._draws(config, n, cone))
+            batches = list(detector._draws(config, n, cone, 1))
             assert len(batches) >= 3
             assert [offset for offset, _, _ in batches] == np.cumsum(
                 [0] + [len(X) for _, X, _ in batches[:-1]]).tolist()
@@ -513,25 +530,44 @@ class TestDetectFixedPointSmooth:
     def test_break_in_a_block_that_straddles_batches(self, monkeypatch, small_batches):
         # residuals (w_0, |w_1|) never surround 0; at seed 47 the cached
         # separator breaks in the block of rows 21-23 and in that of rows
-        # 30-32, which straddle the small plan's second batch and the default
-        # plan's first: the rows before the edge are tested with the new batch
+        # 30-32, which straddle the edge of the small plan's second batch
+        # (row 22) and of the default plan's first (row 32).  The detector
+        # rounds its batches down to whole n+1 blocks, so no block straddles
         if small_batches:
             use_small_batches(monkeypatch)
         config = DetectionConfig(seed=47, max_samples=300)
         solve = detector.interior_hull_certificate
-        calls = []
+        calls, batches = [], []
         monkeypatch.setattr(detector, "interior_hull_certificate",
                             lambda V: calls.append(len(V)) or solve(V))
-        f = lambda X: X + np.column_stack([X[:, 0], np.abs(X[:, 1])])
+
+        def f(X):
+            batches.append(len(X))
+            return X + np.column_stack([X[:, 0], np.abs(X[:, 1])])
+
         report = detect_fixed_point_smooth(f, 2, config)
-        edges = np.cumsum([len(X) for _, X, _ in detector._draws(config, 2, False)])
-        assert len(edges) >= 3
+        assert batches == ([3, 15, 249, 6, 6, 6, 6, 6, 3] if small_batches
+                           else [30, 255, 15])
         assert calls == [3, 24, 33, 39, 195]
-        assert any(b - 3 < edge < b for b in calls for edge in edges)
         want = naive_smooth_report(f, 2, config)
         assert (report.status, report.samples_used) == (DetectionStatus.UNDETERMINED, 300)
         assert np.array_equal(report.probe_points, want.probe_points)
         assert report.to_json_bytes() == want.to_json_bytes()
+
+    def test_one_block_past_the_coordinate_cap(self):
+        # at n = 130 one block of 131 rows holds more than 2**14
+        # coordinates: each batch is that one block, until the budget's end
+        # cuts the last.  The contraction confirms at the second boundary.
+        config = DetectionConfig(seed=3, max_samples=300)
+        shift = np.full(130, 0.5)
+        for g, status, rows in ((lambda X: 0.9 * X, DetectionStatus.CONFIRMED, [131, 131]),
+                                (lambda X: X + shift, DetectionStatus.UNDETERMINED,
+                                 [131, 131, 38])):
+            batches = []
+            f = lambda X: batches.append(len(X)) or g(X)
+            report = detect_fixed_point_smooth(f, 130, config)
+            assert (report.status, batches) == (status, rows)
+            assert report.to_json_bytes() == naive_smooth_report(g, 130, config).to_json_bytes()
 
     @pytest.mark.parametrize("small_batches", [False, True])
     def test_separator_breaks_after_first_solve(self, monkeypatch,

@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from coneglow import (
+    BoundingBall,
     DetectionConfig,
     DomainError,
     MatrixMap,
@@ -296,6 +299,23 @@ class TestHalfspacePolytope:
             halfspace_polytope(lambda W: -W, probes)
         with pytest.raises(DomainError, match="^map values must be finite$"):
             halfspace_polytope(lambda W: np.full_like(W, np.inf), probes)
+
+
+def _probes_all_fixed():
+    # the identity leaves every probe's residual 0, so no probe gives a row
+    with pytest.warns(UserWarning, match="^skipping 2 probe"):
+        halfspace_polytope(lambda W: W, [[1.0, 2.0], [-3.0, 0.5]])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BoundingBall(center=np.zeros(2), radius=-1.0, metric="sup"),
+     "radius must be finite and nonnegative"),
+    (lambda: localize_eigenvectors(np.ones((3, 3)), 2), "witness dimension mismatch"),
+    (_probes_all_fixed, "no usable probes (all residuals vanished)"),
+], ids=["ball-negative-radius", "eigen-witness-dimension", "polytope-no-probes"])
+def test_refusals(build, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_l1_localization_unsupported():
