@@ -122,7 +122,8 @@ class MeanSumMap(MapSpec):
         if not terms:
             raise DomainError("at least one coordinate is required")
         n = len(terms)
-        for row in terms:
+        members: dict[tuple, list[tuple[int, MeanTerm]]] = {}
+        for i, row in enumerate(terms):
             if not row:
                 raise DomainError("each coordinate needs at least one term")
             for term in row:
@@ -130,14 +131,10 @@ class MeanSumMap(MapSpec):
                     raise DomainError("coordinate terms must be MeanTerm")
                 if term.sigma.size != n:
                     raise DomainError("sigma length must equal the dimension")
-        object.__setattr__(self, "terms", terms)
-
-        members: dict[tuple, list[tuple[int, MeanTerm]]] = {}
-        for i, row in enumerate(terms):
-            for term in row:
                 r = 0.0 if abs(term.r) < _GEOMETRIC_R else term.r
                 key = (r, tuple(np.flatnonzero(term.sigma > 0.0)))
                 members.setdefault(key, []).append((i, term))
+        object.__setattr__(self, "terms", terms)
         placement = np.zeros((sum(map(len, terms)), n))
         groups = []
         stop = 0
@@ -289,23 +286,35 @@ class TriangleMap(MapSpec):
 
 
 @dataclass(frozen=True, eq=False)
-class ComposeMap(MapSpec):
-    """Composition of equal-dimension maps; the last child applies first."""
+class _Combinator(MapSpec):
+    """A node over a nonempty tuple of equal-dimension child nodes.
+
+    Each subclass names its operation in ``_words``, the verb and the
+    participle of its refusals.
+    """
 
     children: tuple[MapSpec, ...]
 
     def __post_init__(self):
+        verb, participle = self._words
         children = tuple(self.children)
         if not children:
-            raise DomainError("compose needs at least one child")
-        dims = {child.dim for child in children}
-        if len(dims) != 1:
-            raise DomainError("composed maps must share one dimension")
+            raise DomainError(f"{verb} needs at least one child")
+        if not all(isinstance(child, MapSpec) for child in children):
+            raise DomainError(f"{verb} children must be MapSpec nodes")
+        if len({child.dim for child in children}) != 1:
+            raise DomainError(f"{participle} maps must share one dimension")
         object.__setattr__(self, "children", children)
 
     @property
     def dim(self) -> int:
         return self.children[0].dim
+
+
+class ComposeMap(_Combinator):
+    """Composition of equal-dimension maps; the last child applies first."""
+
+    _words = ("compose", "composed")
 
     def _eval_batch(self, X):
         for child in reversed(self.children):
@@ -313,22 +322,10 @@ class ComposeMap(MapSpec):
         return X
 
 
-@dataclass(frozen=True, eq=False)
-class SumMap(MapSpec):
-    children: tuple[MapSpec, ...]
+class SumMap(_Combinator):
+    """Sum of equal-dimension maps, added in the order of the children."""
 
-    def __post_init__(self):
-        children = tuple(self.children)
-        if not children:
-            raise DomainError("sum needs at least one child")
-        dims = {child.dim for child in children}
-        if len(dims) != 1:
-            raise DomainError("summed maps must share one dimension")
-        object.__setattr__(self, "children", children)
-
-    @property
-    def dim(self) -> int:
-        return self.children[0].dim
+    _words = ("sum", "summed")
 
     def _eval_batch(self, X):
         acc = self.children[0]._eval_batch(X)
@@ -346,6 +343,8 @@ class ScaleMap(MapSpec):
         object.__setattr__(self, "alpha", float(self.alpha))
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise DomainError("scale factor must be positive and finite")
+        if not isinstance(self.child, MapSpec):
+            raise DomainError("scale child must be a MapSpec node")
 
     @property
     def dim(self) -> int:
@@ -488,10 +487,9 @@ def map_spec_from_dict(obj) -> MapSpec:
                 for row in obj["coordinates"]
             )
             return MeanSumMap(rows)
-        if kind == "compose":
-            return ComposeMap(tuple(map_spec_from_dict(c) for c in obj["children"]))
-        if kind == "sum":
-            return SumMap(tuple(map_spec_from_dict(c) for c in obj["children"]))
+        if kind in ("compose", "sum"):
+            node = ComposeMap if kind == "compose" else SumMap
+            return node(tuple(map_spec_from_dict(c) for c in obj["children"]))
         if kind == "scale":
             return ScaleMap(float(_number(obj, "alpha")), map_spec_from_dict(obj["child"]))
     except KeyError as exc:

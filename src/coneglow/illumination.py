@@ -29,11 +29,7 @@ row at a time, but combines whole contiguous columns element-wise, about
 ten times faster at n = 3.  So ``sup_masks`` and ``separates`` reduce a
 column-major copy, and ``variation_masks`` sorts each row once, then
 works on (n, m) arrays whose row k holds every sample's k-th smallest
-ratio.  The row sort is stable up to n = 4.  From n = 5 on it is NumPy's
-default sort, which dispatches to a SIMD sort where the CPU has one
-(AVX-512, say) and does not lose time to branch mispredicts on fresh
-rows as the stable insertion sort does; rows with tied ratios are then
-sorted again stably.
+ratio.
 """
 
 from __future__ import annotations

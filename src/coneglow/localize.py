@@ -26,6 +26,14 @@ HILBERT_METRIC = "hilbert"
 _CONTAIN_TOL = 1e-9
 
 
+def _point_of_dim(v, n: int) -> np.ndarray:
+    """``v`` as a finite vector, refused unless it has ``n`` entries."""
+    va = as_vector(v)
+    if va.size != n:
+        raise DomainError(f"region has dimension {n}, got a point of dimension {va.size}")
+    return va
+
+
 @dataclass(frozen=True)
 class BoundingBall:
     """A closed ball ``{x : d(x, center) <= radius}`` in the named metric.
@@ -42,10 +50,11 @@ class BoundingBall:
             raise DomainError("radius must be finite and nonnegative")
 
     def contains(self, v) -> bool:
+        va = _point_of_dim(v, np.size(self.center))
         if self.metric == HILBERT_METRIC:
-            distance = hilbert_metric(v, self.center)
+            distance = hilbert_metric(va, self.center)
         else:
-            distance = norm(as_vector(v) - self.center, NormId(self.metric))
+            distance = norm(va - self.center, NormId(self.metric))
         return distance <= self.radius + _CONTAIN_TOL
 
     def to_json_dict(self) -> dict:
@@ -160,7 +169,7 @@ class HalfspacePolytope:
     rows: tuple[tuple[np.ndarray, float], ...]
 
     def contains(self, v) -> bool:
-        va = as_vector(v)
+        va = as_vector(v) if not self.rows else _point_of_dim(v, np.size(self.rows[0][0]))
         return all(float(normal @ va) <= offset + _CONTAIN_TOL
                    for normal, offset in self.rows)
 

@@ -683,6 +683,22 @@ def test_out_dev_null(tmp_path):
     assert _localize(tmp_path / "report.json", os.devnull) == 0
 
 
+def test_stdout_without_out(tmp_path, capsysbinary):
+    # detect prints the bytes --out writes; localize prints the eigenpair
+    # lines, then the ball that --out writes
+    report, ball = tmp_path / "report.json", tmp_path / "ball.json"
+    assert main(["detect", "--spec", SCHOEN, "--seed", "5"]) == 0
+    printed = capsysbinary.readouterr().out
+    assert _detect(report) == 0
+    assert printed == report.read_bytes()
+    assert main(["localize", "--spec", SCHOEN, "--report", str(report)]) == 0
+    printed = capsysbinary.readouterr().out
+    assert _localize(report, ball) == 0
+    eigenpair = capsysbinary.readouterr().out
+    assert eigenpair.startswith(b"eigenvector: [") and eigenpair.count(b"\n") == 2
+    assert printed == eigenpair + ball.read_bytes()
+
+
 def test_out_directory_exit_one(tmp_path, capsys):
     assert _detect(tmp_path) == 1
     err = capsys.readouterr().err

@@ -363,6 +363,10 @@ class TestConstructorValidation:
         (lambda: SumMap(()), "sum needs at least one child"),
         (lambda: SumMap((MatrixMap(np.ones((2, 2))), MatrixMap(np.ones((3, 3))))),
          "summed maps must share one dimension"),
+        (lambda: ComposeMap((MatrixMap(np.ones((2, 2))), "matrix")),
+         "compose children must be MapSpec nodes"),
+        (lambda: SumMap((lambda X: X,)), "sum children must be MapSpec nodes"),
+        (lambda: ScaleMap(2.0, "matrix"), "scale child must be a MapSpec node"),
         (lambda: eval_map(MatrixMap(np.ones((2, 2))), np.ones((1, 1, 2))),
          "expected a vector or a batch of vectors"),
         (lambda: map_spec_from_dict([{"kind": "matrix", "matrix": [[1.0]]}]),
@@ -372,7 +376,8 @@ class TestConstructorValidation:
     ], ids=["sigma-empty", "sigma-negative", "sigma-inf", "r-nan", "matrix-not-square",
             "meansum-empty", "meansum-empty-row", "meansum-not-term", "meansum-sigma-length",
             "schoen-shape", "schoen-nan", "schoen-negative-coupling", "compose-empty",
-            "sum-empty", "sum-dims", "eval-3d", "json-not-object", "json-missing-field"])
+            "sum-empty", "sum-dims", "compose-not-node", "sum-not-node", "scale-not-node",
+            "eval-3d", "json-not-object", "json-missing-field"])
     def test_refusals(self, build, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             build()

@@ -318,6 +318,23 @@ def test_refusals(build, message):
         build()
 
 
+@pytest.mark.parametrize("region, inside", [
+    (BoundingBall(center=np.zeros(3), radius=1.0, metric="sup"), [0.5, 0.5, 0.5]),
+    (BoundingBall(center=np.zeros(3), radius=1.0, metric="variation"), [0.5, 0.5, 0.0]),
+    (BoundingBall(center=np.ones(3), radius=1.0, metric="hilbert"), [0.5, 0.5, 0.5]),
+    (halfspace_polytope(lambda W: 0.0 * W, np.vstack([np.eye(3), -np.eye(3)]))[0],
+     [0.5, 0.5, 0.5]),
+], ids=["sup", "variation", "hilbert", "polytope"])
+@pytest.mark.parametrize("point", [[0.5], [0.5, 0.5], [0.5, 0.5, 0.5, 0.5]],
+                         ids=["1", "2", "4"])
+def test_contains_refuses_another_dimension(region, inside, point):
+    # NumPy would broadcast a 1-vector against the center and answer
+    assert region.contains(inside)
+    message = f"region has dimension 3, got a point of dimension {len(point)}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        region.contains(point)
+
+
 def test_l1_localization_unsupported():
     # l1 is not a norm of the library, so no l1 ball can be asked for
     with pytest.raises(ValueError):

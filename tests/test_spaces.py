@@ -55,6 +55,9 @@ def test_vector_validation():
         norm([1.0, float("inf")], NormId.EUCLID)
     with pytest.raises(DomainError):
         norm([], NormId.SUP)
+    # a norm's value string is not a NormId
+    with pytest.raises(DomainError, match="^unknown norm id 'sup'$"):
+        norm([1.0, 2.0], "sup")
 
 
 def test_hilbert_examples():
