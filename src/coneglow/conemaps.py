@@ -34,6 +34,14 @@ POWER_TOL = 1e-12
 _GEOMETRIC_R = 1e-200
 
 
+def _as_tuple(items, message: str) -> tuple:
+    """``tuple(items)``; DomainError with ``message`` if it is not iterable."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise DomainError(message) from None
+
+
 @dataclass(frozen=True, eq=False)
 class MeanTerm:
     """One ``coeff * M_{r,sigma}`` term of a coordinate function."""
@@ -61,9 +69,17 @@ class MeanTerm:
 
 
 class MapSpec:
-    """Base class for map-description tree nodes."""
+    """Base class for map-description tree nodes.
+
+    ``width`` is the column count of the widest per-row array the node's
+    kernel builds, at least ``dim``; the samplers size batches by it.
+    """
 
     dim: int
+
+    @property
+    def width(self) -> int:
+        return self.dim
 
     def _eval_batch(self, X: np.ndarray) -> np.ndarray:
         """Map a cone point ``(n,)`` or an ``(m, n)`` batch, keeping the shape."""
@@ -118,7 +134,9 @@ class MeanSumMap(MapSpec):
     terms: tuple[tuple[MeanTerm, ...], ...]
 
     def __post_init__(self):
-        terms = tuple(tuple(row) for row in self.terms)
+        rows = _as_tuple(self.terms, "meansum terms must be a sequence of coordinates")
+        terms = tuple(_as_tuple(row, "each coordinate must be a sequence of MeanTerm")
+                      for row in rows)
         if not terms:
             raise DomainError("at least one coordinate is required")
         n = len(terms)
@@ -151,6 +169,11 @@ class MeanSumMap(MapSpec):
     @property
     def dim(self) -> int:
         return len(self.terms)
+
+    @property
+    def width(self) -> int:
+        """The term count: the kernel's term matrix has one column per term."""
+        return len(self._placement)
 
     def _eval_batch(self, X):
         # keep the copies X[..., g.cols]: column-major, they vectorize max/min
@@ -297,7 +320,7 @@ class _Combinator(MapSpec):
 
     def __post_init__(self):
         verb, participle = self._words
-        children = tuple(self.children)
+        children = _as_tuple(self.children, f"{verb} children must be a sequence of MapSpec nodes")
         if not children:
             raise DomainError(f"{verb} needs at least one child")
         if not all(isinstance(child, MapSpec) for child in children):
@@ -309,6 +332,10 @@ class _Combinator(MapSpec):
     @property
     def dim(self) -> int:
         return self.children[0].dim
+
+    @property
+    def width(self) -> int:
+        return max(child.width for child in self.children)
 
 
 class ComposeMap(_Combinator):
@@ -349,6 +376,10 @@ class ScaleMap(MapSpec):
     @property
     def dim(self) -> int:
         return self.child.dim
+
+    @property
+    def width(self) -> int:
+        return self.child.width
 
     def _eval_batch(self, X):
         return self.alpha * self.child._eval_batch(X)

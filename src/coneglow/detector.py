@@ -45,10 +45,13 @@ _MAX_LOG_BOX = 700.0
 # time; the first batch covers a typical confirmation.
 _BATCH_PLAN = (32, 256, 2048)
 _BATCH_MAX = 4096
-# Coordinates per batch: an (m, n) float array holds at most 128 KiB, and
-# exactly that at n = 4, 8 and 16.  With its chunk header that is just past
-# glibc's default mmap threshold, which glibc raises as soon as a mapped
-# block is freed, so batch arrays come from the heap.  A batch of one
+# Floats in any one array a batch builds: rows are capped at this over the
+# widest per-row array, the (m, n) samples or the map's own (``MapSpec.width``,
+# e.g. a meansum map's (m, terms) term matrix), so no such array holds more
+# than 128 KiB, and exactly that at widths 4, 8 and 16.  With its chunk
+# header that is just past glibc's default mmap threshold, which glibc
+# raises as soon as a mapped block is freed, so batch arrays come from the
+# heap, not from fresh mappings that page-fault in again.  A batch of one
 # smooth-detector block of n+1 rows passes the cap above n = 127.
 _BATCH_COORDS = 2 ** 14
 # Per report kind: the masks a confirmed report covers in dimension n, the
@@ -292,15 +295,18 @@ def _residuals(f, X, cone: bool, Y=None) -> np.ndarray:
     return R
 
 
-def _draws(config: DetectionConfig, n: int, cone: bool, block: int):
+def _draws(config: DetectionConfig, n: int, cone: bool, block: int,
+           width: int | None = None):
     """Yield ``(offset, X, Y)``: sample points X and their coordinates Y.
 
     Y is uniform in the box; on the cone its last column is 0, so the
     slice point ``X = exp(Y)`` ends in exactly 1.  Batches ramp through
     ``_BATCH_PLAN`` (32, 256, 2048 rows), then stay at ``_BATCH_MAX``
-    rows, within ``_BATCH_COORDS`` = 2**14 coordinates: each (m, n)
-    float array of a batch holds at most 128 KiB (2048 rows at n = 8;
-    n <= 4 keeps the plan).  Sizes round down to whole blocks of
+    rows, within ``_BATCH_COORDS // width`` rows.  ``width`` (n if None)
+    is the column count of the widest per-row array the map builds, so
+    no array of a batch holds more than 2**14 floats, 128 KiB: 2048 rows
+    at width 8, 1024 for a meansum map of 16 terms, and n <= 4 keeps the
+    plan when the map is no wider.  Sizes round down to whole blocks of
     ``block`` rows (n+1 for the smooth detector, 1 for the mask
     detectors) but hold at least one, which passes the cap only if the
     block does; only the budget's end cuts a block.  The unit draws are
@@ -313,9 +319,10 @@ def _draws(config: DetectionConfig, n: int, cone: bool, block: int):
     rng = np.random.default_rng(config.seed)
     R = config.box_radius
     sizes = itertools.chain(_BATCH_PLAN, itertools.repeat(_BATCH_MAX))
+    cap = _BATCH_COORDS // (n if width is None else width)
     offset = 0
     while offset < config.max_samples:
-        size = min(next(sizes), _BATCH_COORDS // n)
+        size = min(next(sizes), cap)
         size = min(max(size - size % block, block), config.max_samples - offset)
         Y = rng.random((size, n - 1 if cone else n))
         Y *= 2.0 * R
@@ -360,12 +367,12 @@ def _cover(kind: str, n: int, config: DetectionConfig, batches) -> DetectionRepo
                            config=config, witnesses=witnesses)
 
 
-def _detect_masks(kind: str, f, n, config: DetectionConfig, vectorized) -> DetectionReport:
-    """Cut each batch's residuals into the kind's masks and ``_cover`` them."""
-    _check_arguments(kind, n, config, vectorized)
+def _detect_masks(kind: str, f, n: int, width: int, config: DetectionConfig) -> DetectionReport:
+    """Cut each batch's residuals into the kind's masks and ``_cover`` them;
+    the caller has run ``_check_arguments``."""
     _, masks_of, cone = _KINDS[kind]
     batches = ((offset, X, *masks_of(_residuals(f, X, cone, Y), config.gap_tol))
-               for offset, X, Y in _draws(config, n, cone, 1))
+               for offset, X, Y in _draws(config, n, cone, 1, width))
     return _cover(kind, n, config, batches)
 
 
@@ -374,9 +381,12 @@ def detect_eigenvector(spec: MapSpec, config: DetectionConfig) -> DetectionRepor
 
     Draws slice points, accumulates realized ratio subsets, and stops at
     full coverage (Confirmed) or at the sample budget (Undetermined; not
-    evidence of absence).  Deterministic given the config seed.
+    evidence of absence).  Deterministic given the config seed.  Batches
+    are sized by ``spec.width``, read once the dimension has been checked.
     """
-    return _detect_masks("eigenvector", lambda X: eval_map(spec, X), spec.dim, config, True)
+    n = spec.dim
+    _check_arguments("eigenvector", n, config, True)
+    return _detect_masks("eigenvector", lambda X: eval_map(spec, X), n, spec.width, config)
 
 
 def detect_fixed_point_sup(f, n: int, config: DetectionConfig,
@@ -387,7 +397,8 @@ def detect_fixed_point_sup(f, n: int, config: DetectionConfig,
     (``vectorized=False`` is refused).  Patterns only count when every
     residual coordinate clears the strictness slack.
     """
-    return _detect_masks("fixed_point_sup", f, n, config, vectorized)
+    _check_arguments("fixed_point_sup", n, config, vectorized)
+    return _detect_masks("fixed_point_sup", f, n, n, config)
 
 
 def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,

@@ -170,8 +170,13 @@ def interior_hull_certificate(vectors) -> HullCertificate:
         weight = (1.0 + mu) @ np.max(np.abs(U), axis=1)
         eps = float(1.0 / (m + mu.sum())) if np.max(np.abs(w)) <= 1e-9 * weight else -np.inf
 
-    def deficient():
-        return np.linalg.matrix_rank(V, tol=RANK_TOL) < n
+    rank = None
+
+    def deficient():  # the rank test, an SVD: run at most once
+        nonlocal rank
+        if rank is None:
+            rank = np.linalg.matrix_rank(V, tol=RANK_TOL)
+        return rank < n
 
     if eps > LP_TOL and not deficient():
         return HullCertificate(True, eps, None)

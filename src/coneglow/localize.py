@@ -11,6 +11,8 @@ normals from ``detector._residuals``, the function ``verify`` checks with.
 
 from __future__ import annotations
 
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -22,6 +24,7 @@ from .illumination import interior_hull_certificate
 from .spaces import NormId, as_points, as_vector, exp_coords, hilbert_metric, norm, require_cone
 
 HILBERT_METRIC = "hilbert"
+_METRICS = (*(norm_id.value for norm_id in NormId), HILBERT_METRIC)
 # Slack of the containment tests, for rounding in the distances and rows.
 _CONTAIN_TOL = 1e-9
 
@@ -38,7 +41,8 @@ def _point_of_dim(v, n: int) -> np.ndarray:
 class BoundingBall:
     """A closed ball ``{x : d(x, center) <= radius}`` in the named metric.
 
-    ``metric`` is a NormId value string or ``"hilbert"``.
+    ``center`` is coerced to a finite float vector, ``metric`` is a NormId
+    value string or ``"hilbert"``, and ``radius`` a real number, not a bool.
     """
 
     center: np.ndarray
@@ -46,7 +50,12 @@ class BoundingBall:
     metric: str
 
     def __post_init__(self):
-        if not (np.isfinite(self.radius) and self.radius >= 0.0):
+        object.__setattr__(self, "center", as_vector(self.center))
+        if self.metric not in _METRICS:
+            raise DomainError(f"metric must be one of {', '.join(_METRICS)}, not {self.metric!r}")
+        if isinstance(self.radius, bool) or not isinstance(self.radius, numbers.Real):
+            raise DomainError(f"radius must be a real number, not {self.radius!r}")
+        if not 0.0 <= self.radius <= sys.float_info.max:  # NaN fails; no int overflows
             raise DomainError("radius must be finite and nonnegative")
 
     def contains(self, v) -> bool:

@@ -367,6 +367,13 @@ class TestConstructorValidation:
          "compose children must be MapSpec nodes"),
         (lambda: SumMap((lambda X: X,)), "sum children must be MapSpec nodes"),
         (lambda: ScaleMap(2.0, "matrix"), "scale child must be a MapSpec node"),
+        (lambda: ComposeMap(5), "compose children must be a sequence of MapSpec nodes"),
+        (lambda: SumMap(5), "sum children must be a sequence of MapSpec nodes"),
+        (lambda: ComposeMap(MatrixMap(np.ones((2, 2)))),
+         "compose children must be a sequence of MapSpec nodes"),
+        (lambda: MeanSumMap(5), "meansum terms must be a sequence of coordinates"),
+        (lambda: MeanSumMap(((MeanTerm(1.0, [0.5, 0.5], 1.0),), 5)),
+         "each coordinate must be a sequence of MeanTerm"),
         (lambda: eval_map(MatrixMap(np.ones((2, 2))), np.ones((1, 1, 2))),
          "expected a vector or a batch of vectors"),
         (lambda: map_spec_from_dict([{"kind": "matrix", "matrix": [[1.0]]}]),
@@ -377,10 +384,33 @@ class TestConstructorValidation:
             "meansum-empty", "meansum-empty-row", "meansum-not-term", "meansum-sigma-length",
             "schoen-shape", "schoen-nan", "schoen-negative-coupling", "compose-empty",
             "sum-empty", "sum-dims", "compose-not-node", "sum-not-node", "scale-not-node",
+            "compose-int", "sum-int", "compose-one-node", "meansum-int", "meansum-int-row",
             "eval-3d", "json-not-object", "json-missing-field"])
     def test_refusals(self, build, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             build()
+
+
+class TestWidth:
+    def test_every_node_kind(self):
+        # the widest per-row array a kernel builds: dim by default, the
+        # term count of a meansum map, the widest child of a combinator
+        matrix = MatrixMap(np.ones((4, 4)))
+        term = MeanTerm(1.0, [0.25] * 4, 1.0)
+        wide = MeanSumMap(((term,) * 3,) * 4)
+        cases = [
+            (matrix, 4), (SchoenMap(np.ones((4, 4))), 4), (TriangleMap(0.1), 3),
+            (MatrixMap([[2.0]]), 1), (mixed_meansum(), 5), (wide, 12),
+            (ComposeMap((matrix, wide, mixed_meansum())), 12), (ComposeMap((matrix,)), 4),
+            (SumMap((mixed_meansum(), matrix)), 5), (ScaleMap(2.0, wide), 12),
+            (ScaleMap(2.0, SumMap((ScaleMap(0.5, matrix), wide))), 12),
+        ]
+        for spec, width in cases:
+            assert spec.width == width >= spec.dim
+
+    def test_read_only(self):
+        with pytest.raises(AttributeError):
+            mixed_meansum().width = 4
 
 
 class TestNormalizedAndConjugate:

@@ -293,6 +293,21 @@ class TestDetectEigenvector:
             if n <= 4:  # the plan's rows, uncapped
                 assert max(sizes) == n * 4096
 
+    @pytest.mark.parametrize("cone", [False, True])
+    @pytest.mark.parametrize("n, width", [(3, 3), (3, 48), (8, 16), (8, 33), (24, 100),
+                                          (2, 2 ** 14), (2, 2 ** 14 + 1), (4, 10 ** 6)])
+    def test_batches_stay_within_the_width_cap(self, cone, n, width):
+        # a map wider than n caps a batch's rows at 2**14 // width, and
+        # past 2**14 each batch is one block, of 1 row or of n+1
+        for block in (1, n + 1):
+            config = DetectionConfig(max_samples=2 * 4096 + 5 if width < 2 ** 14 else 40)
+            rows = [len(X) for _, X, _ in detector._draws(config, n, cone, block, width)]
+            assert sum(rows) == config.max_samples
+            assert all(m > 0 and m % block == 0 for m in rows[:-1])
+            assert all(m * width <= max(2 ** 14, block * width) for m in rows)
+            size = min(4096, 2 ** 14 // width)
+            assert max(rows) == max(size - size % block, block)
+
     @pytest.mark.parametrize("small_batches", [False, True])
     def test_batches_hold_whole_blocks(self, monkeypatch, small_batches):
         # every batch but the budget's last holds whole n+1 blocks, and at
@@ -336,22 +351,38 @@ class TestDetectEigenvector:
             assert np.array_equal(Y.view(np.uint64), want.view(np.uint64))
 
     def test_coordinate_cap_does_not_change_long_runs(self, monkeypatch):
-        # past 4096 samples, where the cap cuts n = 8 and n = 6 batches
-        rng = np.random.default_rng(8)
-        meansum = MeanSumMap(tuple(
-            (MeanTerm(r1, rng.dirichlet(np.full(8, 20.0)), 1.0),
-             MeanTerm(r2, rng.dirichlet(np.full(8, 20.0)), 0.9))
-            for r1, r2 in zip([0, 1, 2, np.inf] * 2, [-np.inf, -1, 0, 1] * 2)))
+        # past 4096 samples, where the cap cuts n = 8 and n = 6 batches,
+        # and n = 8 meansum batches by the term count: 2n terms to 1024
+        # rows, 4n terms to 512
+        def meansum(coeffs):
+            # one term per coefficient in each coordinate, exponents in turn
+            rng = np.random.default_rng(8)
+            return MeanSumMap(tuple(
+                tuple(MeanTerm(r, rng.dirichlet(np.full(8, 20.0)), c)
+                      for r, c in zip((r1, r2) * 2, coeffs))
+                for r1, r2 in zip([0, 1, 2, np.inf] * 2, [-np.inf, -1, 0, 1] * 2)))
+
+        narrow, wide = meansum((1.0, 0.9)), meansum((1.0, 0.9, 0.5, 0.4))
+        assert (narrow.width, wide.width) == (16, 32)
         shift = np.array([0.5, -1.0, 2.0, -3.0, 4.0, -5.0])
+        rows = {}
+        monkeypatch.setattr(detector, "eval_map", lambda spec, X: (
+            rows.setdefault(spec.width, []).append(len(X)) or eval_map(spec, X)))
 
         def runs():
+            rows.clear()
             cfg = DetectionConfig(seed=5, max_samples=12000)
-            yield detect_eigenvector(meansum, cfg)
+            yield detect_eigenvector(narrow, cfg)
+            yield detect_eigenvector(wide, cfg)
             yield detect_fixed_point_sup(lambda X: X + shift, 6, cfg)
 
         capped = [r.to_json_bytes() for r in runs()]
+        assert rows[16][:4] == [32, 256, 1024, 1024]
+        assert rows[32][:4] == [32, 256, 512, 512]
+        assert all(m * width <= 2 ** 14 for width, ms in rows.items() for m in ms)
         monkeypatch.setattr(detector, "_BATCH_COORDS", 2 ** 40)  # the old plan
         assert [r.to_json_bytes() for r in runs()] == capped
+        assert rows[16][:4] == rows[32][:4] == [32, 256, 2048, 4096]
         used = [json.loads(doc)["samples_used"] for doc in capped]
         assert min(used) > 4096
 

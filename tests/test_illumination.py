@@ -396,6 +396,24 @@ class TestInteriorHullCertificate:
             assert calls == [(2, len(vecs))]
         assert not hasattr(illumination, "linprog")
 
+    def test_one_rank_test_per_call(self, monkeypatch):
+        # rows in the plane z = 0 with a positive dependence: NNLS finds
+        # it, the rank test refuses the interior, and the same rank test
+        # picks the null-space separator e_3
+        calls = []
+        rank = np.linalg.matrix_rank
+        monkeypatch.setattr(np.linalg, "matrix_rank",
+                            lambda *args, **kwargs: calls.append(1) or rank(*args, **kwargs))
+        cert = interior_hull_certificate([(1, 0, 0), (0, 1, 0), (-1, -1, 0)])
+        assert len(calls) == 1
+        assert not cert.inside
+        assert cert.epsilon == pytest.approx(1 / 3, abs=1e-12)
+        assert np.array_equal(np.abs(cert.separator), [0.0, 0.0, 1.0])
+        for vecs in ([(1, 0), (-1, 1), (-1, -1)], [(1, 0), (-1, 0)], [(1, 0), (2, 0), (3, 1)]):
+            calls.clear()
+            interior_hull_certificate(vecs)
+            assert len(calls) <= 1
+
     def test_grid_oracle_agreement_2d(self):
         angles = np.arange(3600) * (2 * np.pi / 3600)
         grid = np.stack([np.cos(angles), np.sin(angles)], axis=1)

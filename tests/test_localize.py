@@ -310,9 +310,23 @@ def _probes_all_fixed():
 @pytest.mark.parametrize("build, message", [
     (lambda: BoundingBall(center=np.zeros(2), radius=-1.0, metric="sup"),
      "radius must be finite and nonnegative"),
+    (lambda: BoundingBall(center=np.zeros(2), radius=10 ** 400, metric="sup"),
+     "radius must be finite and nonnegative"),
+    (lambda: BoundingBall(center=np.zeros(2), radius="1", metric="sup"),
+     "radius must be a real number, not '1'"),
+    (lambda: BoundingBall(center=np.zeros(2), radius=True, metric="sup"),
+     "radius must be a real number, not True"),
+    (lambda: BoundingBall(center=np.zeros(2), radius=1.0, metric="l1"),
+     "metric must be one of sup, euclid, variation, hilbert, not 'l1'"),
+    (lambda: BoundingBall(center=np.zeros(2), radius=1.0, metric=NormId.SUP),
+     "metric must be one of sup, euclid, variation, hilbert, not <NormId.SUP: 'sup'>"),
+    (lambda: BoundingBall(center=[0.0, np.inf], radius=1.0, metric="sup"),
+     "vector entries must be finite"),
     (lambda: localize_eigenvectors(np.ones((3, 3)), 2), "witness dimension mismatch"),
     (_probes_all_fixed, "no usable probes (all residuals vanished)"),
-], ids=["ball-negative-radius", "eigen-witness-dimension", "polytope-no-probes"])
+], ids=["ball-negative-radius", "ball-huge-int-radius", "ball-string-radius",
+        "ball-bool-radius", "ball-l1-metric", "ball-enum-metric", "ball-infinite-center",
+        "eigen-witness-dimension", "polytope-no-probes"])
 def test_refusals(build, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         build()
@@ -333,6 +347,15 @@ def test_contains_refuses_another_dimension(region, inside, point):
     message = f"region has dimension 3, got a point of dimension {len(point)}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         region.contains(point)
+
+
+def test_ball_coerces_a_list_center():
+    # a list center serializes like the array it becomes
+    ball = BoundingBall(center=[0.5, 1, -2.0], radius=1.5, metric="sup")
+    twin = BoundingBall(center=np.array([0.5, 1.0, -2.0]), radius=1.5, metric="sup")
+    assert ball.to_json_dict() == twin.to_json_dict()
+    assert ball.to_json_dict()["center"] == [0.5, 1.0, -2.0]
+    assert ball.contains([0.0, 0.0, -1.0]) and not ball.contains([0.0, 0.0, 0.0])
 
 
 def test_l1_localization_unsupported():
