@@ -157,7 +157,11 @@ def cmd_localize(args) -> int:
         out = region.to_json_dict()
     else:
         A, b = payload
-        known, name = np.linalg.solve(np.eye(n) - A, b), "fixed point"
+        try:
+            known, name = np.linalg.solve(np.eye(n) - A, b), "fixed point"
+        except np.linalg.LinAlgError as exc:  # no unique fixed point to check against
+            raise DomainError("I - A is singular, so the affine map has no bounded, "
+                              "nonempty fixed-point set; the report cannot hold") from exc
         if kind == "fixed_point_sup":
             region = localize.localize_fixed_points(points, NormId.SUP)
             print(f"fixed point: {known.tolist()}")

@@ -148,43 +148,42 @@ def interior_hull_certificate(vectors) -> HullCertificate:
     Stiemke's alternative: either a strictly positive combination of the
     rows is 0, or some phi has ``<v_i, phi> >= 0``, not all 0.  NNLS
     (Lawson-Hanson) finds ``w = sum (1 + mu_i) v_i`` with ``mu >= 0`` of
-    least norm; by the KKT conditions ``V w >= 0``, and ``w = 0`` exactly
-    when a strictly positive dependence exists.  That with full rank puts
-    0 in the interior.  Otherwise the separator is ``w / |w|`` (unit length,
-    as the slack of ``separates`` is absolute in phi), else a unit null
-    vector of rows that do not span the space, whichever passes ``separates``.
+    least norm; by the KKT conditions ``V w >= 0``.  0 is interior when
+    ``|w| + RANK_TOL < sigma_min(V)`` (0 for m < n): for a unit u and small
+    s > 0 the least-norm gamma with ``V^T gamma = s u - w`` then has
+    ``|gamma|_inf < 1 <= 1 + mu_i``, so u is a nonnegative combination of
+    the rows.  Otherwise the separator is the first unit vector passing
+    ``separates`` (its slack is absolute in phi) of ``w``, +-``vt[-1]`` (a
+    null vector of rows that do not span) and ``V^+ 1`` (the normal of rows
+    on a hyperplane off 0), here times sigma_min so that no term overflows.
 
     The solve sees the rows scaled exactly by a power of two below 1, so
-    row sums cannot overflow; the rank check and ``separates`` see them as given.
+    row sums cannot overflow.  The one SVD sees them as given; it is
+    skipped when ``w`` separates rows without a positive dependence.
     """
     V = as_points(vectors)
     m, n = V.shape
-    U = np.ldexp(V, -np.frexp(np.max(np.abs(V)))[1])
+    shift = np.frexp(np.max(np.abs(V)))[1]
+    U = np.ldexp(V, -shift)
     s = U.sum(axis=0)
     try:
         mu = nnls(U.T, -s)[0]
     except RuntimeError:  # iteration limit: neither side is settled
-        w, eps = np.zeros(n), np.nan
-    else:
-        w = U.T @ mu + s
-        weight = (1.0 + mu) @ np.max(np.abs(U), axis=1)
-        eps = float(1.0 / (m + mu.sum())) if np.max(np.abs(w)) <= 1e-9 * weight else -np.inf
-
-    rank = None
-
-    def deficient():  # the rank test, an SVD: run at most once
-        nonlocal rank
-        if rank is None:
-            rank = np.linalg.matrix_rank(V, tol=RANK_TOL)
-        return rank < n
-
-    if eps > LP_TOL and not deficient():
-        return HullCertificate(True, eps, None)
+        return HullCertificate(False, np.nan, None)
+    w = U.T @ mu + s
+    weight = (1.0 + mu) @ np.max(np.abs(U), axis=1)
+    eps = float(1.0 / (m + mu.sum())) if np.max(np.abs(w)) <= 1e-9 * weight else -np.inf
     size = np.linalg.norm(w)
-    if size > 0.0 and separates(V, phi := w / size).all():
+    if eps <= LP_TOL and size > 0.0 and separates(V, phi := w / size).all():
         return HullCertificate(False, eps, phi)
-    if deficient():
-        null = np.linalg.svd(V, full_matrices=m < n)[2][-1]  # a unit vector
-        if separates(V, null).all():
-            return HullCertificate(False, eps, null)
+    left, sigma, vt = np.linalg.svd(V, full_matrices=m < n)
+    # size is |w| in U's scale; a positive gap is at most sqrt(m n) 2**shift,
+    # so moving it to that scale cannot overflow
+    gap = sigma[-1] - RANK_TOL if m >= n else 0.0
+    if eps > LP_TOL and gap > 0.0 and size < np.ldexp(gap, -shift):
+        return HullCertificate(True, eps, None)
+    lsq = vt[:m].T @ (left.sum(axis=0) * (sigma[-1] / sigma)) if sigma[-1] > 0.0 else vt[-1]
+    for phi in (w / (size or 1.0), vt[-1], -vt[-1], lsq / (np.linalg.norm(lsq) or 1.0)):
+        if phi.any() and separates(V, phi).all():
+            return HullCertificate(False, eps, phi)
     return HullCertificate(False, eps, None)

@@ -378,6 +378,58 @@ def test_localize_rejects_polytope_missing_fixed_point(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: containment violated")
 
 
+def _projection(offset):
+    # the orthogonal projection onto the diagonal plus an offset: nonexpansive,
+    # with a line of fixed points when the offset lies on the anti-diagonal
+    # and none otherwise; I - A is singular either way
+    return json.dumps({"kind": "affine", "matrix": [[0.5, 0.5], [0.5, 0.5]],
+                       "offset": offset, "norm": "euclid"})
+
+
+def _smooth_report(path, probe_points, box_radius=100.0):
+    config = {"box_radius": box_radius, "max_samples": 100000, "seed": 0, "gap_tol": 1e-09}
+    path.write_text(json.dumps({
+        "kind": "fixed_point_smooth", "status": "confirmed", "dimension": 2,
+        "samples_used": len(probe_points), "subsets_covered": 0, "total_subsets": 0,
+        "seed": 0, "config": config, "witnesses": [], "probe_points": probe_points}))
+
+
+DELTA_SPEC = _projection([1, -0.99999999])
+
+
+def test_projection_off_its_range_is_not_confirmed(tmp_path, capsys):
+    # its residuals lie on a line 5e-9 from 0.  Three of them nearly span
+    # the plane, but their least singular value is below |w|, so neither a
+    # run nor a report of the three probe points below confirms
+    report = tmp_path / "report.json"
+    assert main(["detect", "--spec", DELTA_SPEC, "--out", str(report)]) == 2
+    _smooth_report(report, [[27.39233746429086, -46.04265724722594],
+                            [-91.80529521276107, -96.69447289429418],
+                            [62.65404784005449, 82.55111545554433]])
+    out = tmp_path / "poly.json"
+    assert main(["localize", "--spec", DELTA_SPEC, "--report", str(report),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "error: 0 is not interior to the hull of the probe residuals\n"
+
+
+def test_localize_singular_affine_map_exit_one(tmp_path, capsys):
+    # residuals of size 5e7, collinear up to rounding, whose least singular
+    # value LAPACK puts above the hull test's absolute tolerance, so this
+    # report passes verify; solving (I - A) x = b for the fixed point fails
+    report = tmp_path / "report.json"
+    _smooth_report(report, [[27392337.464290857, -46042657.24722594],
+                            [-91805295.21276106, -96694472.89429419],
+                            [62654047.84005448, 82551115.45554435]], box_radius=1e8)
+    out = tmp_path / "poly.json"
+    assert main(["localize", "--spec", _projection([1, -1]), "--report", str(report),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: I - A is singular") and err.count("\n") == 1
+
+
 def test_localize_accepts_c16_report_with_c13_spec(tmp_path):
     # the witnesses of a c = 1/6 triangle report also realize their subsets
     # under c = 1/3, so the report is a valid certificate for that map too

@@ -660,6 +660,30 @@ class TestDetectFixedPointSmooth:
         assert (report.confirmed, report.samples_used) == (False, 3000)
         assert calls == ["nnls"]
 
+    def test_projections_without_a_fixed_point_never_confirm(self, monkeypatch):
+        # an orthogonal projection A is nonexpansive; with b off the range of
+        # I - A by 1e-10 to 1e-6 it has no fixed point, and its residuals lie
+        # on an affine subspace that close to 0.  No run may confirm, and the
+        # separators found hold for all but a few n+1 blocks
+        solve = detector.interior_hull_certificate
+        calls = []
+        monkeypatch.setattr(detector, "interior_hull_certificate",
+                            lambda V: calls.append(len(V)) or solve(V))
+        rng = np.random.default_rng(2024)
+        solves = []
+        for n in (2, 3, 4):
+            for seed in range(24):
+                Q = np.linalg.qr(rng.normal(size=(n, n)))[0][:, :rng.integers(1, n)]
+                A = Q @ Q.T
+                b = rng.uniform(-1.0, 1.0, n)
+                b += 10.0 ** rng.uniform(-10.0, -6.0) * Q[:, 0] - Q @ (Q.T @ b)
+                calls.clear()
+                report = detect_fixed_point_smooth(
+                    lambda X: X @ A.T + b, n, DetectionConfig(seed=seed, max_samples=2000))
+                assert (report.confirmed, report.samples_used) == (False, 2000)
+                solves.append(len(calls))
+        assert max(solves) <= 5
+
 
 def _partial_meansum6():
     # two means per coordinate on two-column supports, one of each exponent class

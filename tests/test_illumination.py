@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -398,12 +399,12 @@ class TestInteriorHullCertificate:
 
     def test_one_rank_test_per_call(self, monkeypatch):
         # rows in the plane z = 0 with a positive dependence: NNLS finds
-        # it, the rank test refuses the interior, and the same rank test
-        # picks the null-space separator e_3
+        # it, the least singular value (0) refuses the interior, and the
+        # same SVD picks the null-space separator e_3
         calls = []
-        rank = np.linalg.matrix_rank
-        monkeypatch.setattr(np.linalg, "matrix_rank",
-                            lambda *args, **kwargs: calls.append(1) or rank(*args, **kwargs))
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
         cert = interior_hull_certificate([(1, 0, 0), (0, 1, 0), (-1, -1, 0)])
         assert len(calls) == 1
         assert not cert.inside
@@ -413,6 +414,44 @@ class TestInteriorHullCertificate:
             calls.clear()
             interior_hull_certificate(vecs)
             assert len(calls) <= 1
+
+    def test_collinear_residuals_are_not_inside(self):
+        # residuals of the projection onto the diagonal offset by (1, -1),
+        # sampled in a box of radius 1e9: collinear up to rounding.  Their
+        # least singular value, 8.2e-8, passes the rank tolerance, but |w|
+        # is 8.4e-8
+        V = [(-367174972.557584, 367174972.557584),
+             (-24445887.40766549, 24445887.40766561),
+             (99485339.07744932, -99485339.07744932)]
+        assert not interior_hull_certificate(V).inside
+
+    def test_rows_on_a_hyperplane_near_zero(self):
+        # rows on <a, v> = delta * max|v|: a separates them from 0 by a
+        # relative margin of 1e-12 to 1e-6, below the solve's tolerance
+        # for the small ones, so NNLS reports a positive dependence; the
+        # least singular value refuses the interior, and a separator is found
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(2, 6))
+            a = rng.normal(size=n)
+            a /= np.linalg.norm(a)
+            P = rng.normal(size=(int(rng.integers(n + 1, 4 * n + 1)), n))
+            P -= np.outer(P @ a, a)
+            P *= 10.0 ** rng.uniform(-3.0, 3.0)
+            V = P + 10.0 ** rng.uniform(-12.0, -6.0) * np.max(np.abs(P)) * a
+            cert = interior_hull_certificate(V)
+            assert not cert.inside
+            _assert_unit_separator(V, cert.separator)
+
+    def test_subnormal_rows(self):
+        # 0 is interior to this triangle, but its least singular value is far
+        # below the tolerance; the solve scaled the rows by 2**1073, and
+        # scaling the comparison back must not overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = interior_hull_certificate([(5e-324, 0.0), (-5e-324, 5e-324),
+                                              (-5e-324, -5e-324)])
+        assert not cert.inside and cert.epsilon == pytest.approx(0.25)
 
     def test_grid_oracle_agreement_2d(self):
         angles = np.arange(3600) * (2 * np.pi / 3600)
