@@ -11,7 +11,10 @@ The weighted mean with exponent ``r`` is ``(sum_i sigma_i x_i**r)**(1/r)``
 for finite nonzero r, the weighted geometric mean at r = 0, and the
 max/min over the support of sigma at r = +-inf.  All of these are
 order-preserving and homogeneous of degree one, which is what every
-result used here requires.
+result used here requires.  ``MeanSumMap`` gathers each support's
+columns once per batch and evaluates the arithmetic (r = 1) and harmonic
+(r = -1) means in closed form, without logarithms; every other finite
+r != 0 goes through a log-sum-exp shifted by the support's extreme log.
 """
 
 from __future__ import annotations
@@ -42,6 +45,17 @@ def _as_tuple(items, message: str) -> tuple:
         raise DomainError(message) from None
 
 
+def _real(value, what: str) -> float:
+    """``float(value)`` of a real scalar; a bool, a string, None or any
+    other object that merely casts to a float raises DomainError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DomainError(f"{what} must be a real number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{what} is past the float range") from None
+
+
 @dataclass(frozen=True, eq=False)
 class MeanTerm:
     """One ``coeff * M_{r,sigma}`` term of a coordinate function."""
@@ -51,16 +65,16 @@ class MeanTerm:
     coeff: float
 
     def __post_init__(self):
-        object.__setattr__(self, "r", float(self.r))
-        sigma = np.asarray(self.sigma, dtype=float)
+        object.__setattr__(self, "r", _real(self.r, "mean exponent"))
+        sigma = as_real(require_numbers(self.sigma, "sigma"))
         if sigma.ndim != 1 or sigma.size == 0:
             raise DomainError("sigma must be a nonempty weight vector")
-        if np.any(sigma < 0.0) or not np.all(np.isfinite(sigma)):
+        if not (sigma.min() >= 0.0 and sigma.max() < math.inf):  # NaN fails both
             raise DomainError("sigma weights must be finite and nonnegative")
-        if abs(float(np.sum(sigma)) - 1.0) > SIGMA_TOL:
+        if abs(float(sigma.sum()) - 1.0) > SIGMA_TOL:
             raise DomainError("sigma weights must sum to 1")
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "coeff", float(self.coeff))
+        object.__setattr__(self, "coeff", _real(self.coeff, "mean coefficient"))
         if not (self.coeff > 0.0 and math.isfinite(self.coeff)):
             raise DomainError(
                 f"mean coefficient {self.coeff} must be positive and finite")
@@ -91,7 +105,7 @@ class MatrixMap(MapSpec):
     matrix: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.matrix, dtype=float)
+        A = as_real(require_numbers(self.matrix, "matrix"))
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
             raise DomainError("matrix must be square and nonempty")
         if np.any(A < 0.0) or not np.all(np.isfinite(A)):
@@ -116,7 +130,6 @@ class _MeanGroup(NamedTuple):
     """
 
     r: float
-    cols: np.ndarray
     weights: np.ndarray
     start: int
     stop: int
@@ -126,9 +139,14 @@ class _MeanGroup(NamedTuple):
 class MeanSumMap(MapSpec):
     """Coordinate functions that are positive sums of weighted means.
 
-    Terms are grouped once by exponent and support, so a batch costs one
-    log pass, one pass per group and one product that places each term's
-    ``coeff`` in its coordinate.
+    Terms are grouped once by support and, within a support, by exponent.
+    A batch gathers each support's columns once, and their logs once when
+    a group needs them; then it makes one pass per group and one product
+    that places each term's ``coeff`` in its coordinate.  The arithmetic
+    mean (r = 1) is ``sum w x`` and the harmonic mean (r = -1) is
+    ``lo / sum(w lo / x)`` with ``lo`` the support's least entry, so no
+    partial sum overflows; every other finite r != 0 goes through a
+    log-sum-exp shifted by the support's extreme log.
     """
 
     terms: tuple[tuple[MeanTerm, ...], ...]
@@ -150,20 +168,24 @@ class MeanSumMap(MapSpec):
                 if term.sigma.size != n:
                     raise DomainError("sigma length must equal the dimension")
                 r = 0.0 if abs(term.r) < _GEOMETRIC_R else term.r
-                key = (r, tuple(np.flatnonzero(term.sigma > 0.0)))
+                key = ((term.sigma > 0.0).tobytes(), r)  # the support's mask
                 members.setdefault(key, []).append((i, term))
         object.__setattr__(self, "terms", terms)
         placement = np.zeros((sum(map(len, terms)), n))
-        groups = []
+        supports: dict[bytes, tuple[np.ndarray, list[_MeanGroup]]] = {}
         stop = 0
-        for (r, support), group in members.items():
-            cols = np.array(support)
+        for (mask, r), group in members.items():
+            if mask not in supports:
+                supports[mask] = (np.flatnonzero(np.frombuffer(mask, dtype=bool)), [])
+            cols, groups = supports[mask]
             start, stop = stop, stop + len(group)
             for k, (i, term) in enumerate(group, start):
                 placement[k, i] = term.coeff
-            weights = np.stack([term.sigma[cols] for _, term in group], axis=1)
-            groups.append(_MeanGroup(r, cols, weights, start, stop))
-        object.__setattr__(self, "_groups", tuple(groups))
+            # one C-contiguous column of support weights per term
+            weights = np.array([term.sigma[cols] for _, term in group]).T.copy()
+            groups.append(_MeanGroup(r, weights, start, stop))
+        object.__setattr__(self, "_supports", tuple(
+            (cols, tuple(groups)) for cols, groups in supports.values()))
         object.__setattr__(self, "_placement", placement)
 
     @property
@@ -176,34 +198,51 @@ class MeanSumMap(MapSpec):
         return len(self._placement)
 
     def _eval_batch(self, X):
-        # keep the copies X[..., g.cols]: column-major, they vectorize max/min
-        L = np.log(X)
         V = np.empty(X.shape[:-1] + self._placement.shape[:1])
-        for g in self._groups:
-            out = V[..., g.start:g.stop]
-            if g.r == math.inf:
-                out[...] = X[..., g.cols].max(axis=-1, keepdims=True)
-            elif g.r == -math.inf:
-                out[...] = X[..., g.cols].min(axis=-1, keepdims=True)
-            elif g.r == 0.0:
-                np.exp(L[..., g.cols] @ g.weights, out=out)
-            else:
-                # shift by the support's extreme log: every exponent is
-                # <= 0 and the extreme column adds its whole weight, so
-                # s = sum w exp(z) is accurate relative to itself
-                z = L[..., g.cols]
-                ext = (z.max if g.r > 0.0 else z.min)(axis=-1, keepdims=True)
-                z -= ext
-                z *= g.r
-                log_s = np.log(np.exp(z) @ g.weights)
-                # near s = 1 (small |r| or spread) log(s) loses the
-                # digits that log1p(sum w expm1(z)) keeps
-                near = log_s > -0.5
-                if near.any():
-                    np.log1p(np.expm1(z) @ g.weights, out=log_s, where=near)
-                log_s /= g.r
-                log_s += ext
-                np.exp(log_s, out=out)
+        for cols, groups in self._supports:
+            # keep the copy X[..., cols]: column-major, it vectorizes max/min
+            Xs = X[..., cols]
+            Ls = None
+            shifts = {}
+            for g in groups:
+                out = V[..., g.start:g.stop]
+                if g.r == 1.0:
+                    # the weights sum to 1, so no partial sum passes max x
+                    # by more than rounding
+                    np.matmul(Xs, g.weights, out=out)
+                elif g.r == -1.0:
+                    # every lo / x is at most 1, even for a subnormal lo
+                    lo = Xs.min(axis=-1, keepdims=True)
+                    out[...] = lo / ((lo / Xs) @ g.weights)
+                elif g.r == math.inf:
+                    out[...] = Xs.max(axis=-1, keepdims=True)
+                elif g.r == -math.inf:
+                    out[...] = Xs.min(axis=-1, keepdims=True)
+                else:
+                    if Ls is None:
+                        Ls = np.log(Xs)
+                    if g.r == 0.0:
+                        np.exp(Ls @ g.weights, out=out)
+                        continue
+                    # shift by the support's extreme log: every exponent is
+                    # <= 0 and the extreme column adds its whole weight, so
+                    # s = sum w exp(z) is accurate relative to itself; the
+                    # groups of one sign of r share the shift
+                    positive = g.r > 0.0
+                    if positive not in shifts:
+                        ext = (Ls.max if positive else Ls.min)(axis=-1, keepdims=True)
+                        shifts[positive] = (Ls - ext, ext)
+                    D, ext = shifts[positive]
+                    z = D * g.r
+                    log_s = np.log(np.exp(z) @ g.weights)
+                    # near s = 1 (small |r| or spread) log(s) loses the
+                    # digits that log1p(sum w expm1(z)) keeps
+                    near = log_s > -0.5
+                    if near.any():
+                        np.log1p(np.expm1(z) @ g.weights, out=log_s, where=near)
+                    log_s /= g.r
+                    log_s += ext
+                    np.exp(log_s, out=out)
         return V @ self._placement
 
 
@@ -235,7 +274,7 @@ class SchoenMap(MapSpec):
     coefficients: np.ndarray
 
     def __post_init__(self):
-        C = np.asarray(self.coefficients, dtype=float)
+        C = as_real(require_numbers(self.coefficients, "coefficients"))
         if C.shape != (4, 4) or not np.all(np.isfinite(C)):
             raise DomainError("coefficients must be a finite 4x4 array")
         if np.any(C[:, 0] <= 0.0):
@@ -285,7 +324,7 @@ class TriangleMap(MapSpec):
     c: float
 
     def __post_init__(self):
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", _real(self.c, "triangle parameter"))
         if not (0.0 <= self.c <= 1.0 / 3.0):
             raise DomainError("triangle parameter must lie in [0, 1/3]")
 
@@ -367,7 +406,7 @@ class ScaleMap(MapSpec):
     child: MapSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", _real(self.alpha, "scale factor"))
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise DomainError("scale factor must be positive and finite")
         if not isinstance(self.child, MapSpec):

@@ -187,6 +187,24 @@ def test_localize_eigenpair_output(tmp_path, capsys, spec, stdout, ball_sha):
     assert hashlib.sha256(ball.read_bytes()).hexdigest() == ball_sha
 
 
+# the n = 8 meansum spec of the CI smoke test: r = 1, 0, 2, -1, -inf, inf on
+# full supports; each coordinate adds two means
+_WIDE_PAIRS = [(1, 0), (0, 0), (2, -1), (0, "-inf"), ("inf", 0), (1, -1), (0, 1), (2, 0)]
+WIDE = json.dumps({"kind": "meansum", "coordinates": [
+    [{"r": r, "sigma": [0.125] * 8, "coeff": 1.0} for r in pair] for pair in _WIDE_PAIRS]})
+
+
+def test_detect_wide_meansum_report_bytes(tmp_path):
+    # its 1024-row batches pass the plan's 2048-row step before seed 3
+    # confirms; the closed-form r = +-1 means keep the report's bytes
+    out = tmp_path / "wide.json"
+    assert main(["detect", "--spec", WIDE, "--seed", "3", "--max-samples", "6000",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["samples_used"] == 4215
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "71042bc177c84218045305a6ac8aefe462b4208a1e80999ddb11422e55228196")
+
+
 def test_localize_undetermined_exit_one(triangle_c0_spec, tmp_path, capsys):
     report = tmp_path / "report.json"
     assert main(["detect", "--spec", triangle_c0_spec, "--max-samples", "500",

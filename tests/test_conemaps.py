@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -290,6 +291,32 @@ class TestGroupedMeanSum:
                 assert np.max(np.abs(np.log(got) - np.log(want))) <= 1e-12
 
 
+    def test_unit_exponents_match_exact_sums(self):
+        # r = 1 is sum w x and r = -1 is 1 / sum(w / x), within 1e-15 of the
+        # exact rational values at entries e**+-700 apart, a subnormal entry
+        # and one near the float limit.  Column 0 weighs 1e-3, so a harmonic
+        # mean over the subnormal entry is still a normal number
+        rng = np.random.default_rng(32)
+        n = 6
+        rows = []
+        for i in range(n):
+            sigma = np.concatenate(([1e-3], (1.0 - 1e-3) * rng.dirichlet(np.ones(n - 1))))
+            rows.append((1.0 if i % 2 else -1.0, sigma / sigma.sum()))
+        spec = MeanSumMap(tuple((MeanTerm(r, sigma, 1.0),) for r, sigma in rows))
+        X = np.exp(rng.uniform(-700.0, 700.0, (100, n)))
+        X[0, 0] = 1e-310
+        X[1, 3] = 1.7e308
+        got = eval_map(spec, X)
+        assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+        for x, values in zip(X, got):
+            x = [Fraction(v) for v in x]
+            for (r, sigma), value in zip(rows, values):
+                terms = [Fraction(w) * v if r == 1.0 else Fraction(w) / v
+                         for w, v in zip(sigma, x)]
+                exact = sum(terms) if r == 1.0 else 1 / sum(terms)
+                assert abs(Fraction(value) / exact - 1) <= 1e-15
+
+
 def _schoen_ones_but(i, j, value):
     C = np.ones((4, 4))
     C[i, j] = value
@@ -380,12 +407,32 @@ class TestConstructorValidation:
          "map spec nodes must be objects with a 'kind' tag"),
         (lambda: map_spec_from_dict({"kind": "scale", "child": {"kind": "triangle", "c": 0}}),
          "map spec node 'scale' is missing field 'alpha'"),
+        # a bool, a string or None where a number belongs is refused, not cast
+        (lambda: MeanTerm("abc", [0.5, 0.5], 1.0), "mean exponent must be a real number, not 'abc'"),
+        (lambda: MeanTerm(True, [0.5, 0.5], 1.0), "mean exponent must be a real number, not True"),
+        (lambda: MeanTerm(np.True_, [0.5, 0.5], 1.0),
+         "mean exponent must be a real number, not np.True_"),
+        (lambda: MeanTerm(10 ** 5000, [0.5, 0.5], 1.0), "mean exponent is past the float range"),
+        (lambda: MeanTerm(1.0, [0.5, 0.5], None), "mean coefficient must be a real number, not None"),
+        (lambda: MeanTerm(1.0, [0.5, 0.5], True), "mean coefficient must be a real number, not True"),
+        (lambda: MeanTerm(1.0, "ab", 1.0), "sigma: expected a number, not 'ab'"),
+        (lambda: MeanTerm(1.0, [0.0, True], 1.0), "sigma: expected a number, not True"),
+        (lambda: TriangleMap("abc"), "triangle parameter must be a real number, not 'abc'"),
+        (lambda: TriangleMap(False), "triangle parameter must be a real number, not False"),
+        (lambda: ScaleMap("x", MatrixMap(np.ones((2, 2)))),
+         "scale factor must be a real number, not 'x'"),
+        (lambda: MatrixMap("ab"), "matrix: expected a number, not 'ab'"),
+        (lambda: MatrixMap([[1.0, None], [1.0, 1.0]]), "matrix: expected a number, not None"),
+        (lambda: SchoenMap("abcd"), "coefficients: expected a number, not 'abcd'"),
     ], ids=["sigma-empty", "sigma-negative", "sigma-inf", "r-nan", "matrix-not-square",
             "meansum-empty", "meansum-empty-row", "meansum-not-term", "meansum-sigma-length",
             "schoen-shape", "schoen-nan", "schoen-negative-coupling", "compose-empty",
             "sum-empty", "sum-dims", "compose-not-node", "sum-not-node", "scale-not-node",
             "compose-int", "sum-int", "compose-one-node", "meansum-int", "meansum-int-row",
-            "eval-3d", "json-not-object", "json-missing-field"])
+            "eval-3d", "json-not-object", "json-missing-field", "r-string", "r-bool",
+            "r-numpy-bool", "r-huge-int", "coeff-none", "coeff-bool", "sigma-string",
+            "sigma-bools", "triangle-string", "triangle-bool", "scale-string",
+            "matrix-string", "matrix-none", "schoen-string"])
     def test_refusals(self, build, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             build()
