@@ -45,17 +45,6 @@ def _as_tuple(items, message: str) -> tuple:
         raise DomainError(message) from None
 
 
-def _real(value, what: str) -> float:
-    """``float(value)`` of a real scalar; a bool, a string, None or any
-    other object that merely casts to a float raises DomainError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise DomainError(f"{what} must be a real number, not {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise DomainError(f"{what} is past the float range") from None
-
-
 @dataclass(frozen=True, eq=False)
 class MeanTerm:
     """One ``coeff * M_{r,sigma}`` term of a coordinate function."""
@@ -65,7 +54,7 @@ class MeanTerm:
     coeff: float
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _real(self.r, "mean exponent"))
+        object.__setattr__(self, "r", float(require_numbers(self.r, "r")))
         sigma = as_real(require_numbers(self.sigma, "sigma"))
         if sigma.ndim != 1 or sigma.size == 0:
             raise DomainError("sigma must be a nonempty weight vector")
@@ -74,7 +63,7 @@ class MeanTerm:
         if abs(float(sigma.sum()) - 1.0) > SIGMA_TOL:
             raise DomainError("sigma weights must sum to 1")
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "coeff", _real(self.coeff, "mean coefficient"))
+        object.__setattr__(self, "coeff", float(require_numbers(self.coeff, "coeff")))
         if not (self.coeff > 0.0 and math.isfinite(self.coeff)):
             raise DomainError(
                 f"mean coefficient {self.coeff} must be positive and finite")
@@ -203,7 +192,6 @@ class MeanSumMap(MapSpec):
             # keep the copy X[..., cols]: column-major, it vectorizes max/min
             Xs = X[..., cols]
             Ls = None
-            shifts = {}
             for g in groups:
                 out = V[..., g.start:g.stop]
                 if g.r == 1.0:
@@ -226,14 +214,10 @@ class MeanSumMap(MapSpec):
                         continue
                     # shift by the support's extreme log: every exponent is
                     # <= 0 and the extreme column adds its whole weight, so
-                    # s = sum w exp(z) is accurate relative to itself; the
-                    # groups of one sign of r share the shift
-                    positive = g.r > 0.0
-                    if positive not in shifts:
-                        ext = (Ls.max if positive else Ls.min)(axis=-1, keepdims=True)
-                        shifts[positive] = (Ls - ext, ext)
-                    D, ext = shifts[positive]
-                    z = D * g.r
+                    # s = sum w exp(z) is accurate relative to itself
+                    ext = (Ls.max if g.r > 0.0 else Ls.min)(axis=-1, keepdims=True)
+                    z = Ls - ext
+                    z *= g.r
                     log_s = np.log(np.exp(z) @ g.weights)
                     # near s = 1 (small |r| or spread) log(s) loses the
                     # digits that log1p(sum w expm1(z)) keeps
@@ -324,7 +308,7 @@ class TriangleMap(MapSpec):
     c: float
 
     def __post_init__(self):
-        object.__setattr__(self, "c", _real(self.c, "triangle parameter"))
+        object.__setattr__(self, "c", float(require_numbers(self.c, "c")))
         if not (0.0 <= self.c <= 1.0 / 3.0):
             raise DomainError("triangle parameter must lie in [0, 1/3]")
 
@@ -406,7 +390,7 @@ class ScaleMap(MapSpec):
     child: MapSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _real(self.alpha, "scale factor"))
+        object.__setattr__(self, "alpha", float(require_numbers(self.alpha, "alpha")))
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise DomainError("scale factor must be positive and finite")
         if not isinstance(self.child, MapSpec):

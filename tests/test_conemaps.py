@@ -408,19 +408,16 @@ class TestConstructorValidation:
         (lambda: map_spec_from_dict({"kind": "scale", "child": {"kind": "triangle", "c": 0}}),
          "map spec node 'scale' is missing field 'alpha'"),
         # a bool, a string or None where a number belongs is refused, not cast
-        (lambda: MeanTerm("abc", [0.5, 0.5], 1.0), "mean exponent must be a real number, not 'abc'"),
-        (lambda: MeanTerm(True, [0.5, 0.5], 1.0), "mean exponent must be a real number, not True"),
-        (lambda: MeanTerm(np.True_, [0.5, 0.5], 1.0),
-         "mean exponent must be a real number, not np.True_"),
-        (lambda: MeanTerm(10 ** 5000, [0.5, 0.5], 1.0), "mean exponent is past the float range"),
-        (lambda: MeanTerm(1.0, [0.5, 0.5], None), "mean coefficient must be a real number, not None"),
-        (lambda: MeanTerm(1.0, [0.5, 0.5], True), "mean coefficient must be a real number, not True"),
+        (lambda: MeanTerm("abc", [0.5, 0.5], 1.0), "r: expected a number, not 'abc'"),
+        (lambda: MeanTerm(True, [0.5, 0.5], 1.0), "r: expected a number, not True"),
+        (lambda: MeanTerm(np.True_, [0.5, 0.5], 1.0), "r: expected a number, not np.True_"),
+        (lambda: MeanTerm(1.0, [0.5, 0.5], None), "coeff: expected a number, not None"),
+        (lambda: MeanTerm(1.0, [0.5, 0.5], True), "coeff: expected a number, not True"),
         (lambda: MeanTerm(1.0, "ab", 1.0), "sigma: expected a number, not 'ab'"),
         (lambda: MeanTerm(1.0, [0.0, True], 1.0), "sigma: expected a number, not True"),
-        (lambda: TriangleMap("abc"), "triangle parameter must be a real number, not 'abc'"),
-        (lambda: TriangleMap(False), "triangle parameter must be a real number, not False"),
-        (lambda: ScaleMap("x", MatrixMap(np.ones((2, 2)))),
-         "scale factor must be a real number, not 'x'"),
+        (lambda: TriangleMap("abc"), "c: expected a number, not 'abc'"),
+        (lambda: TriangleMap(False), "c: expected a number, not False"),
+        (lambda: ScaleMap("x", MatrixMap(np.ones((2, 2)))), "alpha: expected a number, not 'x'"),
         (lambda: MatrixMap("ab"), "matrix: expected a number, not 'ab'"),
         (lambda: MatrixMap([[1.0, None], [1.0, 1.0]]), "matrix: expected a number, not None"),
         (lambda: SchoenMap("abcd"), "coefficients: expected a number, not 'abcd'"),
@@ -430,12 +427,19 @@ class TestConstructorValidation:
             "sum-empty", "sum-dims", "compose-not-node", "sum-not-node", "scale-not-node",
             "compose-int", "sum-int", "compose-one-node", "meansum-int", "meansum-int-row",
             "eval-3d", "json-not-object", "json-missing-field", "r-string", "r-bool",
-            "r-numpy-bool", "r-huge-int", "coeff-none", "coeff-bool", "sigma-string",
+            "r-numpy-bool", "coeff-none", "coeff-bool", "sigma-string",
             "sigma-bools", "triangle-string", "triangle-bool", "scale-string",
             "matrix-string", "matrix-none", "schoen-string"])
     def test_refusals(self, build, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             build()
+
+    def test_numeric_scalars_are_accepted(self):
+        # NumPy scalars and 0-d numeric arrays are numbers, as in sigma
+        term = MeanTerm(np.array(-1.0), [0.5, 0.5], np.int64(2))
+        assert (term.r, term.coeff) == (-1.0, 2.0)
+        assert TriangleMap(np.array(0.25)).c == 0.25
+        assert ScaleMap(np.float32(0.5), MatrixMap(np.ones((2, 2)))).alpha == 0.5
 
 
 class TestWidth:
