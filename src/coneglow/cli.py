@@ -34,7 +34,7 @@ import numpy as np
 
 from . import conemaps, detector, localize
 from .errors import DomainError
-from .spaces import NormId, require_numbers
+from .spaces import NormId, as_real
 
 
 def _label(path: str) -> str:
@@ -68,15 +68,12 @@ def _load_map_file(path: str):
     label = _label(path)
     if isinstance(doc, dict) and doc.get("kind") == "affine":
         try:
-            A, b = (np.asarray(require_numbers(doc[name], f"affine {name}"), dtype=float)
-                    for name in ("matrix", "offset"))
+            A, b = (as_real(doc[name], f"affine {name}") for name in ("matrix", "offset"))
             norm_tag = doc["norm"]
         except KeyError as exc:
             raise DomainError(f"{label}: affine spec is missing field {exc}") from exc
         except DomainError as exc:
             raise DomainError(f"{label}: {exc}") from exc
-        except ValueError as exc:
-            raise DomainError(f"{label}: affine spec has a ragged entry ({exc})") from exc
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DomainError(f"{label}: affine matrix must be square")
         if b.shape != (A.shape[0],):
@@ -90,7 +87,7 @@ def _load_map_file(path: str):
         return kind, (lambda X: X @ A.T + b), len(b), (A, b)
     try:
         spec = conemaps.map_spec_from_dict(doc)
-    except (TypeError, ValueError) as exc:  # DomainError, or a ragged entry
+    except (TypeError, ValueError) as exc:  # DomainError included
         raise DomainError(f"{label}: {exc}") from exc
     return "eigenvector", (lambda X: conemaps.eval_map(spec, X)), spec.dim, spec
 

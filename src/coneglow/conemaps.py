@@ -55,7 +55,7 @@ class MeanTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "r", float(require_numbers(self.r, "r")))
-        sigma = as_real(require_numbers(self.sigma, "sigma"))
+        sigma = as_real(self.sigma, "sigma")
         if sigma.ndim != 1 or sigma.size == 0:
             raise DomainError("sigma must be a nonempty weight vector")
         if not (sigma.min() >= 0.0 and sigma.max() < math.inf):  # NaN fails both
@@ -94,7 +94,7 @@ class MatrixMap(MapSpec):
     matrix: np.ndarray
 
     def __post_init__(self):
-        A = as_real(require_numbers(self.matrix, "matrix"))
+        A = as_real(self.matrix, "matrix")
         if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
             raise DomainError("matrix must be square and nonempty")
         if np.any(A < 0.0) or not np.all(np.isfinite(A)):
@@ -258,7 +258,7 @@ class SchoenMap(MapSpec):
     coefficients: np.ndarray
 
     def __post_init__(self):
-        C = as_real(require_numbers(self.coefficients, "coefficients"))
+        C = as_real(self.coefficients, "coefficients")
         if C.shape != (4, 4) or not np.all(np.isfinite(C)):
             raise DomainError("coefficients must be a finite 4x4 array")
         if np.any(C[:, 0] <= 0.0):
@@ -497,13 +497,8 @@ def power_iteration(spec: MapSpec, x0, max_iter: int = 10 ** 5) -> EigenResult:
 # JSON wire format
 
 
-def _number(obj: dict, name: str):
-    """Field ``name`` of a spec node, refused unless it is numeric."""
-    return require_numbers(obj[name], name)
-
-
-def _extended(obj: dict, name: str, what: str) -> float:
-    """Field ``name`` of a mean term: a number, or "inf", "+inf", "-inf"."""
+def _extended(obj: dict, name: str, what: str):
+    """Field ``name`` of a mean term as given, or "inf", "+inf", "-inf" as a float."""
     value = obj[name]
     if isinstance(value, str):
         text = value.strip().lower()
@@ -512,12 +507,12 @@ def _extended(obj: dict, name: str, what: str) -> float:
         if text == "-inf":
             return -math.inf
         raise DomainError(f"unrecognized {what} {value!r}")
-    return float(_number(obj, name))
+    return value
 
 
 def _mean_term_from_dict(obj: dict) -> MeanTerm:
     r = _extended(obj, "r", "mean exponent")
-    sigma = np.asarray(_number(obj, "sigma"), dtype=float)
+    sigma = as_real(obj["sigma"], "sigma")
     total = float(np.sum(sigma))
     if abs(total - 1.0) > JSON_SIGMA_TOL:
         raise DomainError("sigma weights must sum to 1 within 1e-9")
@@ -530,11 +525,11 @@ def map_spec_from_dict(obj) -> MapSpec:
     kind = obj["kind"]
     try:
         if kind == "matrix":
-            return MatrixMap(np.asarray(_number(obj, "matrix"), dtype=float))
+            return MatrixMap(obj["matrix"])
         if kind == "schoen":
-            return SchoenMap(np.asarray(_number(obj, "coefficients"), dtype=float))
+            return SchoenMap(obj["coefficients"])
         if kind == "triangle":
-            return TriangleMap(float(_number(obj, "c")))
+            return TriangleMap(obj["c"])
         if kind == "meansum":
             rows = tuple(
                 tuple(_mean_term_from_dict(t) for t in row)
@@ -545,7 +540,7 @@ def map_spec_from_dict(obj) -> MapSpec:
             node = ComposeMap if kind == "compose" else SumMap
             return node(tuple(map_spec_from_dict(c) for c in obj["children"]))
         if kind == "scale":
-            return ScaleMap(float(_number(obj, "alpha")), map_spec_from_dict(obj["child"]))
+            return ScaleMap(obj["alpha"], map_spec_from_dict(obj["child"]))
     except KeyError as exc:
         raise DomainError(f"map spec node {kind!r} is missing field {exc}") from exc
     raise DomainError(f"unrecognized map kind {kind!r}")

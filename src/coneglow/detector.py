@@ -82,9 +82,8 @@ class DetectionConfig:
     gap_tol: float = 1e-9
 
     def __post_init__(self):
-        if isinstance(self.box_radius, bool) or isinstance(self.gap_tol, bool):
-            raise DomainError("box radius and gap tolerance must be numbers, not bools")
-        radius = self.box_radius
+        radius = require_numbers(self.box_radius, "box radius")
+        require_numbers(self.gap_tol, "gap tolerance")
         if not _is_positive(radius):
             raise DomainError("box radius must be positive and finite")
         if radius > sys.float_info.max / 2:  # uniform() needs 2R
@@ -225,7 +224,7 @@ class DetectionReport:
             if not (all(_is_int(i) and 0 <= i < n for i in subset)
                     and len(set(subset)) == len(subset)):
                 raise DomainError(f"subset {subset} must list distinct indices in 0..{n - 1}")
-            point = np.asarray(require_numbers(entry["point"], "witness point"), dtype=float)
+            point = as_real(entry["point"], "witness point")
             if point.shape != (n,):
                 raise DomainError(f"witness points must have shape ({n},)")
             witnesses[sum(1 << i for i in subset)] = point
@@ -241,7 +240,7 @@ class DetectionReport:
         if (probe is None) != (_KINDS[kind][1] is not None):
             raise DomainError("probe points come with smooth reports, and only with them")
         if probe is not None:
-            probe = np.asarray(require_numbers(probe, "probe point"), dtype=float)
+            probe = as_real(probe, "probe point")
             if probe.shape != (used, n):
                 raise DomainError(f"probe points must have shape ({used}, {n}), "
                                   "one row per sample used")

@@ -148,22 +148,28 @@ def interior_hull_certificate(vectors) -> HullCertificate:
     Stiemke's alternative: either a strictly positive combination of the
     rows is 0, or some phi has ``<v_i, phi> >= 0``, not all 0.  NNLS
     (Lawson-Hanson) finds ``w = sum (1 + mu_i) v_i`` with ``mu >= 0`` of
-    least norm; by the KKT conditions ``V w >= 0``.  0 is interior when
-    ``|w| + RANK_TOL < sigma_min(V)`` (0 for m < n): for a unit u and small
-    s > 0 the least-norm gamma with ``V^T gamma = s u - w`` then has
+    least norm; by the KKT conditions ``V w >= 0``.  The rank test runs on
+    ``W = V D^-1``, ``D = diag(2**k_j)`` with ``k_j = max(0, exponent of
+    column j's largest |entry|)``, the same rows in other coordinates: a
+    column past 1 is judged relative to its own size, a smaller one keeps
+    the absolute floor.  0 is interior when ``|D^-1 w| + RANK_TOL <
+    sigma_min(W)`` (0 for m < n): for a unit u and small s > 0 the
+    least-norm gamma with ``W^T gamma = s u - D^-1 w`` then has
     ``|gamma|_inf < 1 <= 1 + mu_i``, so u is a nonnegative combination of
     the rows.  Otherwise the separator is the first unit vector passing
-    ``separates`` (its slack is absolute in phi) of ``w``, +-``vt[-1]`` (a
-    null vector of rows that do not span) and ``V^+ 1`` (the normal of rows
-    on a hyperplane off 0), here times sigma_min so that no term overflows.
+    ``separates`` (its slack is absolute in phi) of ``w``, and of
+    +-``vt[-1]`` (a null vector of rows that do not span) and ``W^+ 1``
+    (the normal of rows on a hyperplane off 0), times sigma_min so that no
+    term overflows, each taken back to V's coordinates by ``D^-1``.
 
     The solve sees the rows scaled exactly by a power of two below 1, so
-    row sums cannot overflow.  The one SVD sees them as given; it is
-    skipped when ``w`` separates rows without a positive dependence.
+    row sums cannot overflow.  The one SVD sees W; it is skipped when ``w``
+    separates rows without a positive dependence.
     """
     V = as_points(vectors)
     m, n = V.shape
-    shift = np.frexp(np.max(np.abs(V)))[1]
+    mag = np.abs(V)
+    shift = np.frexp(mag.max())[1]
     U = np.ldexp(V, -shift)
     s = U.sum(axis=0)
     try:
@@ -176,14 +182,16 @@ def interior_hull_certificate(vectors) -> HullCertificate:
     size = np.linalg.norm(w)
     if eps <= LP_TOL and size > 0.0 and separates(V, phi := w / size).all():
         return HullCertificate(False, eps, phi)
-    left, sigma, vt = np.linalg.svd(V, full_matrices=m < n)
-    # size is |w| in U's scale; a positive gap is at most sqrt(m n) 2**shift,
-    # so moving it to that scale cannot overflow
+    k = np.frexp(mag.max(axis=0, initial=0.5))[1]  # each at least 0
+    left, sigma, vt = np.linalg.svd(np.ldexp(V, -k), full_matrices=m < n)
     gap = sigma[-1] - RANK_TOL if m >= n else 0.0
-    if eps > LP_TOL and gap > 0.0 and size < np.ldexp(gap, -shift):
+    # D^-1 w: once eps > LP_TOL, |entries| < m + sum mu < 1e9, so none overflows
+    if eps > LP_TOL and gap > 0.0 and np.linalg.norm(np.ldexp(w, shift - k)) < gap:
         return HullCertificate(True, eps, None)
     lsq = vt[:m].T @ (left.sum(axis=0) * (sigma[-1] / sigma)) if sigma[-1] > 0.0 else vt[-1]
-    for phi in (w / (size or 1.0), vt[-1], -vt[-1], lsq / (np.linalg.norm(lsq) or 1.0)):
+    back = np.ldexp(1.0, k.min() - k)  # D^-1 times 2**min(k): W's columns to V's
+    for phi in (w, vt[-1] * back, -vt[-1] * back, lsq * back):
+        phi = phi / (np.linalg.norm(phi) or 1.0)
         if phi.any() and separates(V, phi).all():
             return HullCertificate(False, eps, phi)
     return HullCertificate(False, eps, None)

@@ -8,11 +8,13 @@ an exactly-zero last coordinate rather than in the quotient R^n / R·e.
 The coordinatewise log is an isometry from the normalized cone slice
 ``Sigma0 = {x > 0 : x_n = 1}`` with Hilbert's metric onto (V0, var);
 ``log_coords`` / ``exp_coords`` realize the two directions.
-Input checks live here: ``as_real`` for any real array, ``as_vector``
-for one point, ``as_points`` for an ``(m, n)`` array of them,
-``require_cone`` for open-cone entries, and ``require_numbers`` for the
-numeric fields of parsed JSON, before a float cast could read a string,
-a bool or null as a number.
+Input checks live here, with one checker for numbers: ``require_numbers``
+passes ints, floats and NumPy integer or float scalars and arrays, in
+nested lists, and refuses a bool, a string, None, a complex, a Fraction
+or a Decimal before a float cast could read it as a number.  Every other
+check asks it: ``as_real`` is that walk plus a float cast, ``as_vector``
+takes one point, ``as_points`` an ``(m, n)`` array of them, and
+``require_cone`` checks open-cone entries.
 """
 
 from __future__ import annotations
@@ -30,19 +32,14 @@ class NormId(enum.Enum):
     VARIATION = "variation"
 
 
-def as_real(v) -> np.ndarray:
-    """Coerce to a float array of any shape; ragged rows, complex entries
-    and non-numeric entries, numeric strings among them, are refused."""
-    try:  # no dtype yet: a cast to float drops imaginary parts and parses strings
-        arr = np.asarray(v)
-        if arr.dtype.kind == "c":
-            raise TypeError("complex entries")
-        if arr.dtype.kind in "SU" or (arr.dtype.kind == "O" and any(
-                isinstance(x, (str, bytes)) for x in arr.flat)):
-            raise TypeError("string entries")
-        return arr.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"vectors must be real and share one length ({exc})") from exc
+def as_real(value, what: str = "vectors") -> np.ndarray:
+    """``value`` as a float array of any shape, once ``require_numbers``
+    passes it; ragged rows and ints past the float range are refused."""
+    require_numbers(value, what)
+    try:
+        return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} must be real and share one length ({exc})") from exc
 
 
 _JSON_NUMBERS = frozenset((int, float))
@@ -51,8 +48,8 @@ _JSON_NUMBERS = frozenset((int, float))
 def require_numbers(value, what: str):
     """Return ``value`` if it is a number or nested lists of numbers.
 
-    A JSON string, bool or null where a number belongs raises DomainError
-    naming ``what`` and the value; so does a NumPy array of another kind.
+    Anything else, a string, a bool, None, a complex, a Fraction, a Decimal
+    or a NumPy array of another kind, raises DomainError naming ``what``.
     """
     pending = [value]
     while pending:

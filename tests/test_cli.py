@@ -433,15 +433,42 @@ def test_projection_off_its_range_is_not_confirmed(tmp_path, capsys):
 
 
 def test_localize_singular_affine_map_exit_one(tmp_path, capsys):
-    # residuals of size 5e7, collinear up to rounding, whose least singular
-    # value LAPACK puts above the hull test's absolute tolerance, so this
-    # report passes verify; solving (I - A) x = b for the fixed point fails
+    # residuals of size 5e7, collinear up to rounding: LAPACK puts their least
+    # singular value at 2.2e-10, above the hull test's absolute tolerance, but
+    # the test scales each column past 1 to its own size, so this report of
+    # a map with a whole line of fixed points fails verify
     report = tmp_path / "report.json"
     _smooth_report(report, [[27392337.464290857, -46042657.24722594],
                             [-91805295.21276106, -96694472.89429419],
                             [62654047.84005448, 82551115.45554435]], box_radius=1e8)
     out = tmp_path / "poly.json"
     assert main(["localize", "--spec", _projection([1, -1]), "--report", str(report),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "error: 0 is not interior to the hull of the probe residuals\n"
+
+
+def test_detect_singular_affine_map_at_a_large_box_is_not_confirmed(tmp_path):
+    # the same projection spends its whole budget instead of confirming
+    # after 3 samples
+    report = tmp_path / "report.json"
+    assert main(["detect", "--spec", _projection([1, -1]), "--box-radius", "1e8",
+                 "--max-samples", "20000", "--out", str(report)]) == 2
+    assert json.loads(report.read_text())["samples_used"] == 20000
+
+
+def test_localize_singular_i_minus_a_exit_one(tmp_path, capsys, monkeypatch):
+    # a report that holds, for a map whose fixed point cannot be solved for
+    report = tmp_path / "report.json"
+    assert main(["detect", "--spec", EUCLID_2D, "--out", str(report)]) == 0
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    out = tmp_path / "poly.json"
+    assert main(["localize", "--spec", EUCLID_2D, "--report", str(report),
                  "--out", str(out)]) == 1
     assert not out.exists()
     err = capsys.readouterr().err
@@ -688,7 +715,7 @@ def _affine(**fields):
 
 @pytest.mark.parametrize("spec, report_spec, message", [
     (_affine(norm=None), None, "affine spec is missing field 'norm'"),
-    (_affine(matrix=[[0.5, 0.0], [0.5]]), None, "affine spec has a ragged entry"),
+    (_affine(matrix=[[0.5, 0.0], [0.5]]), None, "affine matrix must be real and share one length"),
     (_affine(matrix=[[0.5, 0.0]], offset=[0.0]), None, "affine matrix must be square"),
     (_affine(offset=[0.0]), None, "affine offset length must match the matrix"),
     (_affine(norm="l1"), None, "affine norm must be 'sup' or 'euclid'"),

@@ -1,6 +1,9 @@
 import json
+import re
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -68,6 +71,19 @@ class TestConfig:
     ])
     def test_rejects_non_integer_budget_and_seed(self, field, value):
         with pytest.raises(DomainError):
+            DetectionConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, what", [("box_radius", "box radius"),
+                                             ("gap_tol", "gap tolerance")])
+    @pytest.mark.parametrize("value, shown", [
+        ("1", "'1'"), (None, "None"), (True, "True"), (Fraction(1, 2), "Fraction(1, 2)"),
+        (Decimal(2), "Decimal('2')"),
+    ], ids=["string", "none", "bool", "fraction", "decimal"])
+    def test_real_fields_take_what_require_numbers_passes(self, field, what, value, shown):
+        # one DomainError naming the field, not a TypeError from the range
+        # checks, nor a Fraction that the sampler cannot multiply
+        message = f"{what}: expected a number, not {shown}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             DetectionConfig(**{field: value})
 
     @pytest.mark.parametrize("radius", [1e308, 9e307, np.finfo(float).max, 10 ** 400])

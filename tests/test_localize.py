@@ -1,4 +1,6 @@
+import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -313,9 +315,15 @@ def _probes_all_fixed():
     (lambda: BoundingBall(center=np.zeros(2), radius=10 ** 400, metric="sup"),
      "radius must be finite and nonnegative"),
     (lambda: BoundingBall(center=np.zeros(2), radius="1", metric="sup"),
-     "radius must be a real number, not '1'"),
+     "radius: expected a number, not '1'"),
     (lambda: BoundingBall(center=np.zeros(2), radius=True, metric="sup"),
-     "radius must be a real number, not True"),
+     "radius: expected a number, not True"),
+    (lambda: BoundingBall(center=np.zeros(2), radius=None, metric="sup"),
+     "radius: expected a number, not None"),
+    (lambda: BoundingBall(center=np.zeros(2), radius=Fraction(1, 2), metric="sup"),
+     "radius: expected a number, not Fraction(1, 2)"),
+    (lambda: BoundingBall(center=[True, 1.0], radius=1.0, metric="sup"),
+     "vectors: expected a number, not True"),
     (lambda: BoundingBall(center=np.zeros(2), radius=1.0, metric="l1"),
      "metric must be one of sup, euclid, variation, hilbert, not 'l1'"),
     (lambda: BoundingBall(center=np.zeros(2), radius=1.0, metric=NormId.SUP),
@@ -325,7 +333,8 @@ def _probes_all_fixed():
     (lambda: localize_eigenvectors(np.ones((3, 3)), 2), "witness dimension mismatch"),
     (_probes_all_fixed, "no usable probes (all residuals vanished)"),
 ], ids=["ball-negative-radius", "ball-huge-int-radius", "ball-string-radius",
-        "ball-bool-radius", "ball-l1-metric", "ball-enum-metric", "ball-infinite-center",
+        "ball-bool-radius", "ball-none-radius", "ball-fraction-radius", "ball-bool-center",
+        "ball-l1-metric", "ball-enum-metric", "ball-infinite-center",
         "eigen-witness-dimension", "polytope-no-probes"])
 def test_refusals(build, message):
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
@@ -356,6 +365,14 @@ def test_ball_coerces_a_list_center():
     assert ball.to_json_dict() == twin.to_json_dict()
     assert ball.to_json_dict()["center"] == [0.5, 1.0, -2.0]
     assert ball.contains([0.0, 0.0, -1.0]) and not ball.contains([0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("radius", [2, np.int64(2), np.float64(2.0), 2.0])
+def test_ball_radius_is_stored_as_a_float(radius):
+    # every radius require_numbers passes serializes as a JSON float
+    ball = BoundingBall(center=[0.0, 1.0], radius=radius, metric="euclid")
+    assert type(ball.radius) is float
+    assert json.loads(json.dumps(ball.to_json_dict()))["radius"] == 2.0
 
 
 def test_l1_localization_unsupported():

@@ -1,6 +1,8 @@
 import math
 import re
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -161,10 +163,11 @@ def test_point_arrays_have_one_checker(check, points, message):
 @pytest.mark.parametrize("value", [
     [[1, 2], [3]], np.array([1 + 2j, 1.0]), np.array([[1 + 0j, 1.0]]), [1 + 2j, 1.0],
     [np.complex128(1 + 2j), 1.0], {}, {"a": 1.0}, [{}, 1.0], [10 ** 400, 1.0],
-    ["1", "2"], np.array([b"1", b"2"]), [10 ** 20, "1"],
+    ["1", "2"], np.array([b"1", b"2"]), [10 ** 20, "1"], [True, 2.0], [None, 1.0],
+    [Fraction(1, 2), 1.0], [Decimal(2), 1.0],
 ], ids=["ragged", "complex-array", "complex-2d", "complex-list", "complex-scalar",
         "dict", "dict-entries", "dict-entry", "huge-int", "strings", "bytes",
-        "string-beside-huge-int"])
+        "string-beside-huge-int", "bool", "none", "fraction", "decimal"])
 def test_input_checks_refuse_what_is_not_a_real_array(check, value):
     # one DomainError, never a ComplexWarning and the real parts, nor
     # NumPy's ValueError or a TypeError
