@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .spaces import as_real, require_cone, require_numbers, to_slice
+from .spaces import _require_number, as_real, require_cone, to_slice
 
 SIGMA_TOL = 1e-12
 JSON_SIGMA_TOL = 1e-9
@@ -35,6 +35,16 @@ POWER_TOL = 1e-12
 # Below this |r| a power mean equals the geometric mean far within
 # rounding, while r * log(x) would sink into subnormal numbers.
 _GEOMETRIC_R = 1e-200
+
+
+def _scalar(value, what: str) -> float:
+    """One number that ``_require_number`` passes, as a float; an int past
+    the float range raises DomainError naming ``what``."""
+    try:
+        return float(_require_number(value, what))
+    except OverflowError:
+        raise DomainError(f"{what}: an int of {value.bit_length()} bits is past the float range"
+                          ) from None
 
 
 def _as_tuple(items, message: str) -> tuple:
@@ -54,7 +64,7 @@ class MeanTerm:
     coeff: float
 
     def __post_init__(self):
-        object.__setattr__(self, "r", float(require_numbers(self.r, "r")))
+        object.__setattr__(self, "r", _scalar(self.r, "r"))
         sigma = as_real(self.sigma, "sigma")
         if sigma.ndim != 1 or sigma.size == 0:
             raise DomainError("sigma must be a nonempty weight vector")
@@ -63,7 +73,7 @@ class MeanTerm:
         if abs(float(sigma.sum()) - 1.0) > SIGMA_TOL:
             raise DomainError("sigma weights must sum to 1")
         object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "coeff", float(require_numbers(self.coeff, "coeff")))
+        object.__setattr__(self, "coeff", _scalar(self.coeff, "coeff"))
         if not (self.coeff > 0.0 and math.isfinite(self.coeff)):
             raise DomainError(
                 f"mean coefficient {self.coeff} must be positive and finite")
@@ -308,7 +318,7 @@ class TriangleMap(MapSpec):
     c: float
 
     def __post_init__(self):
-        object.__setattr__(self, "c", float(require_numbers(self.c, "c")))
+        object.__setattr__(self, "c", _scalar(self.c, "c"))
         if not (0.0 <= self.c <= 1.0 / 3.0):
             raise DomainError("triangle parameter must lie in [0, 1/3]")
 
@@ -390,7 +400,7 @@ class ScaleMap(MapSpec):
     child: MapSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", float(require_numbers(self.alpha, "alpha")))
+        object.__setattr__(self, "alpha", _scalar(self.alpha, "alpha"))
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise DomainError("scale factor must be positive and finite")
         if not isinstance(self.child, MapSpec):
@@ -422,7 +432,7 @@ def eval_map(spec: MapSpec, x) -> np.ndarray:
         raise DomainError(f"map expects dimension {spec.dim}, got {X.shape[-1]}")
     with np.errstate(over="ignore", invalid="ignore"):
         Y = spec._eval_batch(X)
-    if not np.all(np.isfinite(Y)):
+    if not (Y.min(initial=np.inf) > -np.inf and Y.max(initial=-np.inf) < np.inf):  # NaN fails
         raise OverflowError(_OVERFLOW)
     return Y
 

@@ -103,6 +103,41 @@ def variation_masks(rho: np.ndarray, gap_tol: float):
     return masks.T, valid.T
 
 
+def _variation_first_rows(rho: np.ndarray, subsets: np.ndarray, gap_tol: float) -> np.ndarray:
+    """Per proper nonempty subset J (a bitmask), the first row of ``rho``
+    whose valid ``variation_masks`` include J, or -1 if none does.
+
+    Row i realizes J when ``min over J^c - max over J > gap_tol * max(1,
+    max - min)``.  When J holds the row's |J| smallest ratios, these are
+    its |J|-th and (|J|+1)-th sorted values, so the same floats the sorted
+    pass subtracts and compares; otherwise the difference is at most 0 and
+    never valid.  So ties, +-0.0 and gaps at the threshold come out as in
+    ``variation_masks``.  Each subset costs n passes over the columns of a
+    column-major copy, cheaper than the sort for a few subsets.
+    """
+    C = np.asfortranarray(_mask_rows(rho)).T
+    n, m = C.shape
+    first = np.full(len(subsets), -1)
+    if not m:
+        return first
+    threshold = gap_tol * np.maximum(1.0, C.max(axis=0) - C.min(axis=0))
+    for k, J in enumerate(np.asarray(subsets).tolist()):
+        gap = _extreme(np.minimum, C, [j for j in range(n) if not J >> j & 1])
+        gap -= _extreme(np.maximum, C, [j for j in range(n) if J >> j & 1])
+        hit = gap > threshold
+        row = int(hit.argmax())
+        if hit[row]:
+            first[k] = row
+    return first
+
+
+def _extreme(ufunc, C: np.ndarray, rows: list) -> np.ndarray:
+    """``ufunc.reduce(C[rows])`` in a new array, without a gather for one or two rows."""
+    if len(rows) > 2:
+        return ufunc.reduce(C[rows])
+    return ufunc(C[rows[0]], C[rows[-1]])
+
+
 def sup_masks(residuals: np.ndarray, gap_tol: float):
     """``(masks, valid)`` of shape (rows, 1): bit j set where residual
     coordinate j is negative, valid where every |r_j| > gap_tol * max(1, |r|_inf).

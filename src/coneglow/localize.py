@@ -20,8 +20,8 @@ import numpy as np
 from .detector import _residuals
 from .errors import DomainError
 from .illumination import interior_hull_certificate
-from .spaces import (NormId, as_points, as_vector, exp_coords, hilbert_metric, norm,
-                     require_cone, require_numbers)
+from .spaces import (NormId, _require_number, as_points, as_vector, exp_coords,
+                     hilbert_metric, norm, require_cone)
 
 HILBERT_METRIC = "hilbert"
 _METRICS = (*(norm_id.value for norm_id in NormId), HILBERT_METRIC)
@@ -42,8 +42,8 @@ class BoundingBall:
     """A closed ball ``{x : d(x, center) <= radius}`` in the named metric.
 
     ``center`` is coerced to a finite float vector, ``metric`` is a NormId
-    value string or ``"hilbert"``, and ``radius`` one number that ``require_numbers``
-    passes, finite and nonnegative, stored as a float.
+    value string or ``"hilbert"``, and ``radius`` one number that
+    ``_require_number`` passes, finite and nonnegative, stored as a float.
     """
 
     center: np.ndarray
@@ -54,9 +54,10 @@ class BoundingBall:
         object.__setattr__(self, "center", as_vector(self.center))
         if self.metric not in _METRICS:
             raise DomainError(f"metric must be one of {', '.join(_METRICS)}, not {self.metric!r}")
-        if not 0.0 <= require_numbers(self.radius, "radius") <= sys.float_info.max:  # NaN fails
+        radius = _require_number(self.radius, "radius")
+        if not 0.0 <= radius <= sys.float_info.max:  # NaN fails
             raise DomainError("radius must be finite and nonnegative")
-        object.__setattr__(self, "radius", float(self.radius))  # in range: no int overflows
+        object.__setattr__(self, "radius", float(radius))  # in range: no int overflows
 
     def contains(self, v) -> bool:
         va = _point_of_dim(v, np.size(self.center))

@@ -13,8 +13,9 @@ passes ints, floats and NumPy integer or float scalars and arrays, in
 nested lists, and refuses a bool, a string, None, a complex, a Fraction
 or a Decimal before a float cast could read it as a number.  Every other
 check asks it: ``as_real`` is that walk plus a float cast, ``as_vector``
-takes one point, ``as_points`` an ``(m, n)`` array of them, and
-``require_cone`` checks open-cone entries.
+takes one point, ``as_points`` an ``(m, n)`` array of them,
+``_require_number`` one scalar field, and ``require_cone`` checks
+open-cone entries.
 """
 
 from __future__ import annotations
@@ -65,6 +66,19 @@ def require_numbers(value, what: str):
     return value
 
 
+def _require_number(value, what: str):
+    """``value`` as a Python int or float, once ``require_numbers`` passes
+    it and it is one number: a list or an array with axes raises the same
+    DomainError.  An int stays an int, so one past the float range meets
+    the caller's range check at its size; anything else is cast to a
+    float, so a float32 compares with the float limits without overflow.
+    """
+    require_numbers(value, what)
+    if isinstance(value, (list, tuple)) or getattr(value, "ndim", 0):
+        raise DomainError(f"{what}: expected a number, not {value!r}")
+    return value if isinstance(value, int) else float(value)
+
+
 def as_vector(v) -> np.ndarray:
     """Coerce to a finite 1-d float array, rejecting NaN/inf entries."""
     arr = as_real(v)
@@ -84,7 +98,12 @@ def as_points(points) -> np.ndarray:
 
 
 def require_cone(arr: np.ndarray) -> np.ndarray:
-    """Return ``arr`` if every entry is finite and strictly positive."""
+    """Return ``arr`` if every entry is finite and strictly positive.
+
+    One min/max pair decides (NaN fails both); the message is looked up
+    only when it fails."""
+    if arr.min(initial=np.inf) > 0.0 and arr.max(initial=-np.inf) < np.inf:
+        return arr
     if not np.all(np.isfinite(arr)):
         raise DomainError("cone points must be finite")
     if np.any(arr <= 0.0):

@@ -205,6 +205,19 @@ def test_detect_wide_meansum_report_bytes(tmp_path):
         "71042bc177c84218045305a6ac8aefe462b4208a1e80999ddb11422e55228196")
 
 
+def test_detect_undetermined_triangle_report_bytes(tmp_path):
+    # the run CI repeats: after the first batch the three pairs are covered
+    # and the three singletons never are, so each later batch is tested
+    # against those three alone; the witnesses are those of the sorted pass
+    out = tmp_path / "tri0.json"
+    assert main(["detect", "--spec", str(SPECS / "triangle_c0.json"),
+                 "--max-samples", "20000", "--out", str(out)]) == 2
+    doc = json.loads(out.read_text())
+    assert (doc["samples_used"], doc["subsets_covered"]) == (20000, 3)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "62efdc57d5aec9cb2648e04bc63ec0f1453715709f008abcaf158587517656f5")
+
+
 def test_localize_undetermined_exit_one(triangle_c0_spec, tmp_path, capsys):
     report = tmp_path / "report.json"
     assert main(["detect", "--spec", triangle_c0_spec, "--max-samples", "500",

@@ -421,6 +421,13 @@ class TestConstructorValidation:
         (lambda: MatrixMap("ab"), "matrix: expected a number, not 'ab'"),
         (lambda: MatrixMap([[1.0, None], [1.0, 1.0]]), "matrix: expected a number, not None"),
         (lambda: SchoenMap("abcd"), "coefficients: expected a number, not 'abcd'"),
+        # a scalar field takes one number: no list or array, no int past floats
+        (lambda: TriangleMap([0.2]), "c: expected a number, not [0.2]"),
+        (lambda: MeanTerm(10 ** 400, [1.0], 1.0), "r: an int of 1329 bits is past the float range"),
+        (lambda: MeanTerm(1.0, [1.0], -(10 ** 400)),
+         "coeff: an int of 1329 bits is past the float range"),
+        (lambda: MeanTerm(1.0, [1.0], np.ones(1)), "coeff: expected a number, not array([1.])"),
+        (lambda: ScaleMap((2.0,), MatrixMap(np.ones((2, 2)))), "alpha: expected a number, not (2.0,)"),
     ], ids=["sigma-empty", "sigma-negative", "sigma-inf", "r-nan", "matrix-not-square",
             "meansum-empty", "meansum-empty-row", "meansum-not-term", "meansum-sigma-length",
             "schoen-shape", "schoen-nan", "schoen-negative-coupling", "compose-empty",
@@ -429,7 +436,8 @@ class TestConstructorValidation:
             "eval-3d", "json-not-object", "json-missing-field", "r-string", "r-bool",
             "r-numpy-bool", "coeff-none", "coeff-bool", "sigma-string",
             "sigma-bools", "triangle-string", "triangle-bool", "scale-string",
-            "matrix-string", "matrix-none", "schoen-string"])
+            "matrix-string", "matrix-none", "schoen-string", "triangle-list", "r-huge-int",
+            "coeff-huge-int", "coeff-array", "scale-tuple"])
     def test_refusals(self, build, message):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             build()

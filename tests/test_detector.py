@@ -4,6 +4,7 @@ import sys
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +27,7 @@ from coneglow import (
     detect_fixed_point_sup,
     eval_map,
     interior_hull_certificate,
+    map_spec_from_dict,
     power_iteration,
     variation_masks,
 )
@@ -77,14 +79,23 @@ class TestConfig:
                                              ("gap_tol", "gap tolerance")])
     @pytest.mark.parametrize("value, shown", [
         ("1", "'1'"), (None, "None"), (True, "True"), (Fraction(1, 2), "Fraction(1, 2)"),
-        (Decimal(2), "Decimal('2')"),
-    ], ids=["string", "none", "bool", "fraction", "decimal"])
+        (Decimal(2), "Decimal('2')"), ([1.0], "[1.0]"), ((0.5,), "(0.5,)"),
+        (np.full(1, 0.5), "array([0.5])"),
+    ], ids=["string", "none", "bool", "fraction", "decimal", "list", "tuple", "array"])
     def test_real_fields_take_what_require_numbers_passes(self, field, what, value, shown):
         # one DomainError naming the field, not a TypeError from the range
         # checks, nor a Fraction that the sampler cannot multiply
         message = f"{what}: expected a number, not {shown}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             DetectionConfig(**{field: value})
+
+    def test_float32_fields_compare_without_overflow(self):
+        # compared as a float32, the float limit would overflow with a
+        # RuntimeWarning; the config keeps the values as given
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = DetectionConfig(box_radius=np.float32(2), gap_tol=np.float32(0.5))
+        assert (config.box_radius, config.gap_tol) == (2.0, 0.5)
 
     @pytest.mark.parametrize("radius", [1e308, 9e307, np.finfo(float).max, 10 ** 400])
     def test_box_radius_whose_width_overflows(self, radius):
@@ -232,6 +243,68 @@ class TestCover:
             masks = rng.integers(lo, lo + total, size=(rows, width))
             valid = rng.random((rows, width)) < rng.uniform(0.2, 1.0)
             self._check(kind, n, masks, valid, sizes)
+
+
+SPECS = Path(__file__).resolve().parents[1] / "specs"
+
+
+def panel_meansum(seed):
+    # an n = 8 map drawn like the eigen_detect benchmark panel: per coordinate
+    # one exponent from (0, 1, 2, inf) and one from (-inf, -1, 0, 1), with
+    # near-uniform weights and coefficients
+    rng = np.random.default_rng(seed)
+    return MeanSumMap(tuple(
+        tuple(MeanTerm(choices[rng.integers(4)], rng.dirichlet(np.full(8, 20.0)),
+                       rng.uniform(0.8, 1.25))
+              for choices in ((0.0, 1.0, 2.0, np.inf), (-np.inf, -1.0, 0.0, 1.0)))
+        for _ in range(8)))
+
+
+class TestDarkTail:
+    """Once few subsets are uncovered, the eigenvector detector tests each
+    batch against those subsets alone; where that starts never changes a
+    report."""
+
+    def test_tail_bound_does_not_change_reports(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        specs = [map_spec_from_dict(json.loads(path.read_text()))
+                 for path in sorted(SPECS.glob("*.json")) if "affine" not in path.name]
+        specs += [panel_meansum(seed) for seed in (1, 2, 3)]
+        specs += [MatrixMap(rng.uniform(0.05, 1.0, (n, n))) for n in range(2, 7)]
+        tested = []
+        first_rows = detector._variation_first_rows
+        monkeypatch.setattr(detector, "_variation_first_rows",
+                            lambda *args: tested.append(1) or first_rows(*args))
+
+        def reports():
+            tested.clear()
+            return [detect_eigenvector(spec, DetectionConfig(seed=seed, max_samples=30000))
+                    .to_json_bytes() for spec in specs for seed in (0, 3, 11)], len(tested)
+
+        default, calls = reports()
+        assert calls > 0
+        confirmed = [json.loads(doc)["status"] == "confirmed" for doc in default]
+        assert 0 < sum(confirmed) < len(confirmed)
+        monkeypatch.setattr(detector, "_tail_subsets", lambda n: 0)
+        assert reports() == (default, 0)
+        monkeypatch.setattr(detector, "_tail_subsets", lambda n: 1 << n)
+        tail_only, calls = reports()
+        assert tail_only == default and calls > 0
+
+    def test_uncovered_subsets_are_listed_once(self, monkeypatch):
+        # triangle_c0's three singletons are never covered: the first batch
+        # sorts, and every later batch tests those three alone
+        seen, sorts = [], []
+        first_rows = detector._variation_first_rows
+        monkeypatch.setattr(detector, "_variation_first_rows", lambda R, subsets, tol: (
+            seen.append(subsets.tolist()) or first_rows(R, subsets, tol)))
+        total, masks_of, cone = detector._KINDS["eigenvector"]
+        monkeypatch.setitem(detector._KINDS, "eigenvector", (
+            total, lambda R, tol: sorts.append(len(R)) or masks_of(R, tol), cone))
+        report = detect_eigenvector(TriangleMap(0.0), DetectionConfig(seed=2, max_samples=20000))
+        assert (report.samples_used, report.subsets_covered) == (20000, 3)
+        assert sorts == [32]
+        assert seen == [[1, 2, 4]] * 7
 
 
 class TestDetectEigenvector:
@@ -940,6 +1013,14 @@ class TestAdversarial:
         # an int past the float range is refused, not an OverflowError
         with pytest.raises(DomainError, match="the level c must be positive and finite"):
             build_adversarial_euclid([[1.0, 0.0]], c)
+
+    @pytest.mark.parametrize("c, shown", [([1.0], "[1.0]"), (np.ones(1), "array([1.])")])
+    def test_level_is_one_number(self, c, shown):
+        with pytest.raises(DomainError, match=f"^{re.escape(f'level c: expected a number, not {shown}')}$"):
+            build_adversarial_euclid([[1.0, 0.0]], c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert build_adversarial_euclid([[1.0, 0.0]], np.float32(0.5)).c == 0.5
 
     def test_int_level_in_float_range(self):
         assert build_adversarial_euclid([[1.0, 0.0]], 10 ** 30).c == 1e30

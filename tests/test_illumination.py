@@ -15,7 +15,7 @@ from coneglow import (
     sup_masks,
     variation_masks,
 )
-from coneglow.illumination import separates
+from coneglow.illumination import _variation_first_rows, separates
 from oracles import (
     extreme_points, hull_lp_certificate, illuminates_point, schoen_composition,
     variation_masks_reference,
@@ -259,6 +259,70 @@ class TestVariationMasksReference:
                         for g, w in zip(got, want):
                             assert (g.shape, g.dtype) == (w.shape, w.dtype), (label, name)
                             assert np.array_equal(g, w), (label, name, gap_tol)
+
+
+def _threshold_rows(rng, m, n, gap_tol):
+    # rows of +-0.0 on a random subset J and, off it, one entry at the
+    # threshold gap_tol * max(1, spread), one ulp below it or one above, and
+    # the rest at a power-of-two spread
+    R = np.where(rng.random((m, n)) < 0.5, -0.0, 0.0)
+    for row in R:
+        perm = rng.permutation(n)
+        k = int(rng.integers(1, n))
+        spread = 2.0 ** int(rng.integers(-3, 5))
+        threshold = gap_tol * max(1.0, spread)
+        row[perm[k:]] = spread
+        row[perm[k]] = np.nextafter(threshold, threshold + rng.choice([-1.0, 0.0, 1.0]))
+    return R
+
+
+def _first_rows_reference(R, subsets, gap_tol):
+    # the first row whose valid masks in the row-major reference include J
+    masks, valid = variation_masks_reference(R, gap_tol)
+    hits = (valid[:, :, None] & (masks[:, :, None] == subsets)).any(axis=1)
+    return np.where(hits.any(axis=0), hits.argmax(axis=0), -1)
+
+
+class TestVariationFirstRows:
+    """The tail test of the eigenvector detector, subset by subset, against
+    the first valid row of the sorted pass."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_matches_the_sorted_pass(self, n):
+        rng = np.random.default_rng(700 + n)
+        subsets = np.arange(1, 2 ** n - 1)
+        for gap_tol in (0.0, GAP_TOL, 0.25):
+            R = np.vstack([_ratio_rows(rng, 300, n), _threshold_rows(rng, 300, n, gap_tol),
+                           rng.integers(-2, 3, (100, n))])
+            R = R[rng.permutation(len(R))]
+            want = _first_rows_reference(R, subsets, gap_tol)
+            assert (want >= 0).sum() > len(subsets) // 2
+            for name, A in _layouts(R).items():
+                got = _variation_first_rows(A, subsets, gap_tol)
+                assert np.array_equal(got, want), (name, gap_tol)
+
+    def test_threshold_rows_sit_on_both_sides(self):
+        # one ulp decides: the rows above count, the rows at or below do not
+        rng = np.random.default_rng(7)
+        R = _threshold_rows(rng, 400, 4, 0.25)
+        _, valid = variation_masks_reference(R, 0.25)
+        lit = valid[np.arange(len(R)), 3 - (R > 0.0).sum(axis=1)]
+        side = np.sign(np.where(R > 0.0, R, np.inf).min(axis=1)
+                       - 0.25 * np.maximum(1.0, R.max(axis=1)))
+        assert set(side.tolist()) == {-1.0, 0.0, 1.0}
+        assert np.array_equal(lit, side > 0.0)
+
+    def test_at_the_cap(self):
+        rng = np.random.default_rng(24)
+        R = np.vstack([_ratio_rows(rng, 200, 24), rng.integers(-1, 2, (50, 24))])
+        masks, valid = variation_masks_reference(R, GAP_TOL)
+        subsets = np.unique(np.concatenate([masks[valid][:3], rng.integers(1, 2 ** 24 - 1, 3)]))
+        want = _first_rows_reference(R, subsets, GAP_TOL)
+        assert np.array_equal(_variation_first_rows(R, subsets, GAP_TOL), want)
+        assert (want >= 0).sum() >= 3
+
+    def test_no_rows(self):
+        assert _variation_first_rows(np.ones((0, 3)), np.array([1, 6]), GAP_TOL).tolist() == [-1, -1]
 
 
 class TestLayout:

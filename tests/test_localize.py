@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -324,6 +325,10 @@ def _probes_all_fixed():
      "radius: expected a number, not Fraction(1, 2)"),
     (lambda: BoundingBall(center=[True, 1.0], radius=1.0, metric="sup"),
      "vectors: expected a number, not True"),
+    (lambda: BoundingBall(center=[0.0], radius=[1.0], metric="sup"),
+     "radius: expected a number, not [1.0]"),
+    (lambda: BoundingBall(center=[0.0], radius=np.ones(1), metric="sup"),
+     "radius: expected a number, not array([1.])"),
     (lambda: BoundingBall(center=np.zeros(2), radius=1.0, metric="l1"),
      "metric must be one of sup, euclid, variation, hilbert, not 'l1'"),
     (lambda: BoundingBall(center=np.zeros(2), radius=1.0, metric=NormId.SUP),
@@ -334,6 +339,7 @@ def _probes_all_fixed():
     (_probes_all_fixed, "no usable probes (all residuals vanished)"),
 ], ids=["ball-negative-radius", "ball-huge-int-radius", "ball-string-radius",
         "ball-bool-radius", "ball-none-radius", "ball-fraction-radius", "ball-bool-center",
+        "ball-list-radius", "ball-array-radius",
         "ball-l1-metric", "ball-enum-metric", "ball-infinite-center",
         "eigen-witness-dimension", "polytope-no-probes"])
 def test_refusals(build, message):
@@ -367,10 +373,14 @@ def test_ball_coerces_a_list_center():
     assert ball.contains([0.0, 0.0, -1.0]) and not ball.contains([0.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("radius", [2, np.int64(2), np.float64(2.0), 2.0])
+@pytest.mark.parametrize("radius", [2, np.int64(2), np.float64(2.0), 2.0, np.float32(2.0)])
 def test_ball_radius_is_stored_as_a_float(radius):
-    # every radius require_numbers passes serializes as a JSON float
-    ball = BoundingBall(center=[0.0, 1.0], radius=radius, metric="euclid")
+    # every radius require_numbers passes serializes as a JSON float; the
+    # range check compares a float, so a float32 meets the float limit
+    # without an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ball = BoundingBall(center=[0.0, 1.0], radius=radius, metric="euclid")
     assert type(ball.radius) is float
     assert json.loads(json.dumps(ball.to_json_dict()))["radius"] == 2.0
 
