@@ -10,13 +10,14 @@ one check of a map's values.  Then:
 * ``detect_eigenvector`` cuts each residual into the subsets J whose
   ratios ``f(x)_j / x_j`` sit strictly below the rest
   (``illumination.variation_masks``), ``detect_fixed_point_sup`` into
-  its strict sign pattern (``illumination.sup_masks``).  ``_cover``
-  keeps the first witness of each mask; covering all of them certifies.
-  Random detection is a coupon collector, so most rows arrive when few
-  subsets are left: once at most n are, ``detect_eigenvector`` tests
-  each batch against those subsets alone
-  (``illumination._variation_first_rows``) instead of sorting every
-  row.  That test compares the floats the sort compares, so the
+  its strict sign pattern (``illumination.sup_masks``).  One loop,
+  ``_cover``, holds the coverage: it cuts each batch, keeps the first
+  witness of each mask, and certifies once all are covered.  Random
+  detection is a coupon collector, so most rows arrive when few subsets
+  are left: once at most n eigenvector subsets are, ``_cover`` lists
+  them from its ``covered`` flags and tests each batch against them
+  alone (``illumination._variation_first_rows``) instead of sorting
+  every row.  That test compares the floats the sort compares, so the
   witnesses are the same.
 * ``detect_fixed_point_smooth`` certifies once 0 enters the interior of
   the residuals' convex hull (Euclidean norm).
@@ -106,6 +107,10 @@ class DetectionConfig:
         # A gap of at least 1 times the scale is never met: no mask could count.
         if not 0.0 <= gap_tol < 1.0:
             raise DomainError("gap tolerance must be in [0, 1)")
+        # Python numbers, so the report's JSON takes NumPy scalars too
+        for name, value in (("box_radius", radius), ("gap_tol", gap_tol),
+                            ("max_samples", int(self.max_samples)), ("seed", int(self.seed))):
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -270,12 +275,14 @@ def _check_dimension(kind: str, n) -> None:
         raise DomainError(f"detection is capped at n <= {ENUMERATION_DIM_CAP}")
 
 
-def _check_arguments(kind: str, n, config: DetectionConfig, vectorized) -> None:
+def _check_arguments(kind: str, n, config: DetectionConfig, vectorized) -> int:
+    """Return the checked dimension n as a Python int."""
     if not vectorized:
         raise DomainError("maps must take an (m, n) batch; vectorized=False is not supported")
     _check_dimension(kind, n)
     if _KINDS[kind][2] and config.box_radius > _MAX_LOG_BOX:
         raise DomainError(f"box radius above {_MAX_LOG_BOX} overflows exp(); reduce it")
+    return int(n)
 
 
 def _residuals(f, X, cone: bool, Y=None) -> np.ndarray:
@@ -341,41 +348,6 @@ def _draws(config: DetectionConfig, n: int, cone: bool, block: int,
         offset += size
 
 
-def _cover(kind: str, n: int, config: DetectionConfig, batches,
-           witnesses: dict[int, np.ndarray] | None = None) -> DetectionReport:
-    """Record the first witness of each mask until all are covered.
-
-    ``batches`` yields ``(offset, points, masks, valid)``, one row per
-    sample, in the shape ``variation_masks`` returns; it is not consumed
-    when the kind's total is 0.  Boolean indexing runs in row-major
-    order, so ``np.unique``'s first index of a new mask is its first row.
-    ``witnesses``, if given, is the empty dict to fill, so that the batch
-    source can watch the coverage grow.
-    """
-    total = _KINDS[kind][0](n)
-    covered = np.zeros(1 << n, dtype=bool)
-    witnesses = {} if witnesses is None else witnesses
-    used = 0
-    for offset, points, masks, valid in batches if total else ():
-        fresh = valid & ~covered[masks]
-        found = masks[fresh]
-        if not found.size:
-            used = offset + len(points)
-            continue
-        new, first = np.unique(found, return_index=True)
-        rows = np.nonzero(fresh)[0][first]
-        covered[new] = True
-        witnesses.update(zip(new.tolist(), points[rows]))
-        if len(witnesses) == total:
-            used = offset + int(rows.max()) + 1
-            break
-        used = offset + len(points)
-    status = (DetectionStatus.CONFIRMED if len(witnesses) == total
-              else DetectionStatus.UNDETERMINED)
-    return DetectionReport(kind=kind, status=status, dimension=n, samples_used=used,
-                           config=config, witnesses=witnesses)
-
-
 def _tail_subsets(n: int) -> int:
     """How few uncovered subsets the eigenvector detector tests one by one.
 
@@ -388,40 +360,57 @@ def _tail_subsets(n: int) -> int:
     return n
 
 
-def _detect_masks(kind: str, f, n: int, width: int, config: DetectionConfig) -> DetectionReport:
-    """Cut each batch's residuals into the kind's masks and ``_cover`` them;
-    the caller has run ``_check_arguments``.
+def _cover(kind: str, n: int, config: DetectionConfig, batches) -> DetectionReport:
+    """Record the first witness of each mask until all are covered.
 
-    Once at most ``_tail_subsets(n)`` eigenvector subsets are uncovered,
-    they are listed once, and each batch is tested against them alone by
-    ``_variation_first_rows``: its masks hold, per subset the batch
-    realizes, that subset in every row, valid in its first row only.  The
-    list then only shrinks, by the subsets each batch covers.
+    ``batches`` yields ``(offset, points, residuals)``, one row per
+    sample; it is not consumed when the kind's total is 0.  Each batch is
+    cut by the kind's mask code: boolean indexing runs in row-major order,
+    so ``np.unique``'s first index of a fresh mask is its first row.  Once
+    at most ``_tail_subsets(n)`` eigenvector subsets are uncovered, they
+    are listed once from ``covered``, and each batch is tested against
+    them alone by ``_variation_first_rows``, which gives the first row of
+    each directly; the list then only shrinks, by the subsets it covers.
     """
-    _, masks_of, cone = _KINDS[kind]
-    total = _KINDS[kind][0](n)
+    total_of, masks_of, _ = _KINDS[kind]
+    total = total_of(n)
+    covered = np.zeros(1 << n, dtype=bool)
     witnesses: dict[int, np.ndarray] = {}
-
-    def batches():
-        dark = None
-        for offset, X, Y in _draws(config, n, cone, 1, width):
-            R = _residuals(f, X, cone, Y)
-            if dark is None and kind == "eigenvector" and total - len(witnesses) <= _tail_subsets(n):
-                left = np.ones(1 << n, dtype=bool)
-                left[[0, -1]] = False
-                left[np.fromiter(witnesses, np.int64, len(witnesses))] = False
-                dark = np.flatnonzero(left)
-            if dark is None:
-                yield offset, X, *masks_of(R, config.gap_tol)
+    dark = None
+    used = 0
+    for offset, points, R in batches if total else ():
+        used = offset + len(points)
+        if dark is None and kind == "eigenvector" and total - len(witnesses) <= _tail_subsets(n):
+            dark = np.flatnonzero(~covered[1:-1]) + 1
+        if dark is None:
+            masks, valid = masks_of(R, config.gap_tol)
+            fresh = valid & ~covered[masks]
+            found = masks[fresh]
+            if not found.size:
                 continue
+            new, first = np.unique(found, return_index=True)
+            rows = np.nonzero(fresh)[0][first]
+        else:
             first = _variation_first_rows(R, dark, config.gap_tol)
             lit = first >= 0
-            valid = np.zeros((len(X), int(lit.sum())), dtype=bool)
-            valid[first[lit], np.arange(valid.shape[1])] = True
-            yield offset, X, np.broadcast_to(dark[lit], valid.shape), valid
-            dark = dark[~lit]
+            new, rows, dark = dark[lit], first[lit], dark[~lit]
+        covered[new] = True
+        witnesses.update(zip(new.tolist(), points[rows]))
+        if len(witnesses) == total:
+            used = offset + int(rows.max()) + 1
+            break
+    status = (DetectionStatus.CONFIRMED if len(witnesses) == total
+              else DetectionStatus.UNDETERMINED)
+    return DetectionReport(kind=kind, status=status, dimension=n, samples_used=used,
+                           config=config, witnesses=witnesses)
 
-    return _cover(kind, n, config, batches(), witnesses)
+
+def _detect_masks(kind: str, f, n: int, width: int, config: DetectionConfig) -> DetectionReport:
+    """``_cover`` the residuals of ``_draws``' batches; the caller has run
+    ``_check_arguments``."""
+    cone = _KINDS[kind][2]
+    return _cover(kind, n, config, ((offset, X, _residuals(f, X, cone, Y))
+                                    for offset, X, Y in _draws(config, n, cone, 1, width)))
 
 
 def detect_eigenvector(spec: MapSpec, config: DetectionConfig) -> DetectionReport:
@@ -432,8 +421,7 @@ def detect_eigenvector(spec: MapSpec, config: DetectionConfig) -> DetectionRepor
     evidence of absence).  Deterministic given the config seed.  Batches
     are sized by ``spec.width``, read once the dimension has been checked.
     """
-    n = spec.dim
-    _check_arguments("eigenvector", n, config, True)
+    n = _check_arguments("eigenvector", spec.dim, config, True)
     return _detect_masks("eigenvector", lambda X: eval_map(spec, X), n, spec.width, config)
 
 
@@ -445,7 +433,7 @@ def detect_fixed_point_sup(f, n: int, config: DetectionConfig,
     (``vectorized=False`` is refused).  Patterns only count when every
     residual coordinate clears the strictness slack.
     """
-    _check_arguments("fixed_point_sup", n, config, vectorized)
+    n = _check_arguments("fixed_point_sup", n, config, vectorized)
     return _detect_masks("fixed_point_sup", f, n, n, config)
 
 
@@ -466,7 +454,7 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
     residuals are joined only when a solve needs them all, and the points
     once, for the report's probe points.
     """
-    _check_arguments("fixed_point_smooth", n, config, vectorized)
+    n = _check_arguments("fixed_point_smooth", n, config, vectorized)
     stride = n + 1
     points: list[np.ndarray] = []
     residuals: list[np.ndarray] = []

@@ -70,13 +70,14 @@ def _require_number(value, what: str):
     """``value`` as a Python int or float, once ``require_numbers`` passes
     it and it is one number: a list or an array with axes raises the same
     DomainError.  An int stays an int, so one past the float range meets
-    the caller's range check at its size; anything else is cast to a
-    float, so a float32 compares with the float limits without overflow.
+    the caller's range check at its size, and a NumPy integer becomes one;
+    anything else is cast to a float, so a float32 compares with the float
+    limits without overflow.
     """
     require_numbers(value, what)
     if isinstance(value, (list, tuple)) or getattr(value, "ndim", 0):
         raise DomainError(f"{what}: expected a number, not {value!r}")
-    return value if isinstance(value, int) else float(value)
+    return int(value) if isinstance(value, (int, np.integer)) else float(value)
 
 
 def as_vector(v) -> np.ndarray:

@@ -91,11 +91,27 @@ class TestConfig:
 
     def test_float32_fields_compare_without_overflow(self):
         # compared as a float32, the float limit would overflow with a
-        # RuntimeWarning; the config keeps the values as given
+        # RuntimeWarning; the config keeps the values as Python floats
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             config = DetectionConfig(box_radius=np.float32(2), gap_tol=np.float32(0.5))
         assert (config.box_radius, config.gap_tol) == (2.0, 0.5)
+        assert type(config.box_radius) is type(config.gap_tol) is float
+
+    @pytest.mark.parametrize("detect", [detect_fixed_point_sup, detect_fixed_point_smooth])
+    @pytest.mark.parametrize("n, fields, python", [
+        (2, {"box_radius": np.float32(2)}, {"box_radius": 2.0}),
+        (2, {"box_radius": np.int64(2)}, {"box_radius": 2}),
+        (2, {"seed": np.int64(3)}, {"seed": 3}),
+        (2, {"max_samples": np.int64(40)}, {"max_samples": 40}),
+        (np.int64(2), {}, {}),
+    ], ids=["float32-radius", "int64-radius", "int64-seed", "int64-budget", "int64-dimension"])
+    def test_numpy_scalars_write_the_bytes_of_python_numbers(self, detect, n, fields, python):
+        def report(n, fields):
+            config = DetectionConfig(**{"max_samples": 40, **fields})
+            return detect(lambda X: 0.5 * X + 1.0, n, config).to_json_bytes()
+
+        assert report(n, fields) == report(2, python)
 
     @pytest.mark.parametrize("radius", [1e308, 9e307, np.finfo(float).max, 10 ** 400])
     def test_box_radius_whose_width_overflows(self, radius):
@@ -176,7 +192,22 @@ class TestCover:
     CONFIG = DetectionConfig(max_samples=10 ** 4)
 
     def _check(self, kind, n, masks, valid, sizes):
-        got = detector._cover(kind, n, self.CONFIG, _mask_batches(masks, valid, sizes, n))
+        # each batch's residuals are its points, whose entries are the sample
+        # indices; the kind's mask code returns the given rows by slice, and
+        # the tail never starts
+        masks, valid = np.asarray(masks), np.asarray(valid, dtype=bool)
+        total, _, cone = detector._KINDS[kind]
+
+        def cut(R, gap_tol):
+            rows = slice(int(R[0, 0]), int(R[-1, 0]) + 1)
+            return masks[rows], valid[rows]
+
+        batches = ((offset, points, points)
+                   for offset, points, *_ in _mask_batches(masks, valid, sizes, n))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(detector._KINDS, kind, (total, cut, cone))
+            patch.setattr(detector, "_tail_subsets", lambda n: 0)
+            got = detector._cover(kind, n, self.CONFIG, batches)
         want = cover_reference(kind, n, self.CONFIG, _mask_batches(masks, valid, sizes, n))
         assert (got.status, got.samples_used) == (want.status, want.samples_used)
         assert sorted(got.witnesses) == sorted(want.witnesses)
@@ -305,6 +336,18 @@ class TestDarkTail:
         assert (report.samples_used, report.subsets_covered) == (20000, 3)
         assert sorts == [32]
         assert seen == [[1, 2, 4]] * 7
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sup_patterns_never_enter_the_tail(self, monkeypatch, seed):
+        # seed 0 starts its second batch with 1 of 8 patterns uncovered, under
+        # _tail_subsets(3), and still cuts it by its sign codes
+        def tail(*args):
+            raise AssertionError("the sup detector tested a tail")
+
+        monkeypatch.setattr(detector, "_variation_first_rows", tail)
+        case = ("sup", "half_plus_one_n3", seed)
+        report = _pinned_run(*case)
+        assert (report.samples_used, report.subsets_covered) == PINNED[case]
 
 
 class TestDetectEigenvector:
