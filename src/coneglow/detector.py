@@ -445,9 +445,10 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
     After every n+1 new samples the accumulated residuals are tested for
     0 in the interior of their convex hull.  A cached separating
     functional skips the tests while every residual stays on its
-    nonnegative side.  At the first n+1 block that breaks it, one
-    ``interior_hull_certificate`` solve either confirms or returns the
-    next separator.
+    nonnegative side, up to the rounding of f(x) - x at the box's scale:
+    ``separates`` with the box radius as its reach.  At the first n+1
+    block that breaks it, one ``interior_hull_certificate`` solve either
+    confirms or returns the next separator.
 
     ``_draws`` cuts batches on n+1 boundaries, so each batch starts where
     the last verdict ended.  The batches stay in lists as drawn: the
@@ -470,7 +471,7 @@ def detect_fixed_point_smooth(f, n: int, config: DetectionConfig,
             if phi is None:
                 b += stride
             else:
-                broken = ~separates(R[b - offset:last - offset], phi)
+                broken = ~separates(R[b - offset:last - offset], phi, config.box_radius)
                 if not broken.any():
                     break
                 b += (int(np.argmax(broken)) // stride + 1) * stride

@@ -206,14 +206,15 @@ def halfspace_polytope(f, probes) -> tuple[HalfspacePolytope, bool]:
     P = as_points(probes)
     # w - f(w), as 0 - r rather than -r so that an exact zero stays +0.0
     normals = 0.0 - _residuals(f, P, False)
-    usable = (np.linalg.norm(normals, axis=1)
-              > 1e-12 * (1.0 + np.linalg.norm(P, axis=1)))
+    # row norms as np.linalg.norm takes them, without its per-call checks
+    usable = (np.sqrt((normals * normals).sum(axis=1))
+              > 1e-12 * (1.0 + np.sqrt((P * P).sum(axis=1))))
     if not usable.all():
         warnings.warn(f"skipping {np.count_nonzero(~usable)} probe(s) with zero residual",
                       stacklevel=2)
-    if not usable.any():
-        raise DomainError("no usable probes (all residuals vanished)")
-    P, normals = P[usable], normals[usable]
+        if not usable.any():
+            raise DomainError("no usable probes (all residuals vanished)")
+        P, normals = P[usable], normals[usable]
     offsets = np.einsum("ij,ij->i", P, normals)
     return (HalfspacePolytope(tuple(zip(normals, offsets.tolist()))),
             interior_hull_certificate(normals).inside)

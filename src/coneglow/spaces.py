@@ -93,7 +93,7 @@ def as_vector(v) -> np.ndarray:
 def as_points(points) -> np.ndarray:
     """Coerce to a nonempty ``(m, n)`` float array of finite entries."""
     P = as_real(points)
-    if P.ndim != 2 or P.size == 0 or not np.all(np.isfinite(P)):
+    if P.ndim != 2 or P.size == 0 or not np.isfinite(P).all():
         raise DomainError("expected a nonempty list of finite vectors of one length")
     return P
 

@@ -30,6 +30,9 @@ with it.
 * ``hull_lp_certificate`` decides 0 in the interior of a convex hull by
   a HiGHS linear program, the solver ``interior_hull_certificate``'s one
   NNLS solve replaces.
+* ``hull_certificate_reference`` is ``interior_hull_certificate`` as it
+  read with ``np.linalg.svd`` and ``np.linalg.norm``, before it called
+  LAPACK's ``dgesdd`` itself; the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -51,7 +54,7 @@ from coneglow import (
 from coneglow.detector import (
     _KINDS, ENUMERATION_DIM_CAP, DetectionReport, DetectionStatus,
 )
-from coneglow.illumination import LP_TOL, RANK_TOL
+from coneglow.illumination import LP_TOL, RANK_TOL, HullCertificate
 from coneglow.spaces import as_cone_point, as_points, as_vector
 
 SPECS = Path(__file__).resolve().parents[1] / "specs"
@@ -366,3 +369,43 @@ def hull_lp_certificate(vectors) -> tuple[bool, float]:
     eps = (float(res.x[m]) if res.status == 0 else
            -np.inf if res.status == 2 else np.nan)
     return bool(eps > LP_TOL and full_rank), eps
+
+
+def hull_certificate_reference(vectors) -> HullCertificate:
+    """``interior_hull_certificate`` through NumPy's wrappers: the same
+    NNLS solve and column-scaled rank test, with the SVD from
+    ``np.linalg.svd``, norms from ``np.linalg.norm`` and the row maxima
+    taken afresh for each separator test."""
+    V = as_points(vectors)
+    m, n = V.shape
+    mag = np.abs(V)
+    shift = np.frexp(mag.max())[1]
+    U = np.ldexp(V, -shift)
+    s = U.sum(axis=0)
+    try:
+        mu = nnls(U.T, -s)[0]
+    except RuntimeError:
+        return HullCertificate(False, np.nan, None)
+    w = U.T @ mu + s
+    weight = (1.0 + mu) @ np.max(np.abs(U), axis=1)
+    eps = float(1.0 / (m + mu.sum())) if np.max(np.abs(w)) <= 1e-9 * weight else -np.inf
+    size = np.linalg.norm(w)
+    if eps <= LP_TOL and size > 0.0 and _separates_reference(V, phi := w / size):
+        return HullCertificate(False, eps, phi)
+    k = np.frexp(mag.max(axis=0, initial=0.5))[1]
+    left, sigma, vt = np.linalg.svd(np.ldexp(V, -k), full_matrices=m < n)
+    gap = sigma[-1] - RANK_TOL if m >= n else 0.0
+    if eps > LP_TOL and gap > 0.0 and np.linalg.norm(np.ldexp(w, shift - k)) < gap:
+        return HullCertificate(True, eps, None)
+    lsq = vt[:m].T @ (left.sum(axis=0) * (sigma[-1] / sigma)) if sigma[-1] > 0.0 else vt[-1]
+    back = np.ldexp(1.0, k.min() - k)
+    for phi in (w, vt[-1] * back, -vt[-1] * back, lsq * back):
+        phi = phi / (np.linalg.norm(phi) or 1.0)
+        if phi.any() and _separates_reference(V, phi):
+            return HullCertificate(False, eps, phi)
+    return HullCertificate(False, eps, None)
+
+
+def _separates_reference(V, phi) -> bool:
+    scale = np.maximum(1.0, np.max(np.asfortranarray(np.abs(V)), axis=1))
+    return bool((~(V @ phi < -1e-12 * scale)).all())

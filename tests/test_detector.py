@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+import time
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -815,6 +816,26 @@ class TestDetectFixedPointSmooth:
                 assert (report.confirmed, report.samples_used) == (False, 2000)
                 solves.append(len(calls))
         assert max(solves) <= 5
+
+    def test_far_projection_keeps_its_separator(self, monkeypatch):
+        # the projection onto the diagonal, offset 1e-12 off the range of
+        # I - A, in a box of radius 1e8: f(x) - x cancels about 1e-8 of
+        # rounding, so a late residual misses the cached separator by 5e-9.
+        # The slack counts the box radius, so that separator holds for the
+        # whole default budget; with a slack of the residual's size alone,
+        # every later block re-solved the hull over all residuals so far
+        solve = detector.interior_hull_certificate
+        calls = []
+        monkeypatch.setattr(detector, "interior_hull_certificate",
+                            lambda V: calls.append(len(V)) or solve(V))
+        A = np.full((2, 2), 0.5)
+        b = np.array([1.0, -0.999999999999])
+        start = time.perf_counter()
+        report = detect_fixed_point_smooth(lambda X: X @ A.T + b, 2,
+                                           DetectionConfig(box_radius=1e8))
+        assert time.perf_counter() - start < 5.0
+        assert (report.confirmed, report.samples_used) == (False, 10 ** 5)
+        assert len(calls) <= 2
 
 
 def _partial_meansum6():

@@ -1,3 +1,4 @@
+import collections
 import time
 import warnings
 
@@ -17,8 +18,8 @@ from coneglow import (
 )
 from coneglow.illumination import _variation_first_rows, separates
 from oracles import (
-    extreme_points, hull_lp_certificate, illuminates_point, schoen_composition,
-    variation_masks_reference,
+    extreme_points, hull_certificate_reference, hull_lp_certificate, illuminates_point,
+    schoen_composition, variation_masks_reference,
 )
 from test_conemaps import mixed_meansum
 
@@ -464,10 +465,13 @@ class TestInteriorHullCertificate:
     def test_one_rank_test_per_call(self, monkeypatch):
         # rows in the plane z = 0 with a positive dependence: NNLS finds
         # it, the least singular value (0) refuses the interior, and the
-        # same SVD picks the null-space separator e_3
+        # same SVD picks the null-space separator e_3.  The certificate
+        # binds LAPACK's dgesdd, so the count is taken there
+        from coneglow import illumination
+
         calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd",
+        svd = illumination.dgesdd
+        monkeypatch.setattr(illumination, "dgesdd",
                             lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
         cert = interior_hull_certificate([(1, 0, 0), (0, 1, 0), (-1, -1, 0)])
         assert len(calls) == 1
@@ -478,6 +482,17 @@ class TestInteriorHullCertificate:
             calls.clear()
             interior_hull_certificate(vecs)
             assert len(calls) <= 1
+
+    def test_svd_failure_raises(self, monkeypatch):
+        # dgesdd reports info > 0 when it does not converge; the certificate
+        # raises LinAlgError there, as np.linalg.svd does
+        from coneglow import illumination
+
+        svd = illumination.dgesdd
+        monkeypatch.setattr(illumination, "dgesdd",
+                            lambda *args, **kwargs: (*svd(*args, **kwargs)[:3], 1))
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge$"):
+            interior_hull_certificate([(1, 0), (-1, 1), (-1, -1)])
 
     def test_collinear_residuals_are_not_inside(self):
         # residuals of the projection onto the diagonal offset by (1, -1),
@@ -558,6 +573,36 @@ class TestInteriorHullCertificate:
             assert not cert.epsilon > lp_epsilon * (1.0 + 1e-9)
             inside += cert.inside
         assert 300 < inside < 1700
+
+    def test_matches_the_numpy_reference(self):
+        # dgesdd called with NumPy's workspace gives np.linalg.svd's bits, and
+        # the row maxima taken once are those each separator test took, so
+        # inside, epsilon and separator agree bit for bit with the reference:
+        # plain, positively dependent, rank-deficient and m < n sets, m = 1-12,
+        # n = 1-5, scaled by 10^-8..10^8
+        rng = np.random.default_rng(36)
+        outcomes = collections.Counter()
+        for trial in range(3000):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, n)) if trial % 4 == 3 and n > 1 else int(rng.integers(1, 13))
+            V = rng.normal(size=(m, n)) + rng.normal(size=n) * rng.uniform(0.0, 1.5)
+            if trial % 4 == 1:
+                half = V[:(m + 1) // 2]
+                V = np.vstack([half, -half])[:m]
+            elif trial % 4 == 2 and n > 1:
+                V = V @ rng.normal(size=(n, n - 1)) @ rng.normal(size=(n - 1, n))
+            V *= 10.0 ** rng.uniform(-8.0, 8.0) * 10.0 ** rng.uniform(-1.0, 1.0, size=(m, 1))
+            got, want = interior_hull_certificate(V), hull_certificate_reference(V)
+            assert got.inside == want.inside
+            assert repr(float(got.epsilon)) == repr(float(want.epsilon))
+            assert (got.separator is None) == (want.separator is None)
+            if got.separator is not None:
+                assert got.separator.tobytes() == want.separator.tobytes()
+            outcomes[got.inside, got.separator is None, np.isfinite(got.epsilon)] += 1
+        # both verdicts, separators with and without a positive dependence
+        assert outcomes[True, True, True] > 300
+        assert outcomes[False, False, True] > 300
+        assert outcomes[False, False, False] > 300
 
     def test_illumination_implies_interior(self):
         # covering witnesses with healthy margins must certify 0 in the hull;

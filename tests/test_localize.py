@@ -257,6 +257,23 @@ class TestHalfspacePolytope:
             polytope, _ = halfspace_polytope(lambda W: 0.5 * W, probes)
         assert len(polytope.rows) == 1
 
+    def test_no_usable_probes(self):
+        # a residual counts when |r| > 1e-12 (1 + |w|): with none left the
+        # polytope is refused after the warning; with one left, the warning
+        # names the others and the rows come from the usable probe alone
+        probes = np.array([[1.0, 2.0], [-3.0, 0.5], [4.0, -4.0]])
+        tiny = np.array([[0.0, 0.0], [1e-12, 0.0], [0.0, 0.0]])
+        with pytest.warns(UserWarning, match=r"^skipping 3 probe\(s\) with zero residual$"):
+            with pytest.raises(DomainError,
+                               match=r"^no usable probes \(all residuals vanished\)$"):
+                halfspace_polytope(lambda W: W + tiny, probes)
+        with pytest.warns(UserWarning, match=r"^skipping 2 probe\(s\) with zero residual$"):
+            polytope, bounded = halfspace_polytope(
+                lambda W: W + tiny + [[0.0, 0.0], [0.0, 0.0], [-2.0, 2.0]], probes)
+        assert [(normal.tolist(), offset) for normal, offset in polytope.rows] == \
+            [([2.0, -2.0], 16.0)]
+        assert bounded is False
+
     def test_contains_known_fixed_point(self):
         # contractive rotation: Euclidean-nonexpansive with one fixed point
         rng = np.random.default_rng(34)
