@@ -241,10 +241,12 @@ class MeanSumMap(MapSpec):
 
 
 # the pairs (s, t) of the couplings theta(x1, x2), theta(x3, x4),
-# theta(x1, x4) and theta(x2, x3), and the pair coupling of each coordinate
+# theta(x1, x4) and theta(x2, x3)
 _S = np.array([0, 2, 0, 1])
 _T = np.array([1, 3, 3, 2])
-_PAIR = np.array([0, 0, 1, 1])
+# rows of (x1..x4, the four couplings) that terms a, b, c and d take, one
+# column per coordinate
+_TERMS = np.array([[0, 1, 2, 3], [4, 4, 5, 5], [6, 6, 6, 6], [7, 7, 7, 7]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,45 +260,52 @@ class SchoenMap(MapSpec):
         f_i(x) = a_i x_i + b_i theta(pair_i) + c_i theta(x1, x4)
                  + d_i theta(x2, x3)
 
-    The kernel works coordinate-major, one row per coordinate, so every
-    pass runs along the batch (a point is its own single row).  All four
-    couplings come from one reciprocal pass over the coordinates,
-    theta(s, t) = (1/s + 1/t)**-1, a form that survives entries near
-    e**700, and the four terms are added in the order written above.
+    The kernel works coordinate-major, so every pass runs along the batch
+    (a point is its own single row).  All four couplings come from one
+    reciprocal pass over the coordinates, theta(s, t) = (1/s + 1/t)**-1,
+    a form that survives entries near e**700.  One concatenate puts them
+    below x, one gather lays out the terms as (term, coordinate[, row]),
+    one in-place product applies the coefficients, and ``np.add.reduce``
+    over the term axis adds the a, b, c and d terms in the order written
+    above.  That term array is the widest the kernel builds: 16 floats a
+    row, the map's ``width``.
     """
 
     coefficients: np.ndarray
 
     def __post_init__(self):
         C = as_real(self.coefficients, "coefficients")
-        if C.shape != (4, 4) or not np.all(np.isfinite(C)):
+        if C.shape != (4, 4) or not np.isfinite(C).all():
             raise DomainError("coefficients must be a finite 4x4 array")
-        if np.any(C[:, 0] <= 0.0):
+        if (C[:, 0] <= 0.0).any():
             raise DomainError("diagonal coefficients a_i must be positive")
-        if np.any(C[:, 1:] < 0.0):
+        couplings = C[:, 1:]
+        if (couplings < 0.0).any():
             raise DomainError("coupling coefficients must be nonnegative")
-        if np.any(np.all(C[:, 1:] == 0.0, axis=1)):
+        if not couplings.any(axis=1).all():
             raise DomainError("each row needs a positive coupling coefficient")
         object.__setattr__(self, "coefficients", C)
-        # term j's coefficients, one per coordinate: a row for a point, a
-        # column for a batch, whose coordinates are rows
+        # coefficient of term j in coordinate i at [j, i], for a point and,
+        # with a row axis, for a batch
         terms = np.ascontiguousarray(C.T)
-        object.__setattr__(self, "_terms", (tuple(terms), tuple(terms[:, :, None])))
+        object.__setattr__(self, "_terms", (terms, terms[:, :, None]))
 
     @property
     def dim(self) -> int:
         return 4
 
+    @property
+    def width(self) -> int:
+        """The (term, coordinate) array holds 16 floats a row."""
+        return 16
+
     def _eval_batch(self, X):
-        XT = np.asfortranarray(X).T
-        a, b, c, d = self._terms[XT.ndim - 1]
+        XT = X.T
         R = 1.0 / XT
-        th = 1.0 / (R[_S] + R[_T])
-        out = XT * a
-        out += th[_PAIR] * b
-        out += th[2] * c
-        out += th[3] * d
-        return out.T
+        V = np.concatenate((XT, 1.0 / (R[_S] + R[_T])))
+        G = V[_TERMS]
+        G *= self._terms[X.ndim - 1]
+        return np.add.reduce(G, axis=0).T
 
 
 @dataclass(frozen=True, eq=False)

@@ -213,7 +213,31 @@ class DetectionReport:
         return doc
 
     def to_json_bytes(self) -> bytes:
-        return (json.dumps(self.to_json_dict(), indent=2) + "\n").encode()
+        """``json.dumps(self.to_json_dict(), indent=2)`` and a newline, as
+        UTF-8.  The header still goes through ``json.dumps``; the witness
+        entries, and the probe rows, are filled into one format string
+        each, numbers by ``%r``: ``float.__repr__`` and ``int.__repr__``,
+        which is how ``json`` writes finite values.  A report whose points
+        are not lists of ``dimension`` finite floats goes through
+        ``json.dumps`` whole."""
+        doc = self.to_json_dict()
+        n, witnesses = self.dimension, doc["witnesses"]
+        points = [entry["point"] for entry in witnesses]
+        probe = doc.get("probe_points", [])
+        if not (n >= 1 and _finite_float_rows(points, n) and _finite_float_rows(probe, n)):
+            return (json.dumps(doc, indent=2) + "\n").encode()
+        header = {name: value for name, value in doc.items()
+                  if name not in ("witnesses", "probe_points")}
+        witness = '{\n      "subset": %s,\n      "point": ' + _float_list(n, 8) + "\n    }"
+        parts = [json.dumps(header, indent=2)[:-2], ',\n  "witnesses": ',
+                 _json_entries(witness, len(points), itertools.chain.from_iterable(
+                     (_int_list(entry["subset"]), *point)
+                     for entry, point in zip(witnesses, points)))]
+        if "probe_points" in doc:
+            parts += [',\n  "probe_points": ', _json_entries(
+                _float_list(n, 6), len(probe), itertools.chain.from_iterable(probe))]
+        parts.append("\n}\n")
+        return "".join(parts).encode()
 
     @staticmethod
     def from_json_dict(doc: dict) -> "DetectionReport":
@@ -230,17 +254,27 @@ class DetectionReport:
         used = doc["samples_used"]
         if not (_is_int(used) and 0 <= used <= config.max_samples):
             raise DomainError(f"samples_used must be an integer in 0..{config.max_samples}")
+        entries = doc["witnesses"]
+        try:  # all points at once; after a fault, reading entry by entry names the first
+            points = as_real([entry["point"] for entry in entries], "witness point")
+            if points.shape != (len(entries), n):
+                points = None
+        except (KeyError, TypeError, DomainError):
+            points = None
         witnesses = {}
-        for entry in doc["witnesses"]:
+        for k, entry in enumerate(entries):
             subset = entry["subset"]
             if not (all(_is_int(i) and 0 <= i < n for i in subset)
                     and len(set(subset)) == len(subset)):
                 raise DomainError(f"subset {subset} must list distinct indices in 0..{n - 1}")
-            point = as_real(entry["point"], "witness point")
-            if point.shape != (n,):
-                raise DomainError(f"witness points must have shape ({n},)")
+            if points is None:
+                point = as_real(entry["point"], "witness point")
+                if point.shape != (n,):
+                    raise DomainError(f"witness points must have shape ({n},)")
+            else:
+                point = points[k]
             witnesses[sum(1 << i for i in subset)] = point
-        if len(witnesses) < len(doc["witnesses"]):
+        if len(witnesses) < len(entries):
             raise DomainError("each subset may have only one witness")
         for name, value in (("total_subsets", total), ("subsets_covered", len(witnesses)),
                             ("seed", config.seed)):
@@ -265,6 +299,35 @@ class DetectionReport:
             witnesses=witnesses,
             probe_points=probe,
         )
+
+
+# Pieces of a report as ``json.dumps(..., indent=2)`` lays it out; the
+# witnesses and probe points are lists in the top-level object.
+def _finite_float_rows(rows: list, n: int) -> bool:
+    """Every row is a list of n finite floats."""
+    if not ({list}.issuperset(map(type, rows)) and {n}.issuperset(map(len, rows))):
+        return False
+    numbers = list(itertools.chain.from_iterable(rows))
+    return {float}.issuperset(map(type, numbers)) and all(map(math.isfinite, numbers))
+
+
+def _float_list(n: int, indent: int) -> str:
+    """A format for a list of n floats whose entries sit ``indent`` spaces in."""
+    pad = "\n" + " " * indent
+    return "[" + pad + ("," + pad).join(["%r"] * n) + pad[:-2] + "]"
+
+
+def _int_list(items: list) -> str:
+    """A witness subset: its ints sit 8 spaces in."""
+    return ("[\n        " + ",\n        ".join(map(int.__repr__, items)) + "\n      ]"
+            if items else "[]")
+
+
+def _json_entries(entry: str, count: int, args) -> str:
+    """``count`` entries of the format ``entry``, filled from ``args``."""
+    if not count:
+        return "[]"
+    return ("[\n    " + ",\n    ".join([entry] * count) + "\n  ]") % tuple(args)
 
 
 def _check_dimension(kind: str, n) -> None:

@@ -130,7 +130,8 @@ class TestEval:
 
     @pytest.mark.parametrize("m", [1, 32, 4096])
     def test_schoen_matches_per_pair_reference(self, m):
-        # the gathered kernel gives the per-pair form bit for bit
+        # the gathered kernel gives the per-pair form bit for bit, on a
+        # batch and on each of its rows as a point, up to entries of e**700
         rng = np.random.default_rng(45)
         factors = [child.coefficients for child in schoen_composition().children]
         for _ in range(6):
@@ -138,9 +139,17 @@ class TestEval:
             C[:, 1:] *= rng.random((4, 3)) < 0.6  # some couplings are zero
             C[np.arange(4), 1 + rng.integers(3, size=4)] += 1.0
             factors.append(C)
+        corners = np.array([[700.0, -700.0, 700.0, -700.0], [-700.0, 700.0, -700.0, 700.0],
+                            [700.0, 700.0, -700.0, -700.0], [700.0] * 4, [-700.0] * 4])
         for C in factors:
-            X = np.exp(rng.uniform(-690.0, 690.0, (m, 4)))
-            assert np.array_equal(SchoenMap(C)._eval_batch(X), schoen_reference(C, X))
+            spec = SchoenMap(C)
+            for X in (np.exp(rng.uniform(-690.0, 690.0, (m, 4))),
+                      np.exp(np.vstack([rng.uniform(-700.0, 700.0, (m, 4)), corners]))):
+                want = schoen_reference(C, X)
+                assert spec._eval_batch(X).tobytes() == want.tobytes()
+                for x, y in zip(X[:40], want):
+                    got = spec._eval_batch(x)
+                    assert got.shape == (4,) and got.tobytes() == y.tobytes()
 
     @pytest.mark.parametrize("c", [0.0, 1 / 6, 1 / 3, 0.1])
     @pytest.mark.parametrize("m", [1, 32, 4096])
@@ -453,16 +462,18 @@ class TestConstructorValidation:
 class TestWidth:
     def test_every_node_kind(self):
         # the widest per-row array a kernel builds: dim by default, the
-        # term count of a meansum map, the widest child of a combinator
+        # term count of a meansum map, the (term, coordinate) array of a
+        # Schoen map, the widest child of a combinator
         matrix = MatrixMap(np.ones((4, 4)))
         term = MeanTerm(1.0, [0.25] * 4, 1.0)
         wide = MeanSumMap(((term,) * 3,) * 4)
         cases = [
-            (matrix, 4), (SchoenMap(np.ones((4, 4))), 4), (TriangleMap(0.1), 3),
+            (matrix, 4), (SchoenMap(np.ones((4, 4))), 16), (TriangleMap(0.1), 3),
             (MatrixMap([[2.0]]), 1), (mixed_meansum(), 5), (wide, 12),
             (ComposeMap((matrix, wide, mixed_meansum())), 12), (ComposeMap((matrix,)), 4),
             (SumMap((mixed_meansum(), matrix)), 5), (ScaleMap(2.0, wide), 12),
             (ScaleMap(2.0, SumMap((ScaleMap(0.5, matrix), wide))), 12),
+            (schoen_composition(), 16), (SumMap((wide, SchoenMap(np.ones((4, 4))))), 16),
         ]
         for spec, width in cases:
             assert spec.width == width >= spec.dim

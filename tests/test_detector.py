@@ -21,6 +21,7 @@ from coneglow import (
     MeanSumMap,
     MeanTerm,
     NormId,
+    SchoenMap,
     TriangleMap,
     build_adversarial_euclid,
     detect_eigenvector,
@@ -440,6 +441,32 @@ class TestDetectEigenvector:
             assert all(m * width <= max(2 ** 14, block * width) for m in rows)
             size = min(4096, 2 ** 14 // width)
             assert max(rows) == max(size - size % block, block)
+
+    def test_schoen_kernel_arrays_stay_within_the_coordinate_cap(self, monkeypatch):
+        # every array the Schoen kernel builds, its (term, coordinate) array
+        # of 16 floats a row included, holds at most 2**14 floats; a gap
+        # tolerance near 1 leaves every mask invalid, so the run spends its
+        # budget through full-size batches
+        sizes, rows = [], []
+
+        class Watched(np.ndarray):
+            __array_priority__ = 1.0  # concatenate keeps the subclass
+
+            def __array_finalize__(self, obj):
+                sizes.append(self.size)
+
+        kernel = SchoenMap._eval_batch
+
+        def watched(self, X):
+            rows.append(len(X))
+            return kernel(self, X.view(Watched)).view(np.ndarray)
+
+        monkeypatch.setattr(SchoenMap, "_eval_batch", watched)
+        spec = schoen_composition()
+        report = detect_eigenvector(spec, DetectionConfig(max_samples=5000, gap_tol=0.999))
+        assert report.samples_used == 5000 and not report.confirmed
+        assert spec.width == 16 and max(rows) == 2 ** 14 // 16
+        assert max(sizes) == 2 ** 14 == detector._BATCH_COORDS
 
     @pytest.mark.parametrize("small_batches", [False, True])
     def test_batches_hold_whole_blocks(self, monkeypatch, small_batches):
@@ -1025,6 +1052,100 @@ class TestVerify:
         doc.update(kind=kind, dimension=25)
         with pytest.raises(DomainError, match="capped at n <= 24"):
             DetectionReport.from_json_dict(doc)
+
+
+def _handmade(kind, n, witnesses=(), probe=None, samples=3):
+    return DetectionReport(
+        kind=kind, status=DetectionStatus.CONFIRMED, dimension=n, samples_used=samples,
+        config=DetectionConfig(seed=0), witnesses={mask: np.asarray(point)
+                                                   for mask, point in witnesses},
+        probe_points=None if probe is None else np.asarray(probe))
+
+
+def _writer_cases():
+    tiny = 5e-324
+    return {
+        "schoen": lambda: detect_eigenvector(schoen_composition(), DetectionConfig(seed=7)),
+        "n1-no-witnesses": lambda: detect_eigenvector(MatrixMap([[3.0]]), DetectionConfig()),
+        "eigen-undetermined": lambda: detect_eigenvector(
+            TriangleMap(0.0), DetectionConfig(max_samples=2000)),
+        "sup-empty-subset": lambda: detect_fixed_point_sup(_contraction, 3, DetectionConfig()),
+        "sup-undetermined": lambda: detect_fixed_point_sup(
+            _translation, 2, DetectionConfig(max_samples=100)),
+        "smooth": lambda: detect_fixed_point_smooth(_contraction, 2, DetectionConfig(seed=4)),
+        "smooth-n1": lambda: detect_fixed_point_smooth(_contraction, 1, DetectionConfig()),
+        "smooth-undetermined": lambda: detect_fixed_point_smooth(
+            _translation, 2, DetectionConfig(max_samples=100)),
+        "numpy-config": lambda: detect_fixed_point_sup(_contraction, np.int64(2), DetectionConfig(
+            box_radius=np.float32(2), gap_tol=np.float64(1e-9), max_samples=np.int64(40),
+            seed=np.int64(3))),
+        "signed-zero-subnormal": lambda: _handmade(
+            "fixed_point_sup", 2, [(0, [-0.0, tiny]), (3, [2.2250738585072014e-308 / 3, -0.0])]),
+        "smooth-signed-zero-subnormal": lambda: _handmade(
+            "fixed_point_smooth", 2, probe=[[-0.0, tiny], [1e-310, -1.5e300], [0.0, -tiny]]),
+        "non-finite": lambda: _handmade("fixed_point_sup", 2, [(1, [np.nan, np.inf])]),
+        "non-finite-probe": lambda: _handmade("fixed_point_smooth", 1,
+                                              probe=[[1.0], [-np.inf]], samples=2),
+        "int-points": lambda: _handmade("fixed_point_sup", 2, [(2, np.array([1, -2]))]),
+    }
+
+
+class TestReportBytes:
+    # the report writer lays out witnesses and probe rows itself, and gives
+    # the bytes of json.dumps(..., indent=2) for every kind and edge case
+    @pytest.mark.parametrize("case", list(_writer_cases()))
+    def test_writer_matches_json_dumps(self, case):
+        report = _writer_cases()[case]()
+        assert report.to_json_bytes() == (json.dumps(report.to_json_dict(), indent=2)
+                                          + "\n").encode()
+        if case == "sup-empty-subset":
+            assert b'"subset": []' in report.to_json_bytes()
+        if case == "n1-no-witnesses":
+            assert b'"witnesses": []' in report.to_json_bytes()
+
+    @staticmethod
+    def _schoen_doc():
+        return json.loads(detect_eigenvector(schoen_composition(),
+                                             DetectionConfig(seed=7)).to_json_bytes())
+
+    @pytest.mark.parametrize("point", [[[1.0, 2.0], [3.0]], [1.0, [2.0, 3.0], 1.0, 1.0]],
+                             ids=["ragged", "ragged-inner"])
+    def test_reader_names_a_ragged_point(self, point):
+        # the message of the point on its own, not of all the points together
+        with pytest.raises(ValueError) as numpy_error:
+            np.asarray(point, dtype=float)
+        doc = self._schoen_doc()
+        doc["witnesses"][2]["point"] = point
+        message = f"witness point must be real and share one length ({numpy_error.value})"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            DetectionReport.from_json_dict(doc)
+
+    @pytest.mark.parametrize("edits, message", [
+        ({1: {"point": [[1.0, 2.0, 3.0, 4.0]]}}, "witness points must have shape (4,)"),
+        ({3: {"point": [1.0, 2.0, 3.0]}}, "witness points must have shape (4,)"),
+        ({5: {"point": ["1.0", 2.0, 3.0, 4.0]}}, "witness point: expected a number, not '1.0'"),
+        ({5: {"point": "abcd"}}, "witness point: expected a number, not 'abcd'"),
+        ({1: {"point": [1.0]}, 2: {"subset": [9]}}, "witness points must have shape (4,)"),
+        ({2: {"subset": [9]}, 3: {"point": [1.0]}}, "subset [9] must list distinct indices in 0..3"),
+        ({k: {"point": [1.0, 2.0, 3.0]} for k in range(14)}, "witness points must have shape (4,)"),
+        ({k: {"point": [[1.0, 2.0, 3.0, 4.0]]} for k in range(14)},
+         "witness points must have shape (4,)"),
+    ], ids=["nested", "short", "string-entry", "string-point", "point-first", "subset-first",
+            "all-short", "all-nested"])
+    def test_reader_refusals_name_the_first_fault(self, edits, message):
+        doc = self._schoen_doc()
+        for k, fields in edits.items():
+            doc["witnesses"][k].update(fields)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            DetectionReport.from_json_dict(doc)
+
+    def test_reader_reads_the_points_written(self):
+        for case in ("schoen", "sup-empty-subset", "numpy-config", "signed-zero-subnormal"):
+            report = _writer_cases()[case]()
+            clone = DetectionReport.from_json_dict(json.loads(report.to_json_bytes()))
+            assert clone.to_json_bytes() == report.to_json_bytes()
+            assert all(clone.witnesses[m].tobytes() == report.witnesses[m].tobytes()
+                       for m in report.witnesses)
 
 
 class TestAdversarial:
